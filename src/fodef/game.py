@@ -96,8 +96,9 @@ def step(state: GameState, spoiler_move: tuple[str, int],
         status = SPOILER_WON
     elif len(pebbles) >= state.max_rounds:
         status = DUPLICATOR_SURVIVED
-    return replace(state, pebbles=pebbles, sides=state.sides + (side,),
-                   alternations_used=alts, status=status)
+    return GameState(state.g, state.h, state.max_rounds, state.alternation_budget,
+                     pebbles=pebbles, sides=state.sides + (side,),
+                     alternations_used=alts, status=status)
 
 
 # -- agents ----------------------------------------------------------------------
@@ -196,7 +197,9 @@ class HumanDuplicator(Agent):
 
 
 class ExhaustiveDuplicator(Agent):
-    """Optimal replies from full game-tree search (small instances only)."""
+    """Optimal replies from full game-tree search (small instances only).
+    The search memo is kept while the pair and the alternation budget stay
+    the same."""
     label = "exhaustive"
 
     def __init__(self, size_budget: int = 16):
@@ -208,9 +211,11 @@ class ExhaustiveDuplicator(Agent):
         if state.g.n + state.h.n > self.size_budget:
             raise AgentError(
                 f"exhaustive duplicator refuses instances over {self.size_budget} vertices")
-        if self._searcher is None:
-            self._searcher = RankSearcher(state.g, state.h, state.alternation_budget)
         s = self._searcher
+        if s is None or (s.g, s.h, s.k) != (state.g, state.h,
+                                            state.alternation_budget):
+            s = self._searcher = RankSearcher(state.g, state.h,
+                                              state.alternation_budget)
         other = state.h if side == SIDE_G else state.g
         rounds_left = state.max_rounds - state.round
         last = side

@@ -286,8 +286,9 @@ def survival_vs(spoiler: Agent, g: ColoredGraph, h: ColoredGraph,
         best = (-1, True, 0)
         for v in range(other.n):
             child = step(state, (side, u), v)
-            sub = agent.fork() if other.n > 1 else agent
-            got = walk(child, sub)
+            # only a running child consults its agent; a lone child may reuse it
+            fork = child.status == RUNNING and other.n > 1
+            got = walk(child, agent.fork() if fork else agent)
             best = (max(best[0], got[0]), best[1] and got[1], max(best[2], got[2]))
         return best
 

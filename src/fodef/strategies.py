@@ -169,9 +169,16 @@ class StrategyTrace:
     def cases(self) -> list[str]:
         return [r["case"] for r in self.records]
 
+    def fork(self) -> "StrategyTrace":
+        """Copy with its own lists; the records, never changed once
+        appended, are shared."""
+        return StrategyTrace(list(self.records), list(self.events),
+                             list(self.sep_sizes), self.max_flaps, self.max_similar)
+
     def to_json_dict(self) -> dict:
         return {"records": self.records, "events": self.events,
-                "sep_sizes": self.sep_sizes, "max_flaps": self.max_flaps}
+                "sep_sizes": self.sep_sizes, "max_flaps": self.max_flaps,
+                "max_similar": self.max_similar}
 
 
 # -- bisection play ---------------------------------------------------------------
@@ -183,20 +190,21 @@ class _Bisection:
 
     anchors are ((p1_play, p1_other), (p2_play, p2_other)); play vertices
     must share the component `region` of the play graph minus blocked_play.
+    The only state that changes is the anchor pair, and observe() rebinds
+    it, so a shallow copy is a fork.
     """
 
-    def __init__(self, machine: "StrategyMachine", play_side: str,
+    def __init__(self, g: ColoredGraph, h: ColoredGraph, play_side: str,
                  region: frozenset[int], anchors, blocked_play: frozenset[int],
                  blocked_other: frozenset[int]):
-        self.m = machine
         self.side = play_side
         self.region = frozenset(region)
         self.blocked_other = frozenset(blocked_other)
         (u1, o1), (u2, o2) = anchors
-        self.us = [u1, u2]
-        self.os = [o1, o2]
-        self.play_graph = machine.g if play_side == SIDE_G else machine.h
-        self.other_graph = machine.h if play_side == SIDE_G else machine.g
+        self.us = (u1, u2)
+        self.os = (o1, o2)
+        self.play_graph = g if play_side == SIDE_G else h
+        self.other_graph = h if play_side == SIDE_G else g
         if u1 not in self.region or u2 not in self.region:
             raise HypothesisError("anchors must lie inside the play-side flap")
         if self.region & frozenset(blocked_play):
@@ -205,8 +213,6 @@ class _Bisection:
             raise HypothesisError("partner pebbles must lie inside flaps")
         if self._same_component(o1, o2):
             raise HypothesisError("partners must lie in different flaps")
-        self.budget = math.ceil(math.log2(max(2, len(self.region))))
-        self.rounds = 0
 
     def _same_component(self, a: int, b: int) -> bool:
         if a in self.blocked_other or b in self.blocked_other:
@@ -228,7 +234,6 @@ class _Bisection:
             score = (max(dv1, dv2), v)
             if best is None or score < best:
                 best = score
-        self.rounds += 1
         return (self.side, best[1])
 
     def observe(self, pair: tuple[int, int]):
@@ -236,11 +241,14 @@ class _Bisection:
         v = pair[1] if self.side == SIDE_G else pair[0]
         for m in (0, 1):
             if not self._same_component(v, self.os[m]):
-                self.us = [u, self.us[m]]
-                self.os = [v, self.os[m]]
+                self.us = (u, self.us[m])
+                self.os = (v, self.os[m])
                 return
         raise StrategyError("reply reunited both partners; the pairing "
                             "should already have broken")
+
+    def fork(self) -> "_Bisection":
+        return copy.copy(self)
 
 
 # -- the strategy machine ----------------------------------------------------------
@@ -278,48 +286,71 @@ class _Frame:
     pending_final: Optional[int] = None
     s0_dup_picks: list = field(default_factory=list)
 
+    def fork(self) -> "_Frame":
+        """Copy that owns the containers the machine changes in place; the
+        domains, flaps, class tables, overlays and certificate are shared."""
+        twin = copy.copy(self)
+        twin.queue = list(self.queue)
+        twin.x_order = list(self.x_order)
+        twin.y_order = list(self.y_order)
+        twin.local_pairs = list(self.local_pairs)
+        twin.visited_h = set(self.visited_h)
+        twin.s0_dup_picks = list(self.s0_dup_picks)
+        return twin
 
+
+def _auto_depth(g: ColoredGraph, cfg: StrategyConfig) -> int:
+    n = max(1, g.n)
+    if cfg.variant == "S_star":
+        s = cfg.s_bound if cfg.s_bound is not None else max(1, g.max_degree())
+        return choose_depth(n, s, cfg.epsilon, "S_star")
+    if cfg.m_bound is not None:
+        m = cfg.m_bound
+    elif cfg.provider == "class_o":
+        m = 7
+    else:
+        m = max(1, g.max_degree())
+    return choose_depth(n, m, cfg.epsilon, "S")
+
+
+@dataclass(eq=False, repr=False)
 class StrategyMachine:
-    """Deterministic move generator advanced by observing each played pair."""
+    """Deterministic move generator advanced by observing each played pair.
 
-    def __init__(self, g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
-                 classification: Optional[OClassification] = None):
+    The fields are its whole state, and fork() passes each one on.  Planning
+    and observing change only the top frame, and a frame never changes again
+    once another is pushed above it, so fork() copies the top frame alone
+    and shares the rest.
+    """
+    g: ColoredGraph
+    h: ColoredGraph
+    config: StrategyConfig
+    frames: list[_Frame]                       # the stack, top last
+    bisection: Optional[_Bisection] = None
+    seen_rounds: int = 0                       # -1: adopt a pre-placed position
+    pending_move: Optional[tuple[str, int]] = None
+    color_counter: int = 0                     # next fresh separator color
+    trace: StrategyTrace = field(default_factory=StrategyTrace)
+
+    @classmethod
+    def start(cls, g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
+              classification: Optional[OClassification] = None
+              ) -> "StrategyMachine":
+        """Separator recursion from the empty position."""
         if not g.is_connected():
             raise StrategyError("the structured side must be connected")
-        self.g = g
-        self.h = h
-        self.config = config
-        self.trace = StrategyTrace()
-        self.color_counter = max(g.max_color(), h.max_color()) + 1
-        self.bisection: Optional[_Bisection] = None
-        self.pending_move: Optional[tuple[str, int]] = None
-        self.seen_rounds = 0
-        cls = classification
         if config.provider == "tree_centroid" and not g.is_tree():
             raise StrategyError("tree separator requires a tree")
         if config.provider == "class_o":
-            if cls is None:
-                cls = classify_o(g)
-            if not cls.in_class():
+            if classification is None:
+                classification = classify_o(g)
+            if not classification.in_class():
                 raise StrategyError("graph is outside the supported class")
-        top_depth = config.depth if config.depth is not None else self._auto_depth()
-        self.frames: list[_Frame] = [
-            _Frame(frozenset(range(g.n)), frozenset(range(h.n)), top_depth,
-                   None, frozenset(), frozenset(), {}, {}, cls)]
-
-    def _auto_depth(self) -> int:
-        cfg = self.config
-        n = max(1, self.g.n)
-        if cfg.variant == "S_star":
-            s = cfg.s_bound if cfg.s_bound is not None else max(1, self.g.max_degree())
-            return choose_depth(n, s, cfg.epsilon, "S_star")
-        if cfg.m_bound is not None:
-            m = cfg.m_bound
-        elif cfg.provider == "class_o":
-            m = 7
-        else:
-            m = max(1, self.g.max_degree())
-        return choose_depth(n, m, cfg.epsilon, "S")
+        depth = config.depth if config.depth is not None else _auto_depth(g, config)
+        top = _Frame(frozenset(range(g.n)), frozenset(range(h.n)), depth,
+                     None, frozenset(), frozenset(), {}, {}, classification)
+        return cls(g, h, config, [top],
+                   color_counter=max(g.max_color(), h.max_color()) + 1)
 
     # -- separator providers -------------------------------------------------
 
@@ -392,9 +423,13 @@ class StrategyMachine:
     # -- public interface -------------------------------------------------------
 
     def fork(self) -> "StrategyMachine":
-        memo = {id(self.g): self.g, id(self.h): self.h,
-                id(self.config): self.config}
-        return copy.deepcopy(self, memo)
+        frames = self.frames[:-1] + [self.frames[-1].fork()] if self.frames else []
+        bisection = self.bisection.fork() if self.bisection is not None else None
+        return StrategyMachine(self.g, self.h, self.config, frames, bisection,
+                               seen_rounds=self.seen_rounds,
+                               pending_move=self.pending_move,
+                               color_counter=self.color_counter,
+                               trace=self.trace.fork())
 
     def next_move(self, state: GameState) -> tuple[str, int]:
         self._sync(state)
@@ -404,9 +439,6 @@ class StrategyMachine:
             move = self._plan()
         self.pending_move = move
         return move
-
-    def sync(self, state: GameState):
-        self._sync(state)
 
     # -- observation of replies ---------------------------------------------------
 
@@ -436,7 +468,7 @@ class StrategyMachine:
             v = pair[1]
             if v not in frame.dom_h and frame.anchor is not None:
                 self.trace.events.append(("ESCAPE", self.seen_rounds + 1))
-                self.bisection = _Bisection(self, SIDE_G, frame.dom_g,
+                self.bisection = _Bisection(self.g, self.h, SIDE_G, frame.dom_g,
                                             (pair, frame.anchor),
                                             frame.enc_x, frame.enc_y)
                 return
@@ -548,7 +580,7 @@ class StrategyMachine:
             frame.local_pairs.append((u, v, None, None))
             if not frame.queue:
                 (u1, v1, _, _), (u2, v2, _, _) = frame.local_pairs[-2:]
-                self.bisection = _Bisection(self, SIDE_G, frame.dom_g,
+                self.bisection = _Bisection(self.g, self.h, SIDE_G, frame.dom_g,
                                             ((u1, v1), (u2, v2)),
                                             frame.enc_x, frame.enc_y)
             return
@@ -662,7 +694,7 @@ class StrategyMachine:
             pu, pv, pg, ph = collide
             self.trace.events.append(("COLLIDE", self.seen_rounds + 1))
             self.bisection = _Bisection(
-                self, SIDE_H, frame.flaps_h[hflap], ((pv, pu), (v, u)),
+                self.g, self.h, SIDE_H, frame.flaps_h[hflap], ((pv, pu), (v, u)),
                 frame.enc_y | frozenset(frame.y_order),
                 frame.enc_x | frozenset(frame.x_order))
             return
@@ -700,7 +732,7 @@ class StrategyMachine:
         if mate is not None:
             pu, pv, _, _ = mate
             self.bisection = _Bisection(
-                self, SIDE_G, frame.flaps_g[gflap], ((pu, pv), (u, v)),
+                self.g, self.h, SIDE_G, frame.flaps_g[gflap], ((pu, pv), (u, v)),
                 frame.enc_x | frozenset(frame.x_order),
                 frame.enc_y | frozenset(frame.y_order))
             return
@@ -757,10 +789,6 @@ class StrategySpoiler(Agent):
     def choose(self, state: GameState) -> tuple[str, int]:
         return self.machine.next_move(state)
 
-    def finish(self, state: GameState):
-        """Feed the final round so trace bookkeeping is complete."""
-        self.machine.sync(state)
-
     def fork(self) -> "StrategySpoiler":
         return StrategySpoiler(self.machine.fork(), self.label)
 
@@ -776,7 +804,8 @@ def s_agent(g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
     """Separator-recursion Spoiler for a connected structured g versus an
     arbitrary non-isomorphic h; switches sides at most twice."""
     cfg = _with_variant(config, "S")
-    return StrategySpoiler(StrategyMachine(g, h, cfg, classification), "s_agent")
+    return StrategySpoiler(StrategyMachine.start(g, h, cfg, classification),
+                           "s_agent")
 
 
 def s_star_agent(g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
@@ -785,7 +814,8 @@ def s_star_agent(g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
     similar-flap-count + 1 probing moves, at the price of one extra
     alternation per recursion level."""
     cfg = _with_variant(config, "S_star")
-    return StrategySpoiler(StrategyMachine(g, h, cfg, classification), "s_star_agent")
+    return StrategySpoiler(StrategyMachine.start(g, h, cfg, classification),
+                           "s_star_agent")
 
 
 def halving_agent(g: ColoredGraph, h: ColoredGraph, flap: Sequence[int],
@@ -797,17 +827,9 @@ def halving_agent(g: ColoredGraph, h: ColoredGraph, flap: Sequence[int],
 
     The position's pre-placed pebbles are adopted on the first move request.
     """
-    machine = StrategyMachine.__new__(StrategyMachine)
-    machine.g = g
-    machine.h = h
-    machine.config = StrategyConfig()
-    machine.trace = StrategyTrace()
-    machine.color_counter = 0
-    machine.pending_move = None
-    machine.seen_rounds = -1
-    machine.frames = []
-    machine.bisection = _Bisection(machine, SIDE_G, frozenset(flap), anchors,
-                                   frozenset(x_set), frozenset(y_set))
+    bisection = _Bisection(g, h, SIDE_G, frozenset(flap), anchors,
+                           frozenset(x_set), frozenset(y_set))
+    machine = StrategyMachine(g, h, StrategyConfig(), [], bisection, seen_rounds=-1)
     return StrategySpoiler(machine, "halving")
 
 

@@ -156,6 +156,20 @@ class TestDuplicators:
                           builtin_duplicator("exhaustive"), rank - 1)
             assert t.status == DUPLICATOR_SURVIVED
 
+    def test_exhaustive_reused_on_another_pair(self):
+        # one instance serves a second pair exactly as a fresh one does
+        from fodef.oracle import OracleSpoiler
+        d = builtin_duplicator("exhaustive")
+        g, h = star(3), star(4)
+        t = run_match(g, h, OracleSpoiler(g, h), d, 3)
+        assert (t.status, t.rounds_used) == (SPOILER_WON, 3)
+        g, h = path(5), path(6)
+        for r in (2, 3):
+            fresh = run_match(g, h, OracleSpoiler(g, h),
+                              builtin_duplicator("exhaustive"), r)
+            assert run_match(g, h, OracleSpoiler(g, h), d, r) == fresh
+        assert fresh.status == SPOILER_WON
+
     def test_greedy_outlasts_random_spoiler_on_close_cycles(self):
         import random
 

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -7,15 +10,18 @@ from fodef.families import (
     cycle, enumerate_graphs, path, random_bounded_tree, random_hop, star,
     two_cycles,
 )
-from fodef.formulas import analyze, evaluate
-from fodef.game import SIDE_G, SIDE_H, SPOILER_WON, builtin_duplicator, run_match
+from fodef.formulas import analyze, evaluate, print_formula
+from fodef.game import (
+    RUNNING, SIDE_G, SIDE_H, SPOILER_WON, builtin_duplicator, new_game,
+    run_match, step,
+)
 from fodef.graphs import ColoredGraph, are_isomorphic
 from fodef.oracle import OracleSpoiler, exact_rank, survival_vs
 from fodef.separators import classify_o
 from fodef.strategies import (
     BOUND_NAMES, HypothesisError, StrategyConfig, StrategyError,
-    bound, choose_depth, extract_formula, halving_agent, reply_tree,
-    s_agent, s_star_agent, synthesize_distinguisher,
+    StrategySpoiler, bound, choose_depth, extract_formula, halving_agent,
+    reply_tree, s_agent, s_star_agent, synthesize_distinguisher,
 )
 
 EPS = Fraction(2, 3)
@@ -355,3 +361,131 @@ class TestExtraction:
 
         with pytest.raises(StrategyError):
             reply_tree(cycle(3), cycle(4), Lazy(), r_max=3)
+
+
+class DeepcopySpoiler(StrategySpoiler):
+    """Reference fork: a deep copy of the whole machine, sharing nothing but
+    the graphs and the configuration."""
+
+    def fork(self):
+        m = self.machine
+        memo = {id(m.g): m.g, id(m.h): m.h, id(m.config): m.config}
+        return DeepcopySpoiler(copy.deepcopy(m, memo), self.label)
+
+
+def criterion09_pairs(order_max):
+    """Criterion-09 pairs: a connected tree or class-O G of order >= 2
+    against every connected non-isomorphic H, with the agent config and the
+    lemma-3.6 round cap."""
+    conn = [g for n in range(1, order_max + 1)
+            for g in enumerate_graphs(n, connected_only=True)]
+    for g in conn:
+        if g.n < 2:
+            continue
+        is_tree = g.is_tree()
+        cls = classify_o(g)
+        if not (is_tree or cls.in_class()):
+            continue
+        for h in conn:
+            if g.n == h.n and are_isomorphic(g, h):
+                continue
+            if is_tree:
+                cfg = StrategyConfig(provider="tree_centroid")
+                cap = bound("lemma36", n=g.n, m=max(1, g.max_degree()),
+                            epsilon=EPS, k=1)
+            else:
+                cfg = StrategyConfig(provider="class_o")
+                cap = bound("lemma36", n=g.n, m=7, epsilon=EPS, k=5)
+            yield g, h, cfg, int(cap) + 1, None if is_tree else cls
+
+
+def machine_state(m):
+    """Every field of a strategy machine, comparable by value."""
+    state = {f.name: getattr(m, f.name) for f in dataclasses.fields(m)}
+    if m.bisection is not None:
+        state["bisection"] = vars(m.bisection)
+    return state
+
+
+def greedy_step(agent, state):
+    move = agent.choose(state)
+    return step(state, move, builtin_duplicator("greedy").respond(state, *move))
+
+
+def check_sibling_forks(agent, state):
+    """Along the greedy line from `state`, fork the agent twice at every
+    position with two running replies.  Both forks must equal the agent;
+    play one out along the first reply and check that the other, on the
+    last reply, still plays, traces and ends as a deep copy taken before
+    does.  Returns the positions checked."""
+    checked = 0
+    while state.status == RUNNING:
+        move = agent.choose(state)
+        other = state.h if move[0] == SIDE_G else state.g
+        running = [c for c in (step(state, move, v) for v in range(other.n))
+                   if c.status == RUNNING]
+        if len(running) >= 2:
+            a, b = agent.fork(), agent.fork()
+            assert machine_state(a.machine) == machine_state(agent.machine)
+            ref = copy.deepcopy(b.machine)
+            before = json.dumps(b.trace.to_json_dict())
+            played = running[0]
+            while played.status == RUNNING:
+                played = greedy_step(a, played)
+            assert json.dumps(b.trace.to_json_dict()) == before
+            assert b.choose(running[-1]) == ref.next_move(running[-1])
+            assert machine_state(b.machine) == machine_state(ref)
+            checked += 1
+        state = greedy_step(agent, state)
+    return checked
+
+
+class TestFork:
+    def test_matches_deepcopy_fork(self):
+        # the copy-on-fork machine against the deep-copy fork it replaced
+        pairs = 0
+        for g, h, cfg, r_max, cls in criterion09_pairs(4):
+            def agent(spoiler_class):
+                sp = s_agent(g, h, cfg, classification=cls)
+                return spoiler_class(sp.machine, sp.label)
+
+            fast = survival_vs(agent(StrategySpoiler), g, h, r_max, size_budget=12)
+            slow = survival_vs(agent(DeepcopySpoiler), g, h, r_max, size_budget=12)
+            assert fast == slow
+            fast_f = extract_formula(reply_tree(g, h, agent(StrategySpoiler), r_max))
+            slow_f = extract_formula(reply_tree(g, h, agent(DeepcopySpoiler), r_max))
+            assert print_formula(fast_f) == print_formula(slow_f)
+            pairs += 1
+        assert pairs > 50
+
+    @pytest.mark.parametrize("make", [
+        lambda: s_agent(random_bounded_tree(8, 3, 2), random_bounded_tree(8, 3, 3),
+                        StrategyConfig(provider="tree_centroid")),
+        lambda: s_star_agent(random_bounded_tree(8, 3, 2),
+                             random_bounded_tree(8, 3, 3),
+                             StrategyConfig(provider="brute_min", epsilon=EPS)),
+        lambda: s_agent(cycle(9), cycle(10), StrategyConfig(provider="class_o")),
+    ], ids=["s_agent-tree", "s_star_agent-brute", "s_agent-class_o"])
+    def test_sibling_forks_independent(self, make):
+        agent = make()
+        m = agent.machine
+        assert check_sibling_forks(agent, new_game(m.g, m.h, 40)) >= 2
+
+    def test_halving_sibling_forks_independent(self):
+        c8, cc8 = cycle(8), two_cycles(8)
+        anchors = ((0, 0), (4, 8))
+        state = new_game(c8, cc8, 8)
+        for pair in anchors:
+            state = step(state, (SIDE_G, pair[0]), pair[1])
+        agent = halving_agent(c8, cc8, range(8), anchors, [], [])
+        assert check_sibling_forks(agent, state) >= 1
+
+    def test_trace_reports_max_similar(self):
+        # a deficit-class probe in the starred variant meets one similar flap
+        g = ColoredGraph.build(5, [(0, 2), (0, 4), (1, 3), (1, 4)])
+        h = ColoredGraph.build(4, [(0, 3), (1, 3), (2, 3)])
+        agent = s_star_agent(g, h, StrategyConfig(provider="tree_centroid"))
+        run_match(g, h, agent, builtin_duplicator("greedy"), 40)
+        assert "CASE2" in agent.trace.cases()
+        assert agent.trace.to_json_dict()["max_similar"] == 1
+        assert agent.fork().trace.to_json_dict()["max_similar"] == 1
