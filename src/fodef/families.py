@@ -6,8 +6,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from fodef.graphs import (ColoredGraph, GraphError, _forest_code,
-                          find_isomorphism, iso_invariant_key)
+from fodef.graphs import ColoredGraph, GraphError, group_by_isomorphism
+from fodef.separators import chords_cross
 
 ENUM_CAP = 8
 
@@ -169,33 +169,24 @@ _enum_cache: dict[int, list[ColoredGraph]] = {}
 
 
 def _enumerate_level(n: int) -> list[ColoredGraph]:
+    """One graph per isomorphism class of order n: the first of its class
+    among the order-(n-1) representatives extended by every neighborhood of
+    a new vertex n-1, sorted by edge count and edge list."""
     if n in _enum_cache:
         return _enum_cache[n]
     if n == 1:
         reps = [ColoredGraph.build(1, [])]
     else:
         parents = _enumerate_level(n - 1)
-        buckets: dict[tuple, list[ColoredGraph]] = {}
-        for p in parents:
-            base_edges = list(p.edges())
-            for mask in range(1 << (n - 1)):
-                extra = [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
-                g = ColoredGraph.build(n, base_edges + extra)
-                key = iso_invariant_key(g)
-                bucket = buckets.setdefault(key, [])
-                code = _forest_code(g)
-                fresh = True
-                for other in bucket:
-                    if code is not None:
-                        same = code == _forest_code(other)
-                    else:
-                        same = find_isomorphism(g, other) is not None
-                    if same:
-                        fresh = False
-                        break
-                if fresh:
-                    bucket.append(g)
-        reps = [g for b in buckets.values() for g in b]
+
+        def candidate(i: int) -> ColoredGraph:
+            p, mask = parents[i >> (n - 1)], i & ((1 << (n - 1)) - 1)
+            extra = [(j, n - 1) for j in range(n - 1) if mask >> j & 1]
+            return ColoredGraph.build(n, list(p.edges()) + extra)
+
+        count = len(parents) << (n - 1)
+        classes = group_by_isomorphism(candidate(i) for i in range(count))
+        reps = [candidate(members[0]) for members in classes]
         reps.sort(key=lambda g: (g.edge_count(), sorted(g.edges())))
     _enum_cache[n] = reps
     return reps
@@ -209,11 +200,6 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[ColoredGr
         if connected_only and not g.is_connected():
             continue
         yield g
-
-
-def _chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    (p, q), (r, s) = sorted(a), sorted(b)
-    return p < r < q < s or r < p < s < q
 
 
 _hop_cache: dict[int, list[ColoredGraph]] = {}
@@ -235,15 +221,12 @@ def enumerate_hop_graphs(n: int) -> list[ColoredGraph]:
     else:
         all_chords = [(i, j) for i in range(n) for j in range(i + 2, n)
                       if not (i == 0 and j == n - 1)]
-        compatible = {c: [d for d in all_chords if d > c and not _chords_cross(c, d)]
-                      for c in all_chords}
-
         chord_sets: list[tuple[tuple[int, int], ...]] = []
 
         def extend(chosen: list, pool: list):
             chord_sets.append(tuple(chosen))
             for i, c in enumerate(pool):
-                ok = all(not _chords_cross(c, x) for x in chosen)
+                ok = all(not chords_cross(c, x) for x in chosen)
                 if ok:
                     chosen.append(c)
                     extend(chosen, [d for d in pool[i + 1:] if d > c])

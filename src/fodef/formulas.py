@@ -111,8 +111,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos and not text[pos:].strip():
             break
-        if not m:
-            raise FormulaError(f"unexpected character {text[pos]!r} at position {pos}")
         if m.lastgroup is None:
             break
         kind = m.lastgroup

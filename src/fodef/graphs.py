@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -300,16 +301,30 @@ def flap_decompose(g: ColoredGraph, x: Sequence[int],
     fresh = tuple(fresh_base + i for i in range(len(xs)))
     rest = frozenset(range(g.n)) - frozenset(xs)
     flaps = tuple(g.components(within=rest))
-    recolored = []
-    for f in flaps:
-        overlay: dict[int, set[int]] = {}
-        for i, xv in enumerate(xs):
-            for v in f:
-                if g.has_edge(v, xv):
-                    overlay.setdefault(v, set()).add(fresh[i])
-        sub, idx = g.with_extra_colors(overlay).induced(f)
-        recolored.append(sub)
-    return FlapDecomposition(g, tuple(xs), flaps, tuple(recolored), fresh)
+    recolored = tuple(g.with_extra_colors(flap_overlay(g, f, xs, fresh)).induced(f)[0]
+                      for f in flaps)
+    return FlapDecomposition(g, tuple(xs), flaps, recolored, fresh)
+
+
+def flap_overlay(g: ColoredGraph, flap: Iterable[int], sep: Sequence[int],
+                 fresh: Sequence[int],
+                 base: Optional[Mapping[int, Iterable[int]]] = None
+                 ) -> dict[int, frozenset[int]]:
+    """Per-vertex colors of a flap recolored against a separator.
+
+    Vertex v of the flap gets base[v] plus fresh[i] for every separator
+    vertex sep[i] adjacent to v; vertices left with no color are omitted.
+    """
+    out: dict[int, frozenset[int]] = {}
+    for v in flap:
+        cs = set(base.get(v, ())) if base else set()
+        nbrs = g.adj[v]
+        for i, s in enumerate(sep):
+            if s in nbrs:
+                cs.add(fresh[i])
+        if cs:
+            out[v] = frozenset(cs)
+    return out
 
 
 # -- partial isomorphism -----------------------------------------------------
@@ -338,74 +353,95 @@ def check_partial_isomorphism(g: ColoredGraph, h: ColoredGraph,
 # -- isomorphism -------------------------------------------------------------
 
 
-def _refine(g: ColoredGraph, h: ColoredGraph) -> Optional[tuple[list[int], list[int]]]:
-    """Joint color refinement; None when the refined histograms differ."""
-    def initial(gr):
-        return [(tuple(sorted(gr.colors[v])), len(gr.adj[v])) for v in range(gr.n)]
+def _refine(g: ColoredGraph, h: Optional[ColoredGraph] = None
+            ) -> Optional[tuple[list[int], list[int]]]:
+    """Color refinement of g, jointly with h when given: the stable labels of
+    g and of h (of g twice when h is None), or None when the refined
+    histograms differ."""
+    pair = (g,) if h is None else (g, h)
 
-    la, lb = initial(g), initial(h)
+    def differ(labels):
+        return len(labels) == 2 and sorted(labels[0]) != sorted(labels[1])
+
     table: dict = {}
-    la = [table.setdefault(s, len(table)) for s in la]
-    lb = [table.setdefault(s, len(table)) for s in lb]
+    labels = [[table.setdefault((tuple(sorted(gr.colors[v])), len(gr.adj[v])), len(table))
+               for v in range(gr.n)] for gr in pair]
     while True:
-        if sorted(la) != sorted(lb):
+        if differ(labels):
             return None
         table = {}
-        na = [table.setdefault((la[v], tuple(sorted(la[u] for u in g.adj[v]))), len(table))
-              for v in range(g.n)]
-        nb = [table.setdefault((lb[v], tuple(sorted(lb[u] for u in h.adj[v]))), len(table))
-              for v in range(h.n)]
-        if len(set(na)) == len(set(la)):
-            if sorted(na) != sorted(nb):
+        new = [[table.setdefault((la[v], tuple(sorted(la[u] for u in gr.adj[v]))), len(table))
+                for v in range(gr.n)] for gr, la in zip(pair, labels)]
+        if len(set(new[0])) == len(set(labels[0])):
+            if differ(new):
                 return None
-            return na, nb
-        la, lb = na, nb
+            return new[0], new[-1]
+        labels = new
 
 
 def _forest_code(g: ColoredGraph) -> Optional[tuple]:
-    """Canonical code for a colored forest; None if g has a cycle."""
-    if g.edge_count() >= g.n and g.n > 0:
+    """Canonical AHU code of a colored forest; None if g has a cycle.
+
+    Leaves are peeled off layer by layer, which roots every tree at its
+    center: each vertex has at most one neighbor in its own or a later
+    layer, its parent or, for the two centers of a bicentral tree, its
+    partner.  Layer by layer, a vertex's signature is its colors and the
+    sorted ranks of its children, and the distinct signatures of a layer,
+    sorted, are ranked above those of the layers below.  The code lists each
+    layer's sorted signatures and the sorted ranks of the roots.  The forest
+    can be rebuilt from it, so equal codes mean isomorphic forests.  The
+    code nests to a fixed depth and is built without recursion, so deep
+    trees are safe to code, compare and sort.
+    """
+    n = g.n
+    if g.edge_count() >= n > 0:
         return None
-    comps = g.components()
-    if sum(len(c) - 1 for c in comps) != g.edge_count():
-        return None  # some component has a cycle
-
-    def tree_code(comp: tuple[int, ...]) -> tuple:
-        inside = set(comp)
-        if len(comp) == 1:
-            v = comp[0]
-            return ("uni", (tuple(sorted(g.colors[v])), ()))
-        # strip leaves to find the one or two centers
-        deg = {v: sum(1 for u in g.adj[v] if u in inside) for v in comp}
-        layer = [v for v in comp if deg[v] <= 1]
-        remaining = len(comp)
-        removed = set()
-        while remaining > 2:
-            nxt = []
-            for v in layer:
-                removed.add(v)
-                remaining -= 1
-                for u in g.adj[v]:
-                    if u in inside and u not in removed:
-                        deg[u] -= 1
-                        if deg[u] == 1:
-                            nxt.append(u)
-            layer = nxt
-        centers = [v for v in comp if v not in removed]
-
-        def rooted(v: int, parent: Optional[int]) -> tuple:
-            kids = sorted(rooted(u, v) for u in g.adj[v]
-                          if u in inside and u != parent)
-            return (tuple(sorted(g.colors[v])), tuple(kids))
-
-        # tag by center count so codes of either shape stay comparable
-        if len(centers) == 1:
-            return ("uni", rooted(centers[0], None))
-        a, b = centers
-        ca, cb = rooted(a, b), rooted(b, a)
-        return ("bi", min((ca, cb), (cb, ca)))
-
-    return tuple(sorted(tree_code(c) for c in comps))
+    adj = g.adj
+    deg = [len(a) for a in adj]
+    layer_of = [-1] * n
+    layers: list[list[int]] = []
+    layer = [v for v in range(n) if deg[v] <= 1]
+    while layer:
+        for v in layer:
+            layer_of[v] = len(layers)
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                if layer_of[u] < 0:
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+        layers.append(layer)
+        layer = nxt
+    if sum(map(len, layers)) < n:
+        return None  # the unpeeled rest holds a cycle
+    rank = [0] * n
+    base = 0
+    levels = []
+    roots = []
+    for h, layer in enumerate(layers):
+        sigs = {}
+        tops = []
+        for v in layer:
+            kids = []
+            up = None
+            for u in adj[v]:
+                if layer_of[u] < h:
+                    kids.append(rank[u])
+                else:
+                    up = u
+            sigs[v] = (tuple(sorted(g.colors[v])), tuple(sorted(kids)))
+            if up is None or layer_of[up] == h and v < up:
+                tops.append((v, up))
+        distinct = sorted(set(sigs.values()))
+        index = {sig: base + i for i, sig in enumerate(distinct)}
+        base += len(distinct)
+        for v in layer:
+            rank[v] = index[sigs[v]]
+        for v, up in tops:
+            roots.append((rank[v],) if up is None else tuple(sorted((rank[v], rank[up]))))
+        levels.append(tuple(distinct))
+    return tuple(levels), tuple(sorted(roots))
 
 
 def _match_backtrack(g: ColoredGraph, h: ColoredGraph,
@@ -481,57 +517,56 @@ def find_isomorphism(g: ColoredGraph, h: ColoredGraph) -> Optional[dict[int, int
 def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
-    cg = _forest_code(g)
-    if cg is not None:
-        return cg == _forest_code(h)
-    return find_isomorphism(g, h) is not None
+    key = iso_invariant_key(g)
+    if key != iso_invariant_key(h):
+        return False
+    return key[0] == "forest" or find_isomorphism(g, h) is not None
 
 
 def automorphisms(g: ColoredGraph, limit: int = 50000) -> list[dict[int, int]]:
     """All automorphisms of g, up to `limit` of them."""
-    refined = _refine(g, g)
-    assert refined is not None
-    return _match_backtrack(g, g, refined[0], refined[1], collect_all=True, limit=limit)
+    la, _ = _refine(g)
+    return _match_backtrack(g, g, la, la, collect_all=True, limit=limit)
 
 
 def iso_invariant_key(g: ColoredGraph) -> tuple:
-    """Cheap isomorphism-invariant bucket key (not a canonical form)."""
-    refined = _refine(g, g)
-    assert refined is not None
-    la = refined[0]
-    hist = tuple(sorted((la.count(c) for c in set(la))))
+    """Isomorphism-invariant key: isomorphic graphs get equal keys.
+
+    For a forest it is the tagged AHU code, which is complete: equal keys
+    mean isomorphic forests.  For any other graph it is a color-refinement
+    summary, which is not complete.
+    """
+    code = _forest_code(g)
+    if code is not None:
+        return ("forest", code)
+    la, _ = _refine(g)
+    hist = tuple(sorted(Counter(la).values()))
     degs = tuple(sorted(len(a) for a in g.adj))
     cols = tuple(sorted(tuple(sorted(c)) for c in g.colors))
-    return (g.n, g.edge_count(), degs, cols, hist)
+    return ("refined", g.n, g.edge_count(), degs, cols, hist)
 
 
-def group_by_isomorphism(graphs: Sequence[ColoredGraph]) -> list[list[int]]:
-    """Partition indices of `graphs` into isomorphism classes."""
-    buckets: dict[tuple, list[int]] = {}
-    forest_codes: dict[int, Optional[tuple]] = {}
-    for i, gr in enumerate(graphs):
-        forest_codes[i] = _forest_code(gr)
-        buckets.setdefault(iso_invariant_key(gr), []).append(i)
+def group_by_isomorphism(graphs: Iterable[ColoredGraph]) -> list[list[int]]:
+    """Partition the indices of `graphs` into isomorphism classes.
+
+    Classes come in order of least index, each listing its members in
+    ascending order.  Graphs are bucketed by `iso_invariant_key`, and only
+    a bucket of non-forests is split further by `find_isomorphism`.  Any
+    iterable will do: one graph per class is kept.
+    """
+    buckets: dict[tuple, list[tuple[ColoredGraph, list[int]]]] = {}
     classes: list[list[int]] = []
-    for members in buckets.values():
-        reps: list[list[int]] = []
-        for i in members:
-            placed = False
-            for cls in reps:
-                j = cls[0]
-                ci, cj = forest_codes[i], forest_codes[j]
-                if ci is not None and cj is not None:
-                    same = ci == cj
-                else:
-                    same = find_isomorphism(graphs[i], graphs[j]) is not None
-                if same:
-                    cls.append(i)
-                    placed = True
-                    break
-            if not placed:
-                reps.append([i])
-        classes.extend(reps)
-    classes.sort(key=lambda c: c[0])
+    for i, gr in enumerate(graphs):
+        key = iso_invariant_key(gr)
+        bucket = buckets.setdefault(key, [])
+        for rep, members in bucket:
+            if key[0] == "forest" or find_isomorphism(gr, rep) is not None:
+                members.append(i)
+                break
+        else:
+            members = [i]
+            bucket.append((gr, members))
+            classes.append(members)
     return classes
 
 
@@ -557,23 +592,3 @@ def similar_flap_census(g: ColoredGraph, x: Sequence[int]) -> FlapSimilarity:
     groups = tuple(tuple(c) for c in classes)
     max_size = max((len(c) for c in groups), default=0)
     return FlapSimilarity(dec, groups, max_size)
-
-
-def vertex_orbits(g: ColoredGraph, auts: Optional[list[dict[int, int]]] = None) -> list[int]:
-    """orbit[v] = least vertex in v's automorphism orbit."""
-    if auts is None:
-        auts = automorphisms(g)
-    parent = list(range(g.n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a in auts:
-        for v, w in a.items():
-            rv, rw = find(v), find(w)
-            if rv != rw:
-                parent[max(rv, rw)] = min(rv, rw)
-    return [find(v) for v in range(g.n)]

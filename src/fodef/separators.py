@@ -83,12 +83,13 @@ class OClassification:
             if d != 1 and d != g.n - 1:
                 chords.append(_norm(pos[u], pos[v]))
         for a, b in combinations(chords, 2):
-            if _chords_cross(a, b):
+            if chords_cross(a, b):
                 return False
         return g.is_connected()
 
 
-def _chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
+def chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Do two chords of a cycle cross?  Each is a pair (p, q) with p < q."""
     (p, q), (r, s) = a, b
     return p < r < q < s or r < p < s < q
 

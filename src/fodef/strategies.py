@@ -28,7 +28,7 @@ from fodef.game import (
 )
 from fodef.graphs import (
     BudgetExceeded, ColoredGraph,
-    distances_within, group_by_isomorphism,
+    distances_within, flap_overlay, group_by_isomorphism,
 )
 from fodef.separators import (
     OClassification, brute_min_separator, class_o_separator, classify_o,
@@ -393,16 +393,8 @@ class StrategyMachine:
         frame.flaps_h = [frozenset(c) for c in self.h.components(within=hs)]
 
         def recolored(graph, overlay, flap, sep_order):
-            extra: dict[int, set[int]] = {}
-            for v in flap:
-                cs = set(overlay.get(v, ()))
-                for i, xv in enumerate(sep_order):
-                    if graph.has_edge(v, xv):
-                        cs.add(fresh[i])
-                if cs:
-                    extra[v] = cs
-            sub, _ = graph.with_extra_colors(extra).induced(flap)
-            return sub
+            extra = flap_overlay(graph, flap, sep_order, fresh, overlay)
+            return graph.with_extra_colors(extra).induced(flap)[0]
 
         gsubs = [recolored(self.g, frame.overlay_g, f, frame.x_order)
                  for f in frame.flaps_g]
@@ -746,22 +738,8 @@ class StrategyMachine:
     def _recurse(self, frame: _Frame, gflap: int, hflap: int, anchor):
         flap_g = frame.flaps_g[gflap]
         flap_h = frame.flaps_h[hflap]
-        over_g = dict(frame.overlay_g)
-        over_h = dict(frame.overlay_h)
-        for vtx in flap_g:
-            cs = set(over_g.get(vtx, ()))
-            for i, xv in enumerate(frame.x_order):
-                if self.g.has_edge(vtx, xv):
-                    cs.add(frame.fresh[i])
-            if cs:
-                over_g[vtx] = frozenset(cs)
-        for vtx in flap_h:
-            cs = set(over_h.get(vtx, ()))
-            for i, yv in enumerate(frame.y_order):
-                if self.h.has_edge(vtx, yv):
-                    cs.add(frame.fresh[i])
-            if cs:
-                over_h[vtx] = frozenset(cs)
+        over_g = flap_overlay(self.g, flap_g, frame.x_order, frame.fresh, frame.overlay_g)
+        over_h = flap_overlay(self.h, flap_h, frame.y_order, frame.fresh, frame.overlay_h)
         cls = None
         if frame.provider_tags:
             for fs, tag in frame.provider_tags:

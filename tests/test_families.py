@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +95,14 @@ class TestEnumeration:
         for i in range(len(graphs)):
             for j in range(i + 1, len(graphs)):
                 assert not are_isomorphic(graphs[i], graphs[j])
+
+    def test_pinned_order(self):
+        # the benchmark's exhaustive and oracle pairs are drawn from this list
+        digest = hashlib.sha256()
+        for n in range(1, 7):
+            digest.update(repr([sorted(g.edges()) for g in enumerate_graphs(n)]).encode())
+        assert digest.hexdigest() == (
+            "0d21686bfc8bff085147bed84e1b7a4155501e50a610dab6e186e2b0d015a9b4")
 
     def test_connected_filter(self):
         assert len(list(enumerate_graphs(4, connected_only=True))) == 6

@@ -1,6 +1,9 @@
 import math
+import random
 
 import pytest
+
+import fodef.graphs
 from hypothesis import given, settings, strategies as st
 
 from fodef.graphs import (
@@ -11,6 +14,8 @@ from fodef.graphs import (
     distance,
     find_isomorphism,
     flap_decompose,
+    group_by_isomorphism,
+    iso_invariant_key,
     similar_flap_census,
 )
 
@@ -42,6 +47,36 @@ def small_graphs(draw, max_n=6, colored=True):
     if colored and draw(st.booleans()):
         colors = [draw(st.sets(st.integers(0, 2), max_size=2)) for _ in range(n)]
     return ColoredGraph.build(n, edges, colors)
+
+
+@st.composite
+def small_forests(draw, max_n=7):
+    # vertex v > 0 hangs from an earlier vertex or starts a new tree
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)
+             if draw(st.integers(0, 3))]
+    colors = [draw(st.sets(st.integers(0, 1), max_size=1)) for _ in range(n)]
+    return ColoredGraph.build(n, edges, colors)
+
+
+def relabel(g, perm):
+    """The copy of g with vertex v renamed perm[v]."""
+    inv = {w: v for v, w in enumerate(perm)}
+    return ColoredGraph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()],
+                              [g.colors[inv[i]] for i in range(g.n)])
+
+
+@st.composite
+def relabelled_batches(draw):
+    """Small graphs, some of them forests, each with up to two relabelled
+    copies, in shuffled order."""
+    batch = []
+    for g in draw(st.lists(st.one_of(small_graphs(max_n=5), small_forests(max_n=6)),
+                           min_size=1, max_size=5)):
+        batch.append(g)
+        for _ in range(draw(st.integers(0, 2))):
+            batch.append(relabel(g, draw(st.permutations(range(g.n)))))
+    return [batch[i] for i in draw(st.permutations(range(len(batch))))]
 
 
 class TestConstruction:
@@ -164,6 +199,73 @@ class TestIsomorphism:
                                [[1] if i == 0 else [] for i in range(400)])
         assert are_isomorphic(a, a)
         assert not are_isomorphic(a, b)
+
+
+class TestGrouping:
+    @given(relabelled_batches())
+    @settings(max_examples=40, deadline=None)
+    def test_partition_matches_brute_force(self, graphs):
+        expected: list[list[int]] = []
+        for i, g in enumerate(graphs):
+            for cls in expected:
+                if brute_isomorphic(graphs[cls[0]], g):
+                    cls.append(i)
+                    break
+            else:
+                expected.append([i])
+        assert group_by_isomorphism(iter(graphs)) == expected
+
+    @given(small_forests(max_n=14), st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_forest_key_is_complete(self, g, rng, move_leaf):
+        # equal forest keys exactly when an isomorphism exists
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        leaves = [v for v in range(h.n) if h.degree(v) == 1]
+        if move_leaf and leaves and h.n > 2:
+            leaf = leaves[0]
+            (old,) = h.adj[leaf]
+            new = rng.choice([v for v in range(h.n) if v not in (leaf, old)])
+            rest = [e for e in h.edges() if leaf not in e]
+            h = ColoredGraph.build(h.n, rest + [(leaf, new)], h.colors)
+        assert iso_invariant_key(g)[0] == iso_invariant_key(h)[0] == "forest"
+        same = find_isomorphism(g, h) is not None
+        assert (iso_invariant_key(g) == iso_invariant_key(h)) == same
+        assert are_isomorphic(g, h) == same
+
+    def test_forest_key_skips_refinement(self, monkeypatch):
+        def refine(*args):
+            raise AssertionError("refinement ran on a forest")
+
+        monkeypatch.setattr(fodef.graphs, "_refine", refine)
+        colored = ColoredGraph.build(4, [(0, 1), (2, 3)], [[1], [], [], [0, 2]])
+        for g in (path(40), star(6), colored, ColoredGraph.build(3, [])):
+            assert iso_invariant_key(g)[0] == "forest"
+
+
+class TestDeepForests:
+    # a path this long once overflowed the recursive tree code
+    N = 3000
+
+    def copies(self):
+        g = path(self.N)
+        perm = list(range(self.N))
+        random.Random(7).shuffle(perm)
+        same = relabel(g, perm)
+        recolored = ColoredGraph.build(
+            self.N, list(same.edges()),
+            [[1] if v == perm[self.N // 3] else [] for v in range(self.N)])
+        return g, same, recolored
+
+    def test_are_isomorphic(self):
+        g, same, recolored = self.copies()
+        assert are_isomorphic(g, same)
+        assert not are_isomorphic(g, recolored)
+
+    def test_group_by_isomorphism(self):
+        g, same, recolored = self.copies()
+        assert group_by_isomorphism([recolored, g, same]) == [[0], [1, 2]]
 
 
 class TestPartialIsomorphism:
