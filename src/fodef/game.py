@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from fodef.graphs import ColoredGraph, check_partial_isomorphism, find_isomorphism
+from fodef.graphs import ColoredGraph, extends_partial_isomorphism, find_isomorphism
 
 SIDE_G = "G"
 SIDE_H = "G'"
@@ -70,7 +70,11 @@ def new_game(g: ColoredGraph, h: ColoredGraph, r: int,
 
 def step(state: GameState, spoiler_move: tuple[str, int],
          duplicator_move: int) -> GameState:
-    """One full round; returns the new state with the win condition applied."""
+    """One full round; returns the new state with the win condition applied.
+
+    Only `new_game` and `step` make running states, so the pebbles of a
+    running state already form a partial isomorphism, and only the new pair
+    is checked against them."""
     if state.status != RUNNING:
         raise IllegalMove("game is over")
     side, u = spoiler_move
@@ -90,9 +94,8 @@ def step(state: GameState, spoiler_move: tuple[str, int],
         alts += 1
     pair = (u, duplicator_move) if side == SIDE_G else (duplicator_move, u)
     pebbles = state.pebbles + (pair,)
-    ok = check_partial_isomorphism(state.g, state.h, pebbles)
     status = RUNNING
-    if not ok:
+    if not extends_partial_isomorphism(state.g, state.h, state.pebbles, pair):
         status = SPOILER_WON
     elif len(pebbles) >= state.max_rounds:
         status = DUPLICATOR_SURVIVED
@@ -138,11 +141,10 @@ class GreedyDuplicator(Agent):
     def respond(self, state, side, vertex):
         own = state.g if side == SIDE_G else state.h
         other = state.h if side == SIDE_G else state.g
-        mypairs = state.pebbles
         best = None
         for v in range(other.n):
             pair = (vertex, v) if side == SIDE_G else (v, vertex)
-            keeps = check_partial_isomorphism(state.g, state.h, mypairs + (pair,))
+            keeps = extends_partial_isomorphism(state.g, state.h, state.pebbles, pair)
             score = (0 if keeps else 1,
                      abs(own.degree(vertex) - other.degree(v)),
                      v)
@@ -222,14 +224,14 @@ class ExhaustiveDuplicator(Agent):
         alts = state.alternations_used
         if state.sides and side != state.sides[-1]:
             alts += 1
+        pebbles = frozenset(state.pebbles)
         best = None
         for v in range(other.n):
             pair = (vertex, v) if side == SIDE_G else (v, vertex)
-            pebbles = state.pebbles + (pair,)
-            if not check_partial_isomorphism(state.g, state.h, pebbles):
+            if not extends_partial_isomorphism(state.g, state.h, state.pebbles, pair):
                 surv = -1
             else:
-                surv = s.survival(frozenset(pebbles), last, alts, rounds_left - 1)
+                surv = s.survival(pebbles | {pair}, last, alts, rounds_left - 1)
             if best is None or (-surv, v) < best:
                 best = (-surv, v)
         return best[1]

@@ -7,6 +7,7 @@ immutable; operations return fresh objects.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import Counter
@@ -51,7 +52,7 @@ class ColoredGraph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         if colors is None:
-            cols = tuple(frozenset() for _ in range(n))
+            cols = (frozenset(),) * n
         else:
             if len(colors) != n:
                 raise GraphError(f"colors list has length {len(colors)}, expected {n}")
@@ -330,6 +331,23 @@ def flap_overlay(g: ColoredGraph, flap: Iterable[int], sep: Sequence[int],
 # -- partial isomorphism -----------------------------------------------------
 
 
+def extends_partial_isomorphism(g: ColoredGraph, h: ColoredGraph,
+                                pairs: Iterable[tuple[int, int]],
+                                new: tuple[int, int]) -> bool:
+    """True iff adding `new` to `pairs`, itself a partial isomorphism, keeps
+    it one: the new pair's vertices have equal colors, and against every
+    earlier pair they satisfy the equality condition and preserve adjacency
+    and non-adjacency in both directions."""
+    u, v = new
+    if g.colors[u] != h.colors[v]:
+        return False
+    nu, nv = g.adj[u], h.adj[v]
+    for a, b in pairs:
+        if (u == a) != (v == b) or (a in nu) != (b in nv):
+            return False
+    return True
+
+
 def check_partial_isomorphism(g: ColoredGraph, h: ColoredGraph,
                               pairs: Sequence[tuple[int, int]]) -> bool:
     """True iff the pairing satisfies the equality condition and preserves
@@ -337,17 +355,8 @@ def check_partial_isomorphism(g: ColoredGraph, h: ColoredGraph,
     for u, v in pairs:
         if not (0 <= u < g.n and 0 <= v < h.n):
             raise GraphError("pair references an out-of-range vertex")
-    for i in range(len(pairs)):
-        ui, vi = pairs[i]
-        if g.colors[ui] != h.colors[vi]:
-            return False
-        for j in range(i):
-            uj, vj = pairs[j]
-            if (ui == uj) != (vi == vj):
-                return False
-            if g.has_edge(ui, uj) != h.has_edge(vi, vj):
-                return False
-    return True
+    return all(extends_partial_isomorphism(g, h, pairs[:i], pairs[i])
+               for i in range(len(pairs)))
 
 
 # -- isomorphism -------------------------------------------------------------
@@ -450,55 +459,57 @@ def _match_backtrack(g: ColoredGraph, h: ColoredGraph,
                      limit: int = 1 << 30) -> list[dict[int, int]]:
     """Label-guided backtracking search for isomorphisms g -> h."""
     n = g.n
+    if not n:
+        return [{}]
     by_label: dict[int, list[int]] = {}
     for v in range(h.n):
         by_label.setdefault(lb[v], []).append(v)
+    # order vertices to keep the frontier connected where possible: next is
+    # the least (label class size, id) among unplaced vertices with a placed
+    # neighbor, else among all unplaced ones
+    label_size = {lab: len(vs) for lab, vs in by_label.items()}
+    heap = sorted((1, label_size[la[v]], v) for v in range(n))  # a sorted list is a heap
     order: list[int] = []
     placed = [False] * n
-    # order vertices to keep the frontier connected where possible
-    label_size = {lab: len(vs) for lab, vs in by_label.items()}
-    while len(order) < n:
-        cands = [v for v in range(n) if not placed[v]]
-        anchored = [v for v in cands if any(placed[u] for u in g.adj[v])]
-        pool = anchored or cands
-        v = min(pool, key=lambda v: (label_size[la[v]], v))
-        order.append(v)
-        placed[v] = True
+    while heap:
+        _, _, v = heapq.heappop(heap)
+        if not placed[v]:
+            order.append(v)
+            placed[v] = True
+            for u in g.adj[v]:
+                if not placed[u]:
+                    heapq.heappush(heap, (0, label_size[la[u]], u))
 
     results: list[dict[int, int]] = []
     mapping: dict[int, int] = {}
     used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == n:
+    # one frame per vertex being mapped: the vertex, its untried candidates
+    # and the images of its mapped neighbors, which must be exactly the
+    # mapped neighbors of its image
+    stack: list[tuple[int, Iterator[int], set[int]]] = []
+    while True:
+        if len(stack) == len(mapping):
+            v = order[len(mapping)]
+            stack.append((v, iter(by_label[la[v]]),
+                          {mapping[u] for u in g.adj[v] if u in mapping}))
+        v, cands, images = stack[-1]
+        for w in cands:
+            if w not in used and h.adj[w] & used == images:
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return results
+            used.discard(mapping.pop(stack[-1][0]))
+            continue
+        mapping[v] = w
+        used.add(w)
+        if len(mapping) == n:
             results.append(dict(mapping))
-            return not collect_all or len(results) >= limit
-        v = order[i]
-        for w in by_label[la[v]]:
-            if w in used:
-                continue
-            ok = True
-            for u in g.adj[v]:
-                if u in mapping and not h.has_edge(mapping[u], w):
-                    ok = False
-                    break
-            if ok:
-                # non-adjacency must be preserved too
-                for u in mapping:
-                    if not g.has_edge(v, u) and h.has_edge(w, mapping[u]):
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
-
-    extend(0)
-    return results
+            if not collect_all or len(results) >= limit:
+                return results
+            del mapping[v]
+            used.discard(w)
 
 
 def find_isomorphism(g: ColoredGraph, h: ColoredGraph) -> Optional[dict[int, int]]:

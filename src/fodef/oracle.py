@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from fodef.families import enumerate_graphs
 from fodef.game import (
@@ -19,6 +19,7 @@ from fodef.game import (
 )
 from fodef.graphs import (
     BudgetExceeded, ColoredGraph, automorphisms, are_isomorphic,
+    extends_partial_isomorphism,
 )
 
 DEFAULT_SIZE_BUDGET = int(os.environ.get("FODEF_SEARCH_BUDGET", "16"))
@@ -55,6 +56,7 @@ class RankSearcher:
         self.orbit_depth = orbit_depth
         self.win_lo: dict = {}
         self.lose_hi: dict = {}
+        self._reps: dict = {}  # (side, pebbled vertices) -> orbit representatives
         self.nodes = 0
         self.memo_hits = 0
         self.auts_g = automorphisms(g, aut_limit) if g.n <= 24 else []
@@ -62,43 +64,27 @@ class RankSearcher:
 
     # -- helpers ----------------------------------------------------------
 
-    def _violates(self, pairs, new: tuple[int, int]) -> bool:
-        u, v = new
-        if self.g.colors[u] != self.h.colors[v]:
-            return True
-        for a, b in pairs:
-            if (u == a) != (v == b):
-                return True
-            if self.g.has_edge(u, a) != self.h.has_edge(v, b):
-                return True
-        return False
-
-    def _candidates(self, side: str, pairs) -> list[int]:
+    def _candidates(self, side: str, pairs) -> Sequence[int]:
+        """The least vertex of each orbit of the stabilizer of the pebbled
+        vertices on `side`, ascending; every vertex beyond orbit_depth."""
         own = self.g if side == SIDE_G else self.h
         if len(pairs) > self.orbit_depth:
-            return list(range(own.n))
-        auts = self.auts_g if side == SIDE_G else self.auts_h
-        if len(auts) <= 1:
-            return list(range(own.n))
-        fixed = {p[0] if side == SIDE_G else p[1] for p in pairs}
-        stab = [a for a in auts if all(a[x] == x for x in fixed)]
-        if len(stab) <= 1:
-            return list(range(own.n))
-        reps = []
-        seen: set[int] = set()
-        for v in range(own.n):
-            if v not in seen:
-                reps.append(v)
-                frontier = [v]
-                seen.add(v)
-                while frontier:
-                    w = frontier.pop()
-                    for a in stab:
-                        img = a[w]
-                        if img not in seen:
-                            seen.add(img)
-                            frontier.append(img)
-        return reps
+            return range(own.n)
+        key = (side, frozenset(p[0] if side == SIDE_G else p[1] for p in pairs))
+        if key not in self._reps:
+            auts = self.auts_g if side == SIDE_G else self.auts_h
+            stab = [a for a in auts if all(a[x] == x for x in key[1])]
+            reps = []
+            seen: set[int] = set()
+            for v in range(own.n):
+                if v not in seen:
+                    reps.append(v)
+                    frontier = {v}
+                    while frontier:
+                        seen |= frontier
+                        frontier = {a[w] for a in stab for w in frontier} - seen
+            self._reps[key] = reps
+        return self._reps[key]
 
     def _key(self, pairs, last_side, alts):
         if self.k is None:
@@ -114,7 +100,7 @@ class RankSearcher:
             return False
         key = self._key(pairs, last_side, alts)
         lo = self.win_lo.get(key)
-        if lo is not None and r >= lo:
+        if lo is not None and r >= lo[0]:
             self.memo_hits += 1
             return True
         hi = self.lose_hi.get(key)
@@ -122,7 +108,7 @@ class RankSearcher:
             self.memo_hits += 1
             return False
         self.nodes += 1
-        win = False
+        move = None
         for side in (SIDE_G, SIDE_H):
             switching = last_side is not None and side != last_side
             if self.k is not None and switching and alts >= self.k:
@@ -131,26 +117,22 @@ class RankSearcher:
             nlast = side
             other_reps = self._candidates(SIDE_H if side == SIDE_G else SIDE_G, pairs)
             for u in self._candidates(side, pairs):
-                good = True
                 for v in other_reps:
                     pair = (u, v) if side == SIDE_G else (v, u)
-                    if self._violates(pairs, pair):
-                        continue
-                    if not self.spoiler_wins(pairs | {pair}, nlast, nalts, r - 1):
-                        good = False
+                    if extends_partial_isomorphism(self.g, self.h, pairs, pair) \
+                            and not self.spoiler_wins(pairs | {pair}, nlast, nalts, r - 1):
                         break
-                if good:
-                    win = True
+                else:
+                    move = (side, u)
                     break
-            if win:
+            if move is not None:
                 break
-        if win:
-            if lo is None or r < lo:
-                self.win_lo[key] = r
+        # a memo hit returned above, so r improves on any stored bound
+        if move is not None:
+            self.win_lo[key] = (r, move)
         else:
-            if hi is None or r > hi:
-                self.lose_hi[key] = r
-        return win
+            self.lose_hi[key] = r
+        return move is not None
 
     def min_win_rounds(self, pairs: frozenset, last_side: Optional[str],
                        alts: int, r_max: int) -> Optional[int]:
@@ -166,27 +148,12 @@ class RankSearcher:
         return budget if r is None else r - 1
 
     def best_move(self, pairs: frozenset, last_side: Optional[str],
-                  alts: int, r: int) -> Optional[tuple[str, int]]:
-        """Lexicographically least move that wins within r rounds."""
-        for side in (SIDE_G, SIDE_H):
-            switching = last_side is not None and side != last_side
-            if self.k is not None and switching and alts >= self.k:
-                continue
-            nalts = alts + (1 if switching else 0)
-            own = self.g if side == SIDE_G else self.h
-            other = self.h if side == SIDE_G else self.g
-            for u in range(own.n):
-                good = True
-                for v in range(other.n):
-                    pair = (u, v) if side == SIDE_G else (v, u)
-                    if self._violates(pairs, pair):
-                        continue
-                    if not self.spoiler_wins(pairs | {pair}, side, nalts, r - 1):
-                        good = False
-                        break
-                if good:
-                    return (side, u)
-        return None
+                  alts: int) -> Optional[tuple[str, int]]:
+        """Lexicographically least move that wins within the least winning
+        round count, as stored by the search; None before `min_win_rounds`
+        has found that count here."""
+        entry = self.win_lo.get(self._key(pairs, last_side, alts))
+        return None if entry is None else entry[1]
 
 
 def _guard_size(g: ColoredGraph, h: ColoredGraph, size_budget: Optional[int]):
@@ -204,8 +171,8 @@ def exact_rank(g: ColoredGraph, h: ColoredGraph, k: Optional[int] = None,
     _guard_size(g, h, size_budget)
     s = RankSearcher(g, h, k)
     value = s.min_win_rounds(frozenset(), None, 0, r_max)
-    move = s.best_move(frozenset(), None, 0, value) if value is not None else None
-    return RankResult(value, r_max, k, s.nodes, s.memo_hits, move)
+    return RankResult(value, r_max, k, s.nodes, s.memo_hits,
+                      s.best_move(frozenset(), None, 0))
 
 
 class OracleSpoiler(Agent):
@@ -227,11 +194,8 @@ class OracleSpoiler(Agent):
         last = state.sides[-1] if state.sides else None
         alts = state.alternations_used
         left = state.max_rounds - state.round
-        r = self.searcher.min_win_rounds(pairs, last, alts, left)
-        if r is not None:
-            move = self.searcher.best_move(pairs, last, alts, r)
-            if move is not None:
-                return move
+        if self.searcher.min_win_rounds(pairs, last, alts, left) is not None:
+            return self.searcher.best_move(pairs, last, alts)
         # no win within the remaining budget: play the least legal move
         return (SIDE_G, 0)
 

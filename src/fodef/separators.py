@@ -77,21 +77,34 @@ class OClassification:
             if used != missing:
                 return False
         pos = {v: i for i, v in enumerate(cyc)}
-        chords = []
-        for u, v in g.edges():
-            d = abs(pos[u] - pos[v])
-            if d != 1 and d != g.n - 1:
-                chords.append(_norm(pos[u], pos[v]))
-        for a, b in combinations(chords, 2):
-            if chords_cross(a, b):
-                return False
-        return g.is_connected()
+        return chords_non_crossing(_chords(g, pos)) and g.is_connected()
+
+
+def _chords(g: ColoredGraph, pos: dict[int, int]) -> list[tuple[int, int]]:
+    """The edges of g that do not join neighbors on the cycle that `pos`
+    numbers, as normalized pairs of cycle positions."""
+    return [_norm(pos[u], pos[v]) for u, v in g.edges()
+            if abs(pos[u] - pos[v]) not in (1, g.n - 1)]
 
 
 def chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
     """Do two chords of a cycle cross?  Each is a pair (p, q) with p < q."""
     (p, q), (r, s) = a, b
     return p < r < q < s or r < p < s < q
+
+
+def chords_non_crossing(chords: Sequence[tuple[int, int]]) -> bool:
+    """True iff no two of the chords (p, q), p < q, cross.  One pass along
+    the cycle: the chords open at a position are nested, so a new chord is
+    checked against the innermost only; a shared endpoint is no crossing."""
+    open_ends: list[int] = []
+    for p, q in sorted(chords, key=lambda c: (c[0], -c[1])):
+        while open_ends and open_ends[-1] <= p:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < q:
+            return False
+        open_ends.append(q)
+    return True
 
 
 @dataclass(frozen=True)
@@ -368,7 +381,6 @@ def _run_certificate(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
     if len(additions) > 2:
         return None
     tag = (HOP, EDHOP1, EDHOP2)[len(additions)]
-    cert = OClassification(tag, tuple(order), tuple(sorted(additions)), exact=False)
     sub, idx = g.induced(flap)
     local = OClassification(tag, tuple(idx[v] for v in order),
                             tuple(sorted(_norm(idx[a], idx[b]) for a, b in additions)),
@@ -458,12 +470,7 @@ def class_o_separator(g: ColoredGraph,
     cycle = list(cls.witness_cycle)
     missing = {_norm(*e) for e in cls.missing_edges}
     pos = {v: i for i, v in enumerate(cycle)}
-    chords = []
-    for u, v in g.edges():
-        d = abs(pos[u] - pos[v])
-        if d != 1 and d != n - 1:
-            chords.append(_norm(pos[u], pos[v]))
-    pair = _find_split_pair(n, chords)
+    pair = _find_split_pair(n, _chords(g, pos))
     if pair is not None:
         x = sorted((cycle[pair[0]], cycle[pair[1]]))
         for attempt in range(2):

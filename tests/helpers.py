@@ -7,6 +7,7 @@ at the sizes the tests use.
 
 from itertools import combinations, permutations
 
+from fodef.game import SIDE_G, SIDE_H
 from fodef.graphs import ColoredGraph
 
 
@@ -130,35 +131,53 @@ def brute_nest(f) -> set[str]:
     raise TypeError(f)
 
 
-def brute_rank(g: ColoredGraph, h: ColoredGraph, r_max: int) -> int | None:
-    """Reference minimax for the round game: no memo, no pruning."""
-    def violated(pairs) -> bool:
-        for i, (ui, vi) in enumerate(pairs):
-            if g.colors[ui] != h.colors[vi]:
-                return True
-            for uj, vj in pairs[:i]:
-                if (ui == uj) != (vi == vj):
-                    return True
-                if g.has_edge(ui, uj) != h.has_edge(vi, vj):
-                    return True
-        return False
-
-    def spoiler_wins(pairs: tuple, r: int) -> bool:
-        if r == 0:
+def brute_partial_isomorphism(g: ColoredGraph, h: ColoredGraph, pairs) -> bool:
+    """Reference check of a whole pebble tuple, pair against pair."""
+    for i, (ui, vi) in enumerate(pairs):
+        if g.colors[ui] != h.colors[vi]:
             return False
-        for side in ("G", "H"):
-            size_own = g.n if side == "G" else h.n
-            size_other = h.n if side == "G" else g.n
-            for u in range(size_own):
-                if all(
-                    violated(pairs + (((u, v) if side == "G" else (v, u)),))
-                    or spoiler_wins(pairs + (((u, v) if side == "G" else (v, u)),), r - 1)
-                    for v in range(size_other)
-                ):
-                    return True
-        return False
+        for uj, vj in pairs[:i]:
+            if (ui == uj) != (vi == vj):
+                return False
+            if g.has_edge(ui, uj) != h.has_edge(vi, vj):
+                return False
+    return True
 
+
+def _winning_moves(g: ColoredGraph, h: ColoredGraph, pairs: tuple, r: int,
+                   last, alts: int, k):
+    """Every Spoiler move that breaks the configuration within r rounds
+    whatever the replies, side G first and least vertex first."""
+    if r == 0:
+        return
+    for side in (SIDE_G, SIDE_H):
+        switching = last is not None and side != last
+        if k is not None and switching and alts >= k:
+            continue
+        size_own = g.n if side == SIDE_G else h.n
+        size_other = h.n if side == SIDE_G else g.n
+        for u in range(size_own):
+            if all(
+                not brute_partial_isomorphism(g, h, child)
+                or any(_winning_moves(g, h, child, r - 1, side, alts + switching, k))
+                for child in (pairs + (((u, v) if side == SIDE_G else (v, u)),)
+                              for v in range(size_other))
+            ):
+                yield side, u
+
+
+def brute_rank(g: ColoredGraph, h: ColoredGraph, r_max: int,
+               k=None) -> int | None:
+    """Reference minimax for the round game, with at most k side switches
+    when k is given: no memo, no pruning."""
     for r in range(1, r_max + 1):
-        if spoiler_wins((), r):
+        if any(_winning_moves(g, h, (), r, None, 0, k)):
             return r
     return None
+
+
+def brute_best_move(g: ColoredGraph, h: ColoredGraph, r_max: int, k=None):
+    """The first of the winning first moves at the least winning round
+    count, or None when r_max rounds do not suffice."""
+    r = brute_rank(g, h, r_max, k)
+    return None if r is None else next(_winning_moves(g, h, (), r, None, 0, k))

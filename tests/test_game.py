@@ -1,4 +1,6 @@
+import hypothesis.strategies as hst
 import pytest
+from hypothesis import given, settings
 
 from fodef.families import cycle, path, star
 from fodef.game import (
@@ -6,7 +8,30 @@ from fodef.game import (
     Agent, AgentError, IllegalMove,
     builtin_duplicator, mirror_duplicator, new_game, run_match, step,
 )
-from fodef.graphs import ColoredGraph
+from fodef.graphs import ColoredGraph, check_partial_isomorphism
+
+from helpers import brute_partial_isomorphism
+
+
+@hst.composite
+def pairs_and_moves(draw):
+    """A colored pair of order <= 6 (often one graph twice) and up to eight
+    moves (side, spoiler vertex, reply); a reply of None repeats the
+    spoiler's vertex id, which keeps a pair of equal graphs alive."""
+    def graph():
+        n = draw(hst.integers(1, 6))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if draw(hst.booleans())]
+        colors = [draw(hst.sets(hst.integers(0, 1), max_size=1)) for _ in range(n)]
+        return ColoredGraph.build(n, edges, colors)
+
+    g = graph()
+    h = g if draw(hst.booleans()) else graph()
+    moves = draw(hst.lists(hst.tuples(hst.sampled_from([SIDE_G, SIDE_H]),
+                                      hst.integers(0, 5),
+                                      hst.none() | hst.integers(0, 5)),
+                           min_size=1, max_size=8))
+    return g, h, moves
 
 
 class ScriptedSpoiler(Agent):
@@ -72,6 +97,28 @@ class TestStateMachine:
         st = step(st, (SIDE_G, 0), 0)
         st = step(st, (SIDE_H, 2), 2)
         assert st.alternations_used == 1
+
+
+class TestStepRule:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs_and_moves())
+    def test_status_matches_full_check(self, case):
+        # step checks only the new pair; the status must still be that of a
+        # check of every pair against every earlier one
+        g, h, moves = case
+        state = new_game(g, h, len(moves))
+        for side, a, b in moves:
+            own, other = (g, h) if side == SIDE_G else (h, g)
+            u = a % own.n
+            v = (a if b is None else b) % other.n
+            state = step(state, (side, u), v)
+            whole = brute_partial_isomorphism(g, h, state.pebbles)
+            assert check_partial_isomorphism(g, h, state.pebbles) == whole
+            if not whole:
+                assert state.status == SPOILER_WON
+                break
+            assert state.status == (DUPLICATOR_SURVIVED if state.round == len(moves)
+                                    else RUNNING)
 
 
 class TestMatches:

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -10,6 +11,7 @@ from fodef.graphs import (
     ColoredGraph,
     GraphError,
     are_isomorphic,
+    automorphisms,
     check_partial_isomorphism,
     distance,
     find_isomorphism,
@@ -192,6 +194,17 @@ class TestIsomorphism:
         assert m is not None
         assert check_partial_isomorphism(g, h, list(m.items()))
 
+    def test_automorphisms_leave_no_garbage(self):
+        # the search holds no reference cycle, so its result is freed as
+        # soon as it is dropped, not at the next full collection
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(automorphisms(cycle(6))) == 12
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_big_tree_fast_path(self):
         # two paths on 400 vertices with different colorings
         a = ColoredGraph.build(400, [(i, i + 1) for i in range(399)])
@@ -266,6 +279,28 @@ class TestDeepForests:
     def test_group_by_isomorphism(self):
         g, same, recolored = self.copies()
         assert group_by_isomorphism([recolored, g, same]) == [[0], [1, 2]]
+
+
+class TestDeepCycles:
+    # a cycle this long once overflowed the recursive matching search
+    N = 3000
+
+    def copies(self):
+        g = cycle(self.N)
+        perm = list(range(self.N))
+        random.Random(7).shuffle(perm)
+        same = relabel(g, perm)
+        recolored = ColoredGraph.build(
+            self.N, list(same.edges()),
+            [[1] if v == perm[self.N // 3] else [] for v in range(self.N)])
+        return g, same, recolored
+
+    def test_find_isomorphism(self):
+        g, same, recolored = self.copies()
+        m = find_isomorphism(g, same)
+        assert sorted(m.values()) == list(range(self.N))
+        assert all(same.has_edge(m[u], m[v]) for u, v in g.edges())
+        assert find_isomorphism(g, recolored) is None
 
 
 class TestPartialIsomorphism:

@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from fodef.families import complete, cycle, path, star, triv, two_cycles
+from fodef.families import complete, cycle, enumerate_graphs, path, star, triv, two_cycles
 from fodef.graphs import BudgetExceeded, ColoredGraph
 from fodef.oracle import (
     OracleSpoiler, RankSearcher, defining_rank_lb, exact_rank, survival_vs,
 )
 
-from helpers import brute_rank
+from helpers import brute_best_move, brute_rank
 
 
 class TestExactRank:
@@ -74,6 +74,17 @@ class TestExactRank:
     def test_best_first_move_reported(self):
         res = exact_rank(cycle(3), cycle(4))
         assert res.best_first_move is not None
+
+    def test_best_first_move_matches_reference(self):
+        # the move is read from the search memo; the reference minimax
+        # finds the least winning first move at the least winning round count
+        small = [g for n in range(1, 4) for g in enumerate_graphs(n)]
+        larger = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+        for k in (None, 1):
+            for g in small:
+                for h in larger:
+                    assert (exact_rank(g, h, k=k, r_max=4).best_first_move
+                            == brute_best_move(g, h, 4, k)), (g, h, k)
 
     def test_triv_small(self):
         # one isolated edge + two isolated vertices vs four isolated vertices

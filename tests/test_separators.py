@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fodef.families import (
     cycle, complete, enumerate_graphs, enumerate_hop_graphs, path, random_hop, star,
@@ -9,11 +11,21 @@ from fodef.graphs import BudgetExceeded, ColoredGraph, are_isomorphic
 from fodef.separators import (
     EDHOP1, EDHOP2, HOP, NOT_IN_O,
     OClassification, SeparatorError,
-    brute_min_separator, class_o_separator, classify_o, flap_subproblem,
+    brute_min_separator, chords_cross, chords_non_crossing, class_o_separator,
+    classify_o, flap_subproblem,
     tree_centroid_separator, verify_separator,
 )
 
 from helpers import brute_outerplanar, brute_two_connected
+
+
+@st.composite
+def chord_sets(draw):
+    """Up to ten chords (p, q), p < q, on n <= 12 cycle positions; repeated
+    endpoints and repeated chords are common."""
+    n = draw(st.integers(2, 12))
+    ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    return [tuple(sorted(e)) for e in draw(st.lists(ends, max_size=10))]
 
 
 def full_binary_tree7():
@@ -101,6 +113,14 @@ class TestClassify:
                     assert classify_o(g.with_edges_added(cls.missing_edges)).tag == HOP
                 if cls.tag == HOP:
                     assert g.is_connected()
+
+
+class TestChords:
+    @settings(max_examples=300, deadline=None)
+    @given(chord_sets())
+    def test_stack_pass_matches_pairwise(self, chords):
+        pairwise = any(chords_cross(a, b) for a, b in combinations(chords, 2))
+        assert chords_non_crossing(chords) == (not pairwise)
 
 
 class TestClassOSeparator:
