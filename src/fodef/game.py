@@ -199,20 +199,19 @@ class HumanDuplicator(Agent):
 
 
 class ExhaustiveDuplicator(Agent):
-    """Optimal replies from full game-tree search (small instances only).
-    The search memo is kept while the pair and the alternation budget stay
-    the same."""
+    """Optimal replies from full game-tree search, on pairs within the
+    oracle's default combined order.  The search memo is kept while the pair
+    and the alternation budget stay the same."""
     label = "exhaustive"
 
-    def __init__(self, size_budget: int = 16):
-        self.size_budget = size_budget
+    def __init__(self):
         self._searcher = None
 
     def respond(self, state, side, vertex):
-        from fodef.oracle import RankSearcher
-        if state.g.n + state.h.n > self.size_budget:
-            raise AgentError(
-                f"exhaustive duplicator refuses instances over {self.size_budget} vertices")
+        from fodef.oracle import DEFAULT_SIZE_BUDGET, RankSearcher
+        if state.g.n + state.h.n > DEFAULT_SIZE_BUDGET:
+            raise AgentError("exhaustive duplicator refuses instances over "
+                             f"{DEFAULT_SIZE_BUDGET} vertices")
         s = self._searcher
         if s is None or (s.g, s.h, s.k) != (state.g, state.h,
                                             state.alternation_budget):
@@ -237,8 +236,7 @@ class ExhaustiveDuplicator(Agent):
         return best[1]
 
 
-def builtin_duplicator(name: str, seed: Optional[int] = None,
-                       size_budget: int = 16) -> Agent:
+def builtin_duplicator(name: str, seed: Optional[int] = None) -> Agent:
     """Factory for the named Duplicator policies."""
     if name == "random":
         if seed is None:
@@ -247,7 +245,7 @@ def builtin_duplicator(name: str, seed: Optional[int] = None,
     if name == "greedy":
         return GreedyDuplicator()
     if name == "exhaustive":
-        return ExhaustiveDuplicator(size_budget)
+        return ExhaustiveDuplicator()
     if name == "human":
         return HumanDuplicator()
     raise AgentError(f"unknown duplicator {name!r}")

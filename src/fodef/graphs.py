@@ -283,28 +283,30 @@ class FlapDecomposition:
         return None
 
 
-def flap_decompose(g: ColoredGraph, x: Sequence[int],
-                   fresh_base: Optional[int] = None) -> FlapDecomposition:
-    """Split g - X into connected flaps and recolor them against X.
-
-    Flaps come in canonical order (least contained vertex id).  Fresh colors
-    A_1..A_k default to consecutive ids above every color used in g; pass
-    fresh_base when two graphs must agree on the meaning of the A_i.
-    """
-    xs = list(x)
-    if len(set(xs)) != len(xs):
+def flaps_of(g: ColoredGraph, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The X-flaps of g, the connected components of g - X, each sorted, in
+    order of least vertex id."""
+    xs = set(x)
+    if len(xs) != len(x):
         raise GraphError("separator vertices must be distinct")
-    for v in xs:
+    for v in x:
         if not (0 <= v < g.n):
             raise GraphError(f"vertex {v} out of range")
-    if fresh_base is None:
-        fresh_base = g.max_color() + 1
-    fresh = tuple(fresh_base + i for i in range(len(xs)))
-    rest = frozenset(range(g.n)) - frozenset(xs)
-    flaps = tuple(g.components(within=rest))
+    return tuple(g.components(within=frozenset(range(g.n)) - xs))
+
+
+def flap_decompose(g: ColoredGraph, x: Sequence[int]) -> FlapDecomposition:
+    """Split g - X into its flaps and recolor them against X.
+
+    Flaps come in canonical order (least contained vertex id).  The fresh
+    colors A_1..A_k are consecutive ids above every color used in g.
+    """
+    xs = tuple(x)
+    fs = flaps_of(g, xs)
+    fresh = tuple(g.max_color() + 1 + i for i in range(len(xs)))
     recolored = tuple(g.with_extra_colors(flap_overlay(g, f, xs, fresh)).induced(f)[0]
-                      for f in flaps)
-    return FlapDecomposition(g, tuple(xs), flaps, recolored, fresh)
+                      for f in fs)
+    return FlapDecomposition(g, xs, fs, recolored, fresh)
 
 
 def flap_overlay(g: ColoredGraph, flap: Iterable[int], sep: Sequence[int],
@@ -526,12 +528,14 @@ def find_isomorphism(g: ColoredGraph, h: ColoredGraph) -> Optional[dict[int, int
 
 
 def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
+    """Forests by their AHU codes, other graphs by `find_isomorphism`, whose
+    joint refinement stops at the first histogram that differs."""
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
-    key = iso_invariant_key(g)
-    if key != iso_invariant_key(h):
-        return False
-    return key[0] == "forest" or find_isomorphism(g, h) is not None
+    code = _forest_code(g)
+    if code is not None:
+        return code == _forest_code(h)
+    return find_isomorphism(g, h) is not None
 
 
 def automorphisms(g: ColoredGraph, limit: int = 50000) -> list[dict[int, int]]:

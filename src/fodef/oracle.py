@@ -8,7 +8,6 @@ prunes first moves through automorphism orbits of either graph.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,8 +21,11 @@ from fodef.graphs import (
     extends_partial_isomorphism,
 )
 
-DEFAULT_SIZE_BUDGET = int(os.environ.get("FODEF_SEARCH_BUDGET", "16"))
+DEFAULT_SIZE_BUDGET = 16    # combined order, unless size_budget (CLI --budget) is given
 DEFAULT_R_MAX = 8
+ORBIT_DEPTH = 2             # pebbled pairs up to which moves are orbit-pruned
+AUT_LIMIT = 20000           # automorphisms listed per graph for the pruning
+SURVIVAL_NODE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -47,28 +49,25 @@ class RankResult:
 class RankSearcher:
     """Shared search state for one (g, h) pair and one alternation budget."""
 
-    def __init__(self, g: ColoredGraph, h: ColoredGraph,
-                 k: Optional[int] = None, orbit_depth: int = 2,
-                 aut_limit: int = 20000):
+    def __init__(self, g: ColoredGraph, h: ColoredGraph, k: Optional[int] = None):
         self.g = g
         self.h = h
         self.k = k
-        self.orbit_depth = orbit_depth
         self.win_lo: dict = {}
         self.lose_hi: dict = {}
         self._reps: dict = {}  # (side, pebbled vertices) -> orbit representatives
         self.nodes = 0
         self.memo_hits = 0
-        self.auts_g = automorphisms(g, aut_limit) if g.n <= 24 else []
-        self.auts_h = automorphisms(h, aut_limit) if h.n <= 24 else []
+        self.auts_g = automorphisms(g, AUT_LIMIT) if g.n <= 24 else []
+        self.auts_h = automorphisms(h, AUT_LIMIT) if h.n <= 24 else []
 
     # -- helpers ----------------------------------------------------------
 
     def _candidates(self, side: str, pairs) -> Sequence[int]:
         """The least vertex of each orbit of the stabilizer of the pebbled
-        vertices on `side`, ascending; every vertex beyond orbit_depth."""
+        vertices on `side`, ascending; every vertex beyond ORBIT_DEPTH."""
         own = self.g if side == SIDE_G else self.h
-        if len(pairs) > self.orbit_depth:
+        if len(pairs) > ORBIT_DEPTH:
             return range(own.n)
         key = (side, frozenset(p[0] if side == SIDE_G else p[1] for p in pairs))
         if key not in self._reps:
@@ -213,29 +212,24 @@ class SurvivalReport:
 
 def survival_vs(spoiler: Agent, g: ColoredGraph, h: ColoredGraph,
                 r_max: int, k: Optional[int] = None,
-                initial_pairs: tuple = (), initial_sides: tuple = (),
-                size_budget: Optional[int] = None, allow_large: bool = False,
-                node_cap: int = 2_000_000) -> SurvivalReport:
+                initial_pairs: tuple = (),
+                size_budget: Optional[int] = None) -> SurvivalReport:
     """Exact worst case of a fixed deterministic Spoiler agent: explore every
-    Duplicator reply and report the longest survival."""
-    if not allow_large:
-        _guard_size(g, h, size_budget)
+    Duplicator reply and report the longest survival.  The initial pairs are
+    played first, each as a G-side move."""
+    _guard_size(g, h, size_budget)
     base = new_game(g, h, r_max, k)
-    if initial_pairs:
-        sides = initial_sides or tuple(SIDE_G for _ in initial_pairs)
-        for pair, side in zip(initial_pairs, sides):
-            u = pair[0] if side == SIDE_G else pair[1]
-            v = pair[1] if side == SIDE_G else pair[0]
-            base = step(base, (side, u), v)
-        if base.status != RUNNING:
-            raise ValueError("initial configuration is already decided")
+    for u, v in initial_pairs:
+        base = step(base, (SIDE_G, u), v)
+    if base.status != RUNNING:
+        raise ValueError("initial configuration is already decided")
     start_round = base.round
     counter = {"nodes": 0, "branches": 0}
 
     def walk(state: GameState, agent: Agent) -> tuple[int, bool, int]:
         counter["nodes"] += 1
-        if counter["nodes"] > node_cap:
-            raise BudgetExceeded(f"reply tree exceeded {node_cap} nodes")
+        if counter["nodes"] > SURVIVAL_NODE_CAP:
+            raise BudgetExceeded(f"reply tree exceeded {SURVIVAL_NODE_CAP} nodes")
         if state.status == SPOILER_WON:
             counter["branches"] += 1
             return state.round - 1 - start_round, True, state.round

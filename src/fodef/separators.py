@@ -16,9 +16,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from fodef.graphs import BudgetExceeded, ColoredGraph, GraphError, flap_decompose
+from fodef.graphs import BudgetExceeded, ColoredGraph, GraphError, flaps_of
 
 log = logging.getLogger(__name__)
+
+SEARCH_NODE_BUDGET = 2_000_000   # spanning-path search nodes per completion test
+EXHAUSTIVE_O_CAP = 16            # largest order the class-O subset search takes
+BRUTE_N_CAP = 24                 # largest order brute_min_separator takes
 
 HOP = "HOP"
 EDHOP1 = "EDHOP1"
@@ -135,11 +139,12 @@ class SeparatorResult:
 
 
 def _make_result(g: ColoredGraph, x: Sequence[int], epsilon: Fraction,
-                 tags: Optional[tuple[OClassification, ...]]) -> SeparatorResult:
-    dec = flap_decompose(g, x)
-    biggest = max((len(f) for f in dec.flaps), default=0)
+                 tags: Optional[tuple[OClassification, ...]],
+                 flaps: tuple[tuple[int, ...], ...]) -> SeparatorResult:
+    """The result for separator x, whose flaps the caller has computed."""
+    biggest = max((len(f) for f in flaps), default=0)
     frac = Fraction(biggest, g.n) if g.n else Fraction(0)
-    return SeparatorResult(tuple(x), epsilon, len(dec.flaps), frac, dec.flaps, tags)
+    return SeparatorResult(tuple(x), epsilon, len(flaps), frac, flaps, tags)
 
 
 def verify_separator(g: ColoredGraph, x: Sequence[int], epsilon: Fraction,
@@ -147,11 +152,11 @@ def verify_separator(g: ColoredGraph, x: Sequence[int], epsilon: Fraction,
     """Check every flap has at most epsilon*n vertices and there are at most
     m_cap flaps; reports the violators."""
     eps = Fraction(epsilon)
-    dec = flap_decompose(g, x)
-    oversize = tuple(i for i, f in enumerate(dec.flaps)
+    flaps = flaps_of(g, x)
+    oversize = tuple(i for i, f in enumerate(flaps)
                      if len(f) * eps.denominator > eps.numerator * g.n)
-    too_many = len(dec.flaps) > m_cap
-    return SeparatorReport(not oversize and not too_many, len(dec.flaps),
+    too_many = len(flaps) > m_cap
+    return SeparatorReport(not oversize and not too_many, len(flaps),
                            oversize, too_many)
 
 
@@ -164,7 +169,7 @@ def tree_centroid_separator(g: ColoredGraph) -> SeparatorResult:
         raise SeparatorError("input is not a tree")
     n = g.n
     if n == 1:
-        return _make_result(g, [0], Fraction(2, 3), None)
+        return _make_result(g, [0], Fraction(2, 3), None, flaps_of(g, [0]))
     # subtree sizes from a DFS rooted at 0, then walk toward the heavy side
     order, parent = [], {0: None}
     stack = [0]
@@ -187,7 +192,7 @@ def tree_centroid_separator(g: ColoredGraph) -> SeparatorResult:
                    ) if v != 0 else max(size[u] for u in g.adj[v])
         if best_load is None or (load, v) < (best_load, best):
             best, best_load = v, load
-    return _make_result(g, [best], Fraction(2, 3), None)
+    return _make_result(g, [best], Fraction(2, 3), None, flaps_of(g, [best]))
 
 
 # -- HOP recognition -----------------------------------------------------------
@@ -257,7 +262,7 @@ def _hop_cycle(g: ColoredGraph) -> Optional[tuple[int, ...]]:
     return tuple(order) if cand.certifies(g) else None
 
 
-def _edhop1_completion(g: ColoredGraph, budget: int) -> Optional[tuple[tuple[int, ...], tuple[int, int]]]:
+def _edhop1_completion(g: ColoredGraph) -> Optional[tuple[tuple[int, ...], tuple[int, int]]]:
     """Search for a spanning path whose endpoint closure is outerplanar;
     returns (completion cycle, missing edge) of a 1-edge completion to HOP."""
     n = g.n
@@ -279,8 +284,9 @@ def _edhop1_completion(g: ColoredGraph, budget: int) -> Optional[tuple[tuple[int
     def extend() -> Optional[tuple]:
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"spanning-path search exceeded {budget} nodes")
+        if nodes > SEARCH_NODE_BUDGET:
+            raise BudgetExceeded(
+                f"spanning-path search exceeded {SEARCH_NODE_BUDGET} nodes")
         if len(path) == n:
             if path[0] < path[-1]:
                 return validate()
@@ -306,7 +312,7 @@ def _edhop1_completion(g: ColoredGraph, budget: int) -> Optional[tuple[tuple[int
     return None
 
 
-def classify_o(g: ColoredGraph, budget: int = 2_000_000) -> OClassification:
+def classify_o(g: ColoredGraph) -> OClassification:
     """Exhaustive membership test for the class O, with certificate."""
     if g.n == 0:
         raise GraphError("empty graph")
@@ -315,14 +321,14 @@ def classify_o(g: ColoredGraph, budget: int = 2_000_000) -> OClassification:
     cyc = _hop_cycle(g)
     if cyc is not None:
         return OClassification(HOP, cyc)
-    one = _edhop1_completion(g, budget)
+    one = _edhop1_completion(g)
     if one is not None:
         return OClassification(EDHOP1, one[0], (one[1],))
     if g.edge_count() <= 2 * g.n - 5:
         non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
                      if not g.has_edge(u, v)]
         for d in non_edges:
-            two = _edhop1_completion(g.with_edges_added([d]), budget)
+            two = _edhop1_completion(g.with_edges_added([d]))
             if two is not None:
                 cyc2, c = two
                 pairs = tuple(sorted((c, d)))
@@ -421,34 +427,33 @@ def _find_split_pair(n: int, chords: list[tuple[int, int]]) -> Optional[tuple[in
     return None
 
 
-def _exhaustive_o_separator(g: ColoredGraph, budget: int = 2_000_000) -> SeparatorResult:
+def _exhaustive_o_separator(g: ColoredGraph) -> SeparatorResult:
+    """Subset search; the caller keeps n within EXHAUSTIVE_O_CAP."""
     n = g.n
-    if n > 16:
-        raise BudgetExceeded("exhaustive separator search capped at n <= 16")
     for k in range(1, min(5, n) + 1):
         for xs in combinations(range(n), k):
-            dec = flap_decompose(g, xs)
-            if len(dec.flaps) > 7:
+            flaps = flaps_of(g, xs)
+            if len(flaps) > 7:
                 continue
-            if any(3 * len(f) > 2 * n for f in dec.flaps):
+            if any(3 * len(f) > 2 * n for f in flaps):
                 continue
             tags = []
             ok = True
-            for f in dec.flaps:
+            for f in flaps:
                 sub, _ = g.induced(f)
-                cls = classify_o(sub, budget)
+                cls = classify_o(sub)
                 if not cls.in_class():
                     ok = False
                     break
                 tags.append(cls)
             if ok:
-                return _make_result(g, list(xs), Fraction(2, 3), tuple(tags))
+                return _make_result(g, list(xs), Fraction(2, 3), tuple(tags), flaps)
     raise SeparatorError("no size-5 separator with flaps in the class exists")
 
 
 def class_o_separator(g: ColoredGraph,
-                      classification: Optional[OClassification] = None,
-                      fallback_cap: int = 16) -> SeparatorResult:
+                      classification: Optional[OClassification] = None
+                      ) -> SeparatorResult:
     """Separator of size at most 5 with at most 7 flaps, each flap of at most
     2n/3 vertices and again in the class O (annotated with certificates).
 
@@ -474,19 +479,19 @@ def class_o_separator(g: ColoredGraph,
     if pair is not None:
         x = sorted((cycle[pair[0]], cycle[pair[1]]))
         for attempt in range(2):
-            dec = flap_decompose(g, x)
+            flaps = flaps_of(g, x)
             tags: list[OClassification] = []
             bad = None
-            for f in dec.flaps:
+            for f in flaps:
                 cert = _run_certificate(g, f, cycle, pos, missing)
                 if cert is None:
                     bad = f
                     break
                 tags.append(cert)
             if bad is None:
-                if len(x) <= 5 and len(dec.flaps) <= 7 \
-                        and all(3 * len(f) <= 2 * n for f in dec.flaps):
-                    return _make_result(g, x, Fraction(2, 3), tuple(tags))
+                if len(x) <= 5 and len(flaps) <= 7 \
+                        and all(3 * len(f) <= 2 * n for f in flaps):
+                    return _make_result(g, x, Fraction(2, 3), tuple(tags), flaps)
                 break
             if attempt == 1:
                 break
@@ -494,7 +499,7 @@ def class_o_separator(g: ColoredGraph,
             if extended is None:
                 break
             x = extended
-    if n <= fallback_cap:
+    if n <= EXHAUSTIVE_O_CAP:
         return _exhaustive_o_separator(g)
     raise SeparatorError(
         f"constructive separator failed on n={n}; instance logged")
@@ -558,18 +563,18 @@ def flap_subproblem(g: ColoredGraph, result: SeparatorResult,
 # -- brute-force minimum separator ----------------------------------------------
 
 
-def brute_min_separator(g: ColoredGraph, epsilon: Fraction, size_cap: int,
-                        n_cap: int = 24) -> Optional[SeparatorResult]:
+def brute_min_separator(g: ColoredGraph, epsilon: Fraction,
+                        size_cap: int) -> Optional[SeparatorResult]:
     """Minimum-cardinality vertex set whose flaps all have at most epsilon*n
     vertices; ties go to the lexicographically least set.  None on failure."""
     eps = Fraction(epsilon)
     if not (0 < eps < 1):
         raise SeparatorError("epsilon must lie strictly between 0 and 1")
-    if g.n > n_cap:
-        raise BudgetExceeded(f"brute_min_separator capped at n <= {n_cap}")
+    if g.n > BRUTE_N_CAP:
+        raise BudgetExceeded(f"brute_min_separator capped at n <= {BRUTE_N_CAP}")
     for k in range(0, min(size_cap, g.n) + 1):
         for xs in combinations(range(g.n), k):
-            dec = flap_decompose(g, xs)
-            if all(len(f) * eps.denominator <= eps.numerator * g.n for f in dec.flaps):
-                return _make_result(g, list(xs), eps, None)
+            flaps = flaps_of(g, xs)
+            if all(len(f) * eps.denominator <= eps.numerator * g.n for f in flaps):
+                return _make_result(g, list(xs), eps, None, flaps)
     return None

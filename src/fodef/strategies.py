@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -136,23 +136,22 @@ BOUND_NAMES = ("lemma36", "lemma37", "thm41", "thm43", "lemma52", "lemma53",
 
 # -- configuration and traces ------------------------------------------------------
 
+EPSILON = Fraction(2, 3)       # flap size bound of every separator, as a share of n
+BRUTE_SIZE_CAP = 5             # largest separator brute_min tries
+REPLY_TREE_NODE_CAP = 500_000
+
 
 @dataclass(frozen=True)
 class StrategyConfig:
     provider: str = "tree_centroid"       # tree_centroid | class_o | brute_min
     variant: str = "S"                    # S | S_star
-    epsilon: Fraction = Fraction(2, 3)
-    depth: Optional[int] = None           # None: derived from n and m/s bounds
-    m_bound: Optional[int] = None         # flap-count bound for depth selection
-    s_bound: Optional[int] = None         # similar-flap bound (starred variant)
-    brute_size_cap: int = 5
 
     def k_of(self, n: int) -> int:
         if self.provider == "tree_centroid":
             return 1
         if self.provider == "class_o":
             return 5
-        return min(self.brute_size_cap, n)
+        return min(BRUTE_SIZE_CAP, n)
 
 
 @dataclass
@@ -283,7 +282,6 @@ class _Frame:
     local_pairs: list = field(default_factory=list)   # (u, v, gflap, hflap)
     visited_h: set = field(default_factory=set)
     final_hflap: Optional[int] = None
-    pending_final: Optional[int] = None
     s0_dup_picks: list = field(default_factory=list)
 
     def fork(self) -> "_Frame":
@@ -300,17 +298,14 @@ class _Frame:
 
 
 def _auto_depth(g: ColoredGraph, cfg: StrategyConfig) -> int:
+    """Recursion depth from n and the flap bound: the class-O flap count, or
+    the maximum degree for trees, brute_min and the starred variant."""
     n = max(1, g.n)
+    degree = max(1, g.max_degree())
     if cfg.variant == "S_star":
-        s = cfg.s_bound if cfg.s_bound is not None else max(1, g.max_degree())
-        return choose_depth(n, s, cfg.epsilon, "S_star")
-    if cfg.m_bound is not None:
-        m = cfg.m_bound
-    elif cfg.provider == "class_o":
-        m = 7
-    else:
-        m = max(1, g.max_degree())
-    return choose_depth(n, m, cfg.epsilon, "S")
+        return choose_depth(n, degree, EPSILON, "S_star")
+    m = 7 if cfg.provider == "class_o" else degree
+    return choose_depth(n, m, EPSILON, "S")
 
 
 @dataclass(eq=False, repr=False)
@@ -346,9 +341,9 @@ class StrategyMachine:
                 classification = classify_o(g)
             if not classification.in_class():
                 raise StrategyError("graph is outside the supported class")
-        depth = config.depth if config.depth is not None else _auto_depth(g, config)
-        top = _Frame(frozenset(range(g.n)), frozenset(range(h.n)), depth,
-                     None, frozenset(), frozenset(), {}, {}, classification)
+        top = _Frame(frozenset(range(g.n)), frozenset(range(h.n)),
+                     _auto_depth(g, config), None, frozenset(), frozenset(),
+                     {}, {}, classification)
         return cls(g, h, config, [top],
                    color_counter=max(g.max_color(), h.max_color()) + 1)
 
@@ -373,9 +368,9 @@ class StrategyMachine:
                 tags.append((frozenset(back[i] for i in f),
                              res.tags[fi] if res.tags else None))
             return sorted(back[i] for i in res.x), tags
-        res = brute_min_separator(sub, cfg.epsilon, cfg.brute_size_cap)
+        res = brute_min_separator(sub, EPSILON, BRUTE_SIZE_CAP)
         if res is None:
-            raise StrategyError("no separator within the configured size cap")
+            raise StrategyError(f"no separator of at most {BRUTE_SIZE_CAP} vertices")
         return sorted(back[i] for i in res.x), None
 
     # -- recoloring and flap classification -----------------------------------
@@ -428,7 +423,7 @@ class StrategyMachine:
         if self.bisection is not None:
             move = self.bisection.next_move()
         else:
-            move = self._plan()
+            move = self._plan(state)
         self.pending_move = move
         return move
 
@@ -470,11 +465,11 @@ class StrategyMachine:
 
     # -- planning -----------------------------------------------------------------
 
-    def _plan(self) -> tuple[str, int]:
+    def _plan(self, state: GameState) -> tuple[str, int]:
         frame = self.frames[-1]
         while True:
             if frame.phase == "init":
-                self._enter(frame)
+                self._enter(frame, state)
                 continue
             if frame.phase in ("s0", "sep"):
                 if frame.queue:
@@ -485,7 +480,7 @@ class StrategyMachine:
                 self._after_separator(frame)
                 continue
             if frame.phase == "s0_final":
-                return (SIDE_H, self._s0_final_vertex(frame))
+                return (SIDE_H, self._s0_final_vertex(frame, state))
             if frame.phase == "probe":
                 if frame.probe_idx >= len(frame.probe_flaps):
                     if frame.case == "CASE1":
@@ -493,14 +488,14 @@ class StrategyMachine:
                             "surplus-class probing exhausted without a deviation")
                     frame.phase = "case2_final"
                     continue
-                return (SIDE_G, self._probe_vertex(frame))
+                return (SIDE_G, self._probe_vertex(frame, state))
             if frame.phase == "case2_final":
                 return (SIDE_H, self._case2_final_vertex(frame))
             if frame.phase == "shortcut":
                 return (SIDE_H, frame.queue[0])
             raise StrategyError(f"no move available in phase {frame.phase!r}")
 
-    def _enter(self, frame: _Frame):
+    def _enter(self, frame: _Frame, state: GameState):
         n_dom = len(frame.dom_g)
         comps_h = self.h.components(within=frame.dom_h)
         if len(comps_h) > 1 and frame.anchor is None:
@@ -511,7 +506,7 @@ class StrategyMachine:
             return
         if frame.depth <= 0 or self.config.k_of(n_dom) >= n_dom:
             frame.phase = "s0"
-            pebbled = self._pebbled_g()
+            pebbled = {u for u, _ in state.pebbles}
             frame.queue = [v for v in sorted(frame.dom_g) if v not in pebbled]
             if frame.anchor is not None and frame.anchor[1] in frame.dom_h:
                 frame.s0_dup_picks.append(frame.anchor[1])
@@ -522,27 +517,6 @@ class StrategyMachine:
         frame.queue = list(x)
         frame.provider_tags = tags
         self.trace.sep_sizes.append(len(x))
-
-    def _pebbled_g(self) -> set[int]:
-        out = set()
-        for fr in self.frames:
-            out.update(fr.x_order)
-            out.update(u for u, _, _, _ in fr.local_pairs)
-            if fr.anchor:
-                out.add(fr.anchor[0])
-        return out
-
-    def _pebbled_h(self) -> set[int]:
-        out = set()
-        for fr in self.frames:
-            out.update(fr.y_order)
-            out.update(v for _, v, _, _ in fr.local_pairs)
-            if fr.anchor:
-                out.add(fr.anchor[1])
-            out.update(fr.s0_dup_picks)
-            if fr.pending_final is not None:
-                out.add(fr.pending_final)
-        return out
 
     # -- reply handling ---------------------------------------------------------------
 
@@ -586,8 +560,8 @@ class StrategyMachine:
 
     # -- S0 ----------------------------------------------------------------------
 
-    def _s0_final_vertex(self, frame: _Frame) -> int:
-        pebbled_h = self._pebbled_h()
+    def _s0_final_vertex(self, frame: _Frame, state: GameState) -> int:
+        pebbled_h = {v for _, v in state.pebbles}
         pool = sorted(frame.dom_h)
         adjacent = [w for w in pool if w not in pebbled_h
                     and any(self.h.has_edge(w, y) for y in frame.s0_dup_picks)]
@@ -662,9 +636,9 @@ class StrategyMachine:
 
     # -- probing ---------------------------------------------------------------------
 
-    def _probe_vertex(self, frame: _Frame) -> int:
+    def _probe_vertex(self, frame: _Frame, state: GameState) -> int:
         flap = frame.flaps_g[frame.probe_flaps[frame.probe_idx]]
-        pebbled = self._pebbled_g()
+        pebbled = {u for u, _ in state.pebbles}
         free = sorted(v for v in flap if v not in pebbled)
         if free:
             return free[0]
@@ -708,7 +682,6 @@ class StrategyMachine:
         if not cands:
             raise StrategyError("chosen flap sends no edge to the separator image")
         frame.final_hflap = pool[0]
-        frame.pending_final = cands[0]
         return cands[0]
 
     def _after_case2_reply(self, frame: _Frame, pair, state: GameState):
@@ -772,9 +745,7 @@ class StrategySpoiler(Agent):
 
 
 def _with_variant(config: StrategyConfig, variant: str) -> StrategyConfig:
-    if config.variant == variant:
-        return config
-    return StrategyConfig(**{**config.__dict__, "variant": variant})
+    return config if config.variant == variant else replace(config, variant=variant)
 
 
 def s_agent(g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
@@ -832,15 +803,15 @@ class ReplyTree:
 
 
 def reply_tree(g: ColoredGraph, h: ColoredGraph, spoiler: Agent, r_max: int,
-               k: Optional[int] = None, node_cap: int = 500_000) -> ReplyTree:
+               k: Optional[int] = None) -> ReplyTree:
     """Exhaust every Duplicator reply against a deterministic Spoiler agent.
     Every branch must end in a Spoiler win within r_max rounds."""
     counter = {"nodes": 0, "branches": 0, "depth": 0}
 
     def walk(state: GameState, agent: Agent) -> ReplyNode:
         counter["nodes"] += 1
-        if counter["nodes"] > node_cap:
-            raise BudgetExceeded(f"reply tree exceeded {node_cap} nodes")
+        if counter["nodes"] > REPLY_TREE_NODE_CAP:
+            raise BudgetExceeded(f"reply tree exceeded {REPLY_TREE_NODE_CAP} nodes")
         side, u = agent.choose(state)
         node = ReplyNode((side, u))
         other = h if side == SIDE_G else g
@@ -913,7 +884,6 @@ def extract_formula(tree: ReplyTree) -> Formula:
 
 
 def synthesize_distinguisher(g: ColoredGraph, h: ColoredGraph, spoiler: Agent,
-                             r_max: int, k: Optional[int] = None,
-                             node_cap: int = 500_000) -> Formula:
+                             r_max: int, k: Optional[int] = None) -> Formula:
     """One-call pipeline: exhaust replies, then translate the play tree."""
-    return extract_formula(reply_tree(g, h, spoiler, r_max, k, node_cap))
+    return extract_formula(reply_tree(g, h, spoiler, r_max, k))

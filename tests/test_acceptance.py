@@ -143,7 +143,7 @@ class TestAcceptance:
             cap = math.ceil(math.log2(max(2, len(flap))))
             agent = halving_agent(g, h, flap, pairs[-2:], xs, ys)
             rep = survival_vs(agent, g, h, r_max=len(pairs) + cap,
-                              initial_pairs=pairs, allow_large=True)
+                              initial_pairs=pairs, size_budget=g.n + h.n)
             checked += 1
             if not (rep.always_wins
                     and rep.deepest_total_rounds - len(pairs) <= cap):
@@ -173,7 +173,7 @@ class TestAcceptance:
         c8, cc8 = cycle(8), two_cycles(8)
         agent = halving_agent(c8, cc8, range(8), ((0, 0), (4, 8)), [], [])
         rep = survival_vs(agent, c8, cc8, r_max=5,
-                          initial_pairs=((0, 0), (4, 8)), allow_large=True)
+                          initial_pairs=((0, 0), (4, 8)), size_budget=c8.n + cc8.n)
         checked += 1
         if not (rep.always_wins and rep.deepest_total_rounds - 2 <= 3):
             bad.append(("2C8-vs-C8", rep))

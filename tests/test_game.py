@@ -170,8 +170,9 @@ class TestDuplicators:
         assert t.status == DUPLICATOR_SURVIVED or t.rounds_used > 2
 
     def test_exhaustive_budget_guard(self):
-        d = builtin_duplicator("exhaustive", size_budget=6)
-        st = new_game(cycle(4), cycle(4), 2)
+        # combined order 18 exceeds the oracle's default budget of 16
+        d = builtin_duplicator("exhaustive")
+        st = new_game(cycle(9), cycle(9), 2)
         with pytest.raises(AgentError):
             d.respond(st, SIDE_G, 0)
 

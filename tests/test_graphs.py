@@ -302,6 +302,24 @@ class TestDeepCycles:
         assert all(same.has_edge(m[u], m[v]) for u, v in g.edges())
         assert find_isomorphism(g, recolored) is None
 
+    def test_are_isomorphic_refines_jointly(self, monkeypatch):
+        # a one-sided refinement spreads the recolored vertex one step per
+        # round; the joint one sees the differing histograms at once
+        g, same, recolored = self.copies()
+        alone = []
+        refine = fodef.graphs._refine
+
+        def counted(a, b=None):
+            if b is None:
+                alone.append(a.n)
+            return refine(a, b)
+
+        monkeypatch.setattr(fodef.graphs, "_refine", counted)
+        assert are_isomorphic(g, same)
+        assert not are_isomorphic(g, recolored)
+        assert not are_isomorphic(recolored, g)
+        assert alone == []
+
 
 class TestPartialIsomorphism:
     def test_rotation_restriction(self):

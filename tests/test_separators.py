@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fodef.families import (
     cycle, complete, enumerate_graphs, enumerate_hop_graphs, path, random_hop, star,
 )
-from fodef.graphs import BudgetExceeded, ColoredGraph, are_isomorphic
+from fodef.graphs import BudgetExceeded, ColoredGraph, are_isomorphic, flap_decompose
 from fodef.separators import (
     EDHOP1, EDHOP2, HOP, NOT_IN_O,
     OClassification, SeparatorError,
@@ -26,6 +26,19 @@ def chord_sets(draw):
     n = draw(st.integers(2, 12))
     ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
     return [tuple(sorted(e)) for e in draw(st.lists(ends, max_size=10))]
+
+
+@st.composite
+def connected_with_subset(draw):
+    """A connected graph of order <= 10, a random parent for each vertex
+    plus, half of the time, extra edges; and a random vertex list X."""
+    n = draw(st.integers(1, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 2 and draw(st.booleans()):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    x = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return ColoredGraph.build(n, sorted(edges)), x
 
 
 def full_binary_tree7():
@@ -239,3 +252,30 @@ class TestVerify:
         rep = verify_separator(star(6), [0], Fraction(2, 3), 4)
         assert not rep.ok
         assert rep.too_many_flaps
+
+
+class TestFlapsAgree:
+    """Every separator reports the flaps that flap_decompose finds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_with_subset(), st.sampled_from([Fraction(1, 2), Fraction(2, 3)]))
+    def test_separators_match_flap_decompose(self, gx, eps):
+        g, x = gx
+        flaps = flap_decompose(g, x).flaps
+        rep = verify_separator(g, x, eps, 3)
+        assert rep.flap_count == len(flaps)
+        assert rep.oversize_flaps == tuple(i for i, f in enumerate(flaps)
+                                           if len(f) > eps * g.n)
+        assert rep.too_many_flaps == (len(flaps) > 3)
+        res = brute_min_separator(g, eps, 5)
+        if res is not None:
+            assert res.flaps == flap_decompose(g, res.x).flaps
+            assert res.flap_count == len(res.flaps)
+        if g.is_tree():
+            res = tree_centroid_separator(g)
+            assert res.flaps == flap_decompose(g, res.x).flaps
+            assert res.flap_count == len(res.flaps)
+        if g.n >= 2 and classify_o(g).in_class():
+            res = class_o_separator(g)
+            assert res.flaps == flap_decompose(g, res.x).flaps
+            assert res.flap_count == len(res.flaps) == len(res.tags)

@@ -116,7 +116,7 @@ class TestHalvingAgent:
         g, h, anchors = p7_vs_split()
         agent = halving_agent(g, h, range(7), anchors, [], [])
         rep = survival_vs(agent, g, h, r_max=6, initial_pairs=anchors,
-                          allow_large=True)
+                          size_budget=g.n + h.n)
         assert rep.always_wins
         assert rep.deepest_total_rounds - 2 <= math.ceil(math.log2(7))
 
@@ -127,14 +127,14 @@ class TestHalvingAgent:
         with pytest.raises(ValueError, match="already decided"):
             survival_vs(halving_agent(g, h, range(7), ((0, 0), (1, 4)), [], []),
                         g, h, r_max=4, initial_pairs=((0, 0), (1, 4)),
-                        allow_large=True)
+                        size_budget=g.n + h.n)
 
     def test_two_cycles_position(self):
         c8, cc8 = cycle(8), two_cycles(8)
         anchors = ((0, 0), (4, 8))
         agent = halving_agent(c8, cc8, range(8), anchors, [], [])
         rep = survival_vs(agent, c8, cc8, r_max=8, initial_pairs=anchors,
-                          allow_large=True)
+                          size_budget=c8.n + cc8.n)
         assert rep.always_wins
         assert rep.deepest_total_rounds - 2 <= math.ceil(math.log2(8))
 
@@ -159,8 +159,8 @@ class TestHalvingAgent:
                             continue
                         anchors = ((u1, v1), (u2, v2))
                         agent = halving_agent(g, h, range(5), anchors, [], [])
-                        rep = survival_vs(agent, g, h, r_max=6,
-                                          initial_pairs=anchors, allow_large=True)
+                        rep = survival_vs(agent, g, h, r_max=6, initial_pairs=anchors,
+                                          size_budget=g.n + h.n)
                         assert rep.always_wins
                         assert rep.deepest_total_rounds - 2 <= 3
 
@@ -189,7 +189,7 @@ class TestSAgent:
         g, h = cycle(9), cycle(10)
         ag = s_agent(g, h, StrategyConfig(provider="class_o"))
         cap = bound("lemma36", n=9, m=7, epsilon=EPS, k=5)
-        rep = survival_vs(ag, g, h, r_max=int(cap) + 1, allow_large=True)
+        rep = survival_vs(ag, g, h, r_max=int(cap) + 1, size_budget=g.n + h.n)
         assert rep.always_wins
         assert rep.deepest_total_rounds <= cap
 
@@ -259,7 +259,7 @@ class TestSStarAgent:
         g = random_bounded_tree(14, 3, 9)
         h = random_bounded_tree(14, 3, 11)
         assert not are_isomorphic(g, h)
-        ag = s_star_agent(g, h, StrategyConfig(provider="brute_min", epsilon=EPS))
+        ag = s_star_agent(g, h, StrategyConfig(provider="brute_min"))
         s = max(1, g.max_degree())
         cap = bound("lemma52", n=14, s=s, epsilon=EPS, k=5)
         t = run_match(g, h, ag, builtin_duplicator("greedy"), int(cap) + 1)
@@ -272,7 +272,7 @@ class TestSStarAgent:
             h = random_bounded_tree(12, 3, seed + 17)
             if are_isomorphic(g, h):
                 continue
-            ag = s_star_agent(g, h, StrategyConfig(provider="brute_min", epsilon=EPS))
+            ag = s_star_agent(g, h, StrategyConfig(provider="brute_min"))
             depth = ag.machine.frames[0].depth
             t = run_match(g, h, ag, builtin_duplicator("greedy"), 40)
             assert t.status == SPOILER_WON
@@ -292,7 +292,7 @@ class TestSStarAgent:
         g = random_bounded_tree(8, 3, 2)
         h = random_bounded_tree(8, 3, 3)
         assert not are_isomorphic(g, h)
-        ag = s_star_agent(g, h, StrategyConfig(provider="brute_min", epsilon=EPS))
+        ag = s_star_agent(g, h, StrategyConfig(provider="brute_min"))
         cap = bound("lemma52", n=8, s=max(1, g.max_degree()), epsilon=EPS, k=5)
         rep = survival_vs(ag, g, h, r_max=int(cap) + 1)
         assert rep.always_wins
@@ -307,8 +307,7 @@ class TestSStarAgent:
                     continue
                 s = max(1, g.max_degree())
                 cap = bound("lemma52", n=g.n, s=s, epsilon=EPS, k=min(5, g.n))
-                ag = s_star_agent(g, h, StrategyConfig(provider="brute_min",
-                                                       epsilon=EPS))
+                ag = s_star_agent(g, h, StrategyConfig(provider="brute_min"))
                 rep = survival_vs(ag, g, h, r_max=int(cap) + 1, size_budget=12)
                 assert rep.always_wins
                 assert rep.deepest_total_rounds <= cap
@@ -463,7 +462,7 @@ class TestFork:
                         StrategyConfig(provider="tree_centroid")),
         lambda: s_star_agent(random_bounded_tree(8, 3, 2),
                              random_bounded_tree(8, 3, 3),
-                             StrategyConfig(provider="brute_min", epsilon=EPS)),
+                             StrategyConfig(provider="brute_min")),
         lambda: s_agent(cycle(9), cycle(10), StrategyConfig(provider="class_o")),
     ], ids=["s_agent-tree", "s_star_agent-brute", "s_agent-class_o"])
     def test_sibling_forks_independent(self, make):
