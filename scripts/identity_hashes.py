@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Print the behaviour hashes that a refactor must leave unchanged.
+
+Run it from the root of a checkout, at the parent commit and at the change,
+and compare the output line by line:
+
+    python3 scripts/identity_hashes.py
+
+It imports fodef from the checkout's src/ and needs nothing else.  Each line
+is a name and a sha256 hex digest:
+
+- criterion09: the criterion-09 corpus, that is, the 630 pairs of order <= 5
+  and then every 7th pair with an order-6 graph (1,879 pairs).  Each pair
+  gets a fresh s_agent for survival_vs and another for reply_tree, r_max is
+  the lemma-3.6 bound + 1, and the hash runs over
+  repr((SurvivalReport, depth, branches, printed formula)).
+  criterion09.enumeration_order hashes the same pairs in enumeration order,
+  with the order-6 pairs interleaved.
+- oracle.k=None, oracle.k=1: (value, best_first_move) of every exact_rank
+  query of the benchmark's oracle workload (the named pairs, then every graph
+  of order 3 and 4 against every graph of order <= 6; 3,136 queries).
+- oracle_formulas.k=None, oracle_formulas.k=1: the printed formula that
+  OracleSpoiler synthesizes for every query with a value.
+- csv.trees, csv.hop: the CSVs of the README's two `fodef verify` commands.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import os
+import sys
+from fractions import Fraction
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from fodef import cli  # noqa: E402
+from fodef.families import (  # noqa: E402
+    cycle, enumerate_graphs, path, star, triv, two_cycles,
+)
+from fodef.formulas import print_formula  # noqa: E402
+from fodef.graphs import are_isomorphic  # noqa: E402
+from fodef.oracle import OracleSpoiler, exact_rank, survival_vs  # noqa: E402
+from fodef.separators import classify_o  # noqa: E402
+from fodef.strategies import (  # noqa: E402
+    StrategyConfig, bound, extract_formula, reply_tree, s_agent,
+)
+
+EPS = Fraction(2, 3)
+ORDER6_STRIDE = 7
+
+
+def criterion09_pairs():
+    """Connected tree or class-O G of order >= 2 against every connected
+    non-isomorphic H of order <= 6, in enumeration order; of the pairs with
+    an order-6 graph only every 7th."""
+    conn = [g for n in range(1, 7)
+            for g in enumerate_graphs(n, connected_only=True)]
+    order6 = 0
+    for g in conn:
+        if g.n < 2:
+            continue
+        is_tree = g.is_tree()
+        cls = classify_o(g)
+        if not (is_tree or cls.in_class()):
+            continue
+        for h in conn:
+            if g.n == h.n and are_isomorphic(g, h):
+                continue
+            if max(g.n, h.n) == 6:
+                order6 += 1
+                if (order6 - 1) % ORDER6_STRIDE:
+                    continue
+            if is_tree:
+                cfg = StrategyConfig(provider="tree_centroid")
+                cap = bound("lemma36", n=g.n, m=max(1, g.max_degree()),
+                            epsilon=EPS, k=1)
+            else:
+                cfg = StrategyConfig(provider="class_o")
+                cap = bound("lemma36", n=g.n, m=7, epsilon=EPS, k=5)
+            yield g, h, cfg, int(cap) + 1, None if is_tree else cls
+
+
+def criterion09_hashes() -> tuple[str, str, int]:
+    """Digests with the order <= 5 pairs first, and in enumeration order."""
+    grouped, enumeration = hashlib.sha256(), hashlib.sha256()
+    order6 = []
+    pairs = 0
+    for g, h, cfg, r_max, cls in criterion09_pairs():
+        report = survival_vs(s_agent(g, h, cfg, classification=cls), g, h,
+                             r_max=r_max, size_budget=12)
+        tree = reply_tree(g, h, s_agent(g, h, cfg, classification=cls), r_max)
+        line = repr((report, tree.depth, tree.branches,
+                     print_formula(extract_formula(tree)))).encode()
+        enumeration.update(line)
+        if max(g.n, h.n) == 6:
+            order6.append(line)
+        else:
+            grouped.update(line)
+        pairs += 1
+    for line in order6:
+        grouped.update(line)
+    return grouped.hexdigest(), enumeration.hexdigest(), pairs
+
+
+def oracle_queries():
+    """(g, h, r_max, size_budget) in the order of the benchmark's oracle
+    workload: the named pairs, then the order-3/4 sweep."""
+    for n in (2, 3, 4, 5):
+        yield star(n), star(n + 1), n, 2 * n + 1
+    for n in range(3, 7):
+        for m in range(n + 1, 8):
+            yield path(n), path(m), 7, 15
+            yield cycle(n), cycle(m), 7, 15
+    for m in (1, 2, 3):
+        yield triv(m, 2 * m), triv(m - 1, 2 * m + 2), 2 * m + 2, 8 * m
+    for n in (4, 5, 6):
+        yield two_cycles(n), cycle(n), math.floor(math.log2(n - 1)), 3 * n
+    yield two_cycles(4), cycle(4), 7, 12
+    every = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    for base in every:
+        if base.n not in (3, 4):
+            continue
+        for h in every:
+            if h.n == base.n and are_isomorphic(base, h):
+                continue
+            yield base, h, base.n + 2, None
+
+
+def oracle_hashes(k) -> tuple[str, str, int]:
+    values = hashlib.sha256()
+    formulas = hashlib.sha256()
+    queries = 0
+    for g, h, r_max, budget in oracle_queries():
+        res = exact_rank(g, h, k=k, r_max=r_max, size_budget=budget)
+        values.update(repr((res.value, res.best_first_move)).encode())
+        if res.value is not None:
+            spoiler = OracleSpoiler(g, h, k=k, size_budget=budget)
+            tree = reply_tree(g, h, spoiler, res.value, k)
+            formulas.update(print_formula(extract_formula(tree)).encode())
+        queries += 1
+    return values.hexdigest(), formulas.hexdigest(), queries
+
+
+README_CSVS = (
+    ("trees", ["verify", "--claim", "thm41", "--family", "tree", "--d", "3",
+               "--n", "16..512", "--trials", "20", "--seed", "1003"]),
+    ("hop", ["verify", "--claim", "thm43", "--n", "16..256", "--trials", "20",
+             "--seed", "4000"]),
+)
+
+
+def csv_hash(argv) -> tuple[str, int]:
+    """Hash of the CSV that `fodef <argv> --out FILE` writes, and the exit
+    code; without --out the command writes the same text to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
+
+
+def main() -> int:
+    grouped, enumeration, pairs = criterion09_hashes()
+    print(f"criterion09 {grouped}  ({pairs} pairs)", flush=True)
+    print(f"criterion09.enumeration_order {enumeration}", flush=True)
+    for k in (None, 1):
+        values, formulas, queries = oracle_hashes(k)
+        print(f"oracle.k={k} {values}  ({queries} queries)", flush=True)
+        print(f"oracle_formulas.k={k} {formulas}", flush=True)
+    for name, argv in README_CSVS:
+        digest, code = csv_hash(argv)
+        print(f"csv.{name} {digest}  (exit {code})", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -381,7 +381,8 @@ def _cmd_play(args) -> int:
     else:
         cfg = StrategyConfig(provider=args.provider)
         spoiler = (s_agent if args.spoiler == "s" else s_star_agent)(g, h, cfg)
-    dup = builtin_duplicator(args.duplicator, seed=args.seed)
+    dup = builtin_duplicator(args.duplicator, seed=args.seed,
+                             size_budget=args.budget)
     t = run_match(g, h, spoiler, dup, args.rounds, k=args.k)
     print(t.to_json())
     if hasattr(spoiler, "trace"):

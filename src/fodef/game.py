@@ -14,7 +14,10 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
-from fodef.graphs import ColoredGraph, extends_partial_isomorphism, find_isomorphism
+from fodef.graphs import (BudgetExceeded, ColoredGraph,
+                          extends_partial_isomorphism, find_isomorphism)
+
+REPLY_NODE_CAP = 500_000    # Spoiler moves one reply walk may explore
 
 SIDE_G = "G"
 SIDE_H = "G'"
@@ -200,18 +203,20 @@ class HumanDuplicator(Agent):
 
 class ExhaustiveDuplicator(Agent):
     """Optimal replies from full game-tree search, on pairs within the
-    oracle's default combined order.  The search memo is kept while the pair
-    and the alternation budget stay the same."""
+    combined order `size_budget` (None: the oracle's default).  The search
+    memo is kept while the pair and the alternation budget stay the same."""
     label = "exhaustive"
 
-    def __init__(self):
+    def __init__(self, size_budget: Optional[int] = None):
+        self.size_budget = size_budget
         self._searcher = None
 
     def respond(self, state, side, vertex):
         from fodef.oracle import DEFAULT_SIZE_BUDGET, RankSearcher
-        if state.g.n + state.h.n > DEFAULT_SIZE_BUDGET:
+        budget = DEFAULT_SIZE_BUDGET if self.size_budget is None else self.size_budget
+        if state.g.n + state.h.n > budget:
             raise AgentError("exhaustive duplicator refuses instances over "
-                             f"{DEFAULT_SIZE_BUDGET} vertices")
+                             f"{budget} vertices")
         s = self._searcher
         if s is None or (s.g, s.h, s.k) != (state.g, state.h,
                                             state.alternation_budget):
@@ -236,7 +241,8 @@ class ExhaustiveDuplicator(Agent):
         return best[1]
 
 
-def builtin_duplicator(name: str, seed: Optional[int] = None) -> Agent:
+def builtin_duplicator(name: str, seed: Optional[int] = None,
+                       size_budget: Optional[int] = None) -> Agent:
     """Factory for the named Duplicator policies."""
     if name == "random":
         if seed is None:
@@ -245,7 +251,7 @@ def builtin_duplicator(name: str, seed: Optional[int] = None) -> Agent:
     if name == "greedy":
         return GreedyDuplicator()
     if name == "exhaustive":
-        return ExhaustiveDuplicator()
+        return ExhaustiveDuplicator(size_budget)
     if name == "human":
         return HumanDuplicator()
     raise AgentError(f"unknown duplicator {name!r}")
@@ -299,3 +305,70 @@ def run_match(g: ColoredGraph, h: ColoredGraph, spoiler: Agent,
         moves.append((state.round, side, u, v))
     return Transcript(tuple(moves), state.status, state.round,
                       state.alternations_used, notes)
+
+
+# -- every reply against a fixed Spoiler -------------------------------------------
+
+
+@dataclass
+class ReplyNode:
+    move: tuple[str, int]
+    children: dict = field(default_factory=dict)  # reply -> ReplyNode | won pebbles
+
+
+@dataclass
+class ReplyTree:
+    """Exhaustive transcript family: the fixed agent's move at every node and
+    a branch for every Duplicator reply.  A line Spoiler does not win has no
+    branch; its last state is listed apart, as a Duplicator survival."""
+    g: ColoredGraph
+    h: ColoredGraph
+    root: ReplyNode
+    depth: int                 # most rounds a won line took
+    branches: int              # finished lines, won or not
+    unwon: list                # the last state of every line not won
+
+
+def explore_replies(g: ColoredGraph, h: ColoredGraph, spoiler: Agent,
+                    r_max: int, k: Optional[int] = None,
+                    initial_pairs: tuple = ()) -> ReplyTree:
+    """Play a fork of a deterministic Spoiler agent against every Duplicator
+    reply, after the initial pairs, each played as a G-side move.  A node's
+    replies are all stepped, then walked in reply order: the last running one
+    inherits the node's agent and the others get forks, since nothing
+    consults a node's agent after its last line."""
+    state = new_game(g, h, r_max, k)
+    for u, v in initial_pairs:
+        state = step(state, (SIDE_G, u), v)
+    if state.status != RUNNING:
+        raise ValueError("initial configuration is already decided")
+    unwon = []
+    nodes = won = depth = 0
+
+    def walk(state: GameState, agent: Agent) -> ReplyNode:
+        nonlocal nodes, won, depth
+        nodes += 1
+        if nodes > REPLY_NODE_CAP:
+            raise BudgetExceeded(f"reply tree exceeded {REPLY_NODE_CAP} nodes")
+        move = agent.choose(state)
+        node = ReplyNode(move)
+        if not state.switch_allowed(move[0]):
+            unwon.append(replace(state, status=DUPLICATOR_SURVIVED))
+            return node
+        other = h if move[0] == SIDE_G else g
+        children = [step(state, move, v) for v in range(other.n)]
+        last = max((v for v, c in enumerate(children) if c.status == RUNNING),
+                   default=None)
+        for v, child in enumerate(children):
+            if child.status == RUNNING:
+                node.children[v] = walk(child, agent if v == last else agent.fork())
+            elif child.status == SPOILER_WON:
+                won += 1
+                depth = max(depth, child.round)
+                node.children[v] = child.pebbles
+            else:
+                unwon.append(child)
+        return node
+
+    root = walk(state, spoiler.fork())
+    return ReplyTree(g, h, root, depth, won + len(unwon), unwon)

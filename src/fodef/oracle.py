@@ -12,10 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from fodef.families import enumerate_graphs
-from fodef.game import (
-    Agent, GameState, RUNNING, SIDE_G, SIDE_H, SPOILER_WON,
-    new_game, step,
-)
+from fodef.game import Agent, GameState, SIDE_G, SIDE_H, explore_replies
 from fodef.graphs import (
     BudgetExceeded, ColoredGraph, automorphisms, are_isomorphic,
     extends_partial_isomorphism,
@@ -25,7 +22,6 @@ DEFAULT_SIZE_BUDGET = 16    # combined order, unless size_budget (CLI --budget) 
 DEFAULT_R_MAX = 8
 ORBIT_DEPTH = 2             # pebbled pairs up to which moves are orbit-pruned
 AUT_LIMIT = 20000           # automorphisms listed per graph for the pruning
-SURVIVAL_NODE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -206,9 +202,6 @@ class SurvivalReport:
     branches: int
     deepest_total_rounds: int
 
-    def __int__(self) -> int:
-        return self.max_rounds
-
 
 def survival_vs(spoiler: Agent, g: ColoredGraph, h: ColoredGraph,
                 r_max: int, k: Optional[int] = None,
@@ -218,40 +211,11 @@ def survival_vs(spoiler: Agent, g: ColoredGraph, h: ColoredGraph,
     Duplicator reply and report the longest survival.  The initial pairs are
     played first, each as a G-side move."""
     _guard_size(g, h, size_budget)
-    base = new_game(g, h, r_max, k)
-    for u, v in initial_pairs:
-        base = step(base, (SIDE_G, u), v)
-    if base.status != RUNNING:
-        raise ValueError("initial configuration is already decided")
-    start_round = base.round
-    counter = {"nodes": 0, "branches": 0}
-
-    def walk(state: GameState, agent: Agent) -> tuple[int, bool, int]:
-        counter["nodes"] += 1
-        if counter["nodes"] > SURVIVAL_NODE_CAP:
-            raise BudgetExceeded(f"reply tree exceeded {SURVIVAL_NODE_CAP} nodes")
-        if state.status == SPOILER_WON:
-            counter["branches"] += 1
-            return state.round - 1 - start_round, True, state.round
-        if state.status != RUNNING:
-            counter["branches"] += 1
-            return state.round - start_round, False, state.round
-        side, u = agent.choose(state)
-        if not state.switch_allowed(side):
-            counter["branches"] += 1
-            return state.max_rounds - start_round, False, state.round
-        other = h if side == SIDE_G else g
-        best = (-1, True, 0)
-        for v in range(other.n):
-            child = step(state, (side, u), v)
-            # only a running child consults its agent; a lone child may reuse it
-            fork = child.status == RUNNING and other.n > 1
-            got = walk(child, agent.fork() if fork else agent)
-            best = (max(best[0], got[0]), best[1] and got[1], max(best[2], got[2]))
-        return best
-
-    surv, wins, deepest = walk(base, spoiler)
-    return SurvivalReport(surv, wins, counter["branches"], deepest)
+    tree = explore_replies(g, h, spoiler, r_max, k, initial_pairs)
+    survived = r_max if tree.unwon else tree.depth - 1
+    deepest = max([tree.depth] + [s.round for s in tree.unwon])
+    return SurvivalReport(survived - len(initial_pairs), not tree.unwon,
+                          tree.branches, deepest)
 
 
 def defining_rank_lb(g: ColoredGraph, order_max: int, k: Optional[int] = None,

@@ -502,7 +502,13 @@ def class_o_separator(g: ColoredGraph,
     if n <= EXHAUSTIVE_O_CAP:
         return _exhaustive_o_separator(g)
     raise SeparatorError(
-        f"constructive separator failed on n={n}; instance logged")
+        f"constructive separator failed on n={n}; instance {_instance_id(g)}")
+
+
+def _instance_id(g: ColoredGraph) -> str:
+    """Short sha256 prefix of the graph's JSON, to name it in logs and errors."""
+    import hashlib  # only on failure: its OpenSSL backend adds 3.5 MB resident
+    return hashlib.sha256(g.to_json().encode()).hexdigest()[:12]
 
 
 def _extend_split(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
@@ -544,7 +550,7 @@ def _extend_split(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
     e2 = next(v for v in q_seg if any(w in r_set for w in g.adj[v]))
     if not g.has_edge(e1, e2):
         log.warning("separator extension: facing endpoints %s,%s not adjacent "
-                    "in instance %s", e1, e2, g.to_json())
+                    "in instance %s", e1, e2, _instance_id(g))
         return None
     if connected(p_seg, r_seg):
         f = next(v for v in reversed(p_seg) if any(w in r_set for w in g.adj[v]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -23,12 +23,11 @@ from fodef.formulas import (
     conjunction, disjunction,
 )
 from fodef.game import (
-    Agent, GameState, RUNNING, SIDE_G, SIDE_H, SPOILER_WON,
-    new_game, step,
+    Agent, GameState, RUNNING, SIDE_G, SIDE_H, ReplyNode, ReplyTree,
+    explore_replies,
 )
 from fodef.graphs import (
-    BudgetExceeded, ColoredGraph,
-    distances_within, flap_overlay, group_by_isomorphism,
+    ColoredGraph, distances_within, flap_overlay, group_by_isomorphism,
 )
 from fodef.separators import (
     OClassification, brute_min_separator, class_o_separator, classify_o,
@@ -138,13 +137,11 @@ BOUND_NAMES = ("lemma36", "lemma37", "thm41", "thm43", "lemma52", "lemma53",
 
 EPSILON = Fraction(2, 3)       # flap size bound of every separator, as a share of n
 BRUTE_SIZE_CAP = 5             # largest separator brute_min tries
-REPLY_TREE_NODE_CAP = 500_000
 
 
 @dataclass(frozen=True)
 class StrategyConfig:
     provider: str = "tree_centroid"       # tree_centroid | class_o | brute_min
-    variant: str = "S"                    # S | S_star
 
     def k_of(self, n: int) -> int:
         if self.provider == "tree_centroid":
@@ -297,12 +294,12 @@ class _Frame:
         return twin
 
 
-def _auto_depth(g: ColoredGraph, cfg: StrategyConfig) -> int:
+def _auto_depth(g: ColoredGraph, cfg: StrategyConfig, starred: bool) -> int:
     """Recursion depth from n and the flap bound: the class-O flap count, or
     the maximum degree for trees, brute_min and the starred variant."""
     n = max(1, g.n)
     degree = max(1, g.max_degree())
-    if cfg.variant == "S_star":
+    if starred:
         return choose_depth(n, degree, EPSILON, "S_star")
     m = 7 if cfg.provider == "class_o" else degree
     return choose_depth(n, m, EPSILON, "S")
@@ -326,11 +323,12 @@ class StrategyMachine:
     pending_move: Optional[tuple[str, int]] = None
     color_counter: int = 0                     # next fresh separator color
     trace: StrategyTrace = field(default_factory=StrategyTrace)
+    starred: bool = False                      # CASE 2 probes a deficit class
 
     @classmethod
     def start(cls, g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
-              classification: Optional[OClassification] = None
-              ) -> "StrategyMachine":
+              classification: Optional[OClassification] = None,
+              starred: bool = False) -> "StrategyMachine":
         """Separator recursion from the empty position."""
         if not g.is_connected():
             raise StrategyError("the structured side must be connected")
@@ -342,10 +340,11 @@ class StrategyMachine:
             if not classification.in_class():
                 raise StrategyError("graph is outside the supported class")
         top = _Frame(frozenset(range(g.n)), frozenset(range(h.n)),
-                     _auto_depth(g, config), None, frozenset(), frozenset(),
-                     {}, {}, classification)
+                     _auto_depth(g, config, starred), None, frozenset(),
+                     frozenset(), {}, {}, classification)
         return cls(g, h, config, [top],
-                   color_counter=max(g.max_color(), h.max_color()) + 1)
+                   color_counter=max(g.max_color(), h.max_color()) + 1,
+                   starred=starred)
 
     # -- separator providers -------------------------------------------------
 
@@ -416,7 +415,7 @@ class StrategyMachine:
                                seen_rounds=self.seen_rounds,
                                pending_move=self.pending_move,
                                color_counter=self.color_counter,
-                               trace=self.trace.fork())
+                               trace=self.trace.fork(), starred=self.starred)
 
     def next_move(self, state: GameState) -> tuple[str, int]:
         self._sync(state)
@@ -615,7 +614,7 @@ class StrategyMachine:
                 "flap multisets agree on both sides; the position extends to "
                 "an isomorphism")
         frame.case = "CASE2"
-        if self.config.variant == "S_star":
+        if self.starred:
             order_h = {}
             for i, ci in enumerate(frame.class_of_h):
                 order_h.setdefault(ci, i)
@@ -632,7 +631,7 @@ class StrategyMachine:
         self.trace.record(depth=frame.depth, case="CASE2",
                           x=list(frame.x_order), m_table=table,
                           f=len(frame.flaps_g),
-                          starred=self.config.variant == "S_star")
+                          starred=self.starred)
 
     # -- probing ---------------------------------------------------------------------
 
@@ -744,16 +743,11 @@ class StrategySpoiler(Agent):
         return StrategySpoiler(self.machine.fork(), self.label)
 
 
-def _with_variant(config: StrategyConfig, variant: str) -> StrategyConfig:
-    return config if config.variant == variant else replace(config, variant=variant)
-
-
 def s_agent(g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
             classification: Optional[OClassification] = None) -> StrategySpoiler:
     """Separator-recursion Spoiler for a connected structured g versus an
     arbitrary non-isomorphic h; switches sides at most twice."""
-    cfg = _with_variant(config, "S")
-    return StrategySpoiler(StrategyMachine.start(g, h, cfg, classification),
+    return StrategySpoiler(StrategyMachine.start(g, h, config, classification),
                            "s_agent")
 
 
@@ -762,8 +756,8 @@ def s_star_agent(g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
     """Variant that probes a deficit class: each level spends at most
     similar-flap-count + 1 probing moves, at the price of one extra
     alternation per recursion level."""
-    cfg = _with_variant(config, "S_star")
-    return StrategySpoiler(StrategyMachine.start(g, h, cfg, classification),
+    return StrategySpoiler(StrategyMachine.start(g, h, config, classification,
+                                                 starred=True),
                            "s_star_agent")
 
 
@@ -785,52 +779,16 @@ def halving_agent(g: ColoredGraph, h: ColoredGraph, flap: Sequence[int],
 # -- formula synthesis ---------------------------------------------------------------
 
 
-@dataclass
-class ReplyNode:
-    move: tuple[str, int]
-    children: dict = field(default_factory=dict)  # reply -> ReplyNode | leaf pairs
-
-
-@dataclass
-class ReplyTree:
-    """Exhaustive transcript family: the fixed agent's move at every node and
-    a branch for every Duplicator reply."""
-    g: ColoredGraph
-    h: ColoredGraph
-    root: ReplyNode
-    depth: int
-    branches: int
-
-
 def reply_tree(g: ColoredGraph, h: ColoredGraph, spoiler: Agent, r_max: int,
                k: Optional[int] = None) -> ReplyTree:
     """Exhaust every Duplicator reply against a deterministic Spoiler agent.
     Every branch must end in a Spoiler win within r_max rounds."""
-    counter = {"nodes": 0, "branches": 0, "depth": 0}
-
-    def walk(state: GameState, agent: Agent) -> ReplyNode:
-        counter["nodes"] += 1
-        if counter["nodes"] > REPLY_TREE_NODE_CAP:
-            raise BudgetExceeded(f"reply tree exceeded {REPLY_TREE_NODE_CAP} nodes")
-        side, u = agent.choose(state)
-        node = ReplyNode((side, u))
-        other = h if side == SIDE_G else g
-        for v in range(other.n):
-            child_state = step(state, (side, u), v)
-            if child_state.status == SPOILER_WON:
-                counter["branches"] += 1
-                counter["depth"] = max(counter["depth"], child_state.round)
-                node.children[v] = child_state.pebbles
-            elif child_state.status == RUNNING:
-                node.children[v] = walk(child_state, agent.fork())
-            else:
-                raise StrategyError(
-                    f"the agent did not win within {r_max} rounds; "
-                    "the transcript family is not exhaustive")
-        return node
-
-    root = walk(new_game(g, h, r_max, k), spoiler)
-    return ReplyTree(g, h, root, counter["depth"], counter["branches"])
+    tree = explore_replies(g, h, spoiler, r_max, k)
+    if tree.unwon:
+        raise StrategyError(
+            f"the agent did not win within {r_max} rounds; "
+            "the transcript family is not exhaustive")
+    return tree
 
 
 def _violation_literal(g: ColoredGraph, h: ColoredGraph,

@@ -181,3 +181,42 @@ def brute_best_move(g: ColoredGraph, h: ColoredGraph, r_max: int, k=None):
     count, or None when r_max rounds do not suffice."""
     r = brute_rank(g, h, r_max, k)
     return None if r is None else next(_winning_moves(g, h, (), r, None, 0, k))
+
+
+def brute_survival(spoiler, g: ColoredGraph, h: ColoredGraph, r_max: int,
+                   k=None, initial_pairs=()):
+    """Reference worst case of a fixed Spoiler agent: a recursive walk over
+    every Duplicator reply that gives every running reply a fork of its own.
+    A won line survives one round less than it took; a Duplicator survival
+    and an overspending Spoiler move both survive the whole game."""
+    from fodef.game import RUNNING, SPOILER_WON, new_game, step
+    from fodef.oracle import SurvivalReport
+
+    base = new_game(g, h, r_max, k)
+    for u, v in initial_pairs:
+        base = step(base, (SIDE_G, u), v)
+    start = base.round
+    branches = 0
+
+    def walk(state, agent):
+        nonlocal branches
+        if state.status == SPOILER_WON:
+            branches += 1
+            return state.round - 1 - start, True, state.round
+        if state.status != RUNNING:
+            branches += 1
+            return state.round - start, False, state.round
+        side, u = agent.choose(state)
+        if not state.switch_allowed(side):
+            branches += 1
+            return state.max_rounds - start, False, state.round
+        other = h if side == SIDE_G else g
+        best = (-1, True, 0)
+        for v in range(other.n):
+            child = step(state, (side, u), v)
+            got = walk(child, agent.fork() if child.status == RUNNING else agent)
+            best = (max(best[0], got[0]), best[1] and got[1], max(best[2], got[2]))
+        return best
+
+    surv, wins, deepest = walk(base, spoiler)
+    return SurvivalReport(surv, wins, branches, deepest)

@@ -62,6 +62,26 @@ class TestCli:
             st = step(st, (mv["side"], mv["spoiler"]), mv["duplicator"])
         assert st.status == payload["status"]
 
+    def test_play_exhaustive_duplicator_takes_budget(self, tmp_path, capsys):
+        a = tmp_path / "c9.json"
+        b = tmp_path / "c10.json"
+        main(["gen", "--family", "cycle", "--n", "9", "--out", str(a)])
+        main(["gen", "--family", "cycle", "--n", "10", "--out", str(b)])
+        argv = ["play", "--g", str(a), "--h", str(b), "--rounds", "4",
+                "--duplicator", "exhaustive"]
+        strategy = ("--spoiler", "s", "--provider", "class_o")
+        for spoiler in ((), strategy):
+            code, out, _ = run(capsys, *argv, *spoiler, "--budget", "20")
+            assert code == 0
+            assert out.splitlines()[-1].startswith("status: ")
+        # cycle(9) against cycle(10) is over the default 16 and over 18
+        for budget in ((), ("--budget", "18")):
+            code, out, err = run(capsys, *argv, *strategy, *budget)
+            assert code == 1
+            assert out == ""
+            assert err.count("\n") == 1
+            assert "exhaustive duplicator refuses instances over" in err
+
     def test_verify_eq4(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "eq4", "--n", "2,3")
         assert code == 0

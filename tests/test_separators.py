@@ -201,6 +201,45 @@ class TestClassOSeparator:
                 order = {HOP: 0, EDHOP1: 1, EDHOP2: 2}
                 assert order[tag.tag] >= order[exact.tag]
 
+    @pytest.mark.parametrize("n, seed, missing, want_x", [
+        (9, 6, ((1, 2), (3, 4)), (0, 3, 7)),
+        (10, 8, ((6, 7), (8, 9)), (0, 4, 6, 7, 9)),
+    ], ids=["one-vertex", "three-vertex"])
+    def test_split_extension(self, monkeypatch, n, seed, missing, want_x):
+        # EDHOP2 input, two cycle edges away from HOP: the split pair leaves
+        # one flap holding both missing edges, so the pair is extended
+        from fodef import separators
+        extended = []
+        real = separators._extend_split
+
+        def spy(*args):
+            extended.append(real(*args))
+            return extended[-1]
+
+        monkeypatch.setattr(separators, "_extend_split", spy)
+        hop = random_hop(n, seed)
+        g = ColoredGraph.build(n, [e for e in hop.edges() if e not in missing])
+        cls = OClassification(EDHOP2, tuple(range(n)), missing, exact=False)
+        assert cls.certifies(g)
+        res = class_o_separator(g, classification=cls)
+        assert extended == [list(want_x)]
+        assert res.x == want_x
+        assert len(res.x) <= 5 and res.flap_count <= 7
+        assert all(3 * len(f) <= 2 * n for f in res.flaps)
+        for i in range(res.flap_count):
+            sub, tag = flap_subproblem(g, res, i)
+            assert tag.in_class() and tag.certifies(sub)
+        stack = [(g, cls)]
+        steps = 0
+        while stack:
+            cur, ann = stack.pop()
+            steps += 1
+            assert steps < 100
+            if cur.n >= 2:
+                res = class_o_separator(cur, classification=ann)
+                stack.extend(flap_subproblem(cur, res, i)
+                             for i in range(res.flap_count))
+
     def test_random_hop_medium(self):
         for seed in range(8):
             g = random_hop(40, seed)

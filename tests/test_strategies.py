@@ -12,7 +12,7 @@ from fodef.families import (
 )
 from fodef.formulas import analyze, evaluate, print_formula
 from fodef.game import (
-    RUNNING, SIDE_G, SIDE_H, SPOILER_WON, builtin_duplicator, new_game,
+    RUNNING, SIDE_G, SIDE_H, SPOILER_WON, Agent, builtin_duplicator, new_game,
     run_match, step,
 )
 from fodef.graphs import ColoredGraph, are_isomorphic
@@ -23,6 +23,8 @@ from fodef.strategies import (
     StrategySpoiler, bound, choose_depth, extract_formula, halving_agent,
     reply_tree, s_agent, s_star_agent, synthesize_distinguisher,
 )
+
+from helpers import brute_survival
 
 EPS = Fraction(2, 3)
 
@@ -488,3 +490,81 @@ class TestFork:
         assert "CASE2" in agent.trace.cases()
         assert agent.trace.to_json_dict()["max_similar"] == 1
         assert agent.fork().trace.to_json_dict()["max_similar"] == 1
+
+
+class _Stubborn(Agent):
+    """Never wins: pebbles vertex 0 of G every round."""
+    role = "spoiler"
+
+    def choose(self, state):
+        return (SIDE_G, 0)
+
+
+class _Switcher(Agent):
+    """Pebbles vertex 0, on G in even rounds and on G' in odd ones, so it
+    overspends an alternation budget of 0 in its second round."""
+    role = "spoiler"
+
+    def choose(self, state):
+        return (SIDE_H if state.round % 2 else SIDE_G, 0)
+
+
+class TestReplyWalk:
+    def test_survival_matches_reference(self):
+        # the shared walk against a reference that forks at every running reply
+        pairs = 0
+        for g, h, cfg, r_max, cls in criterion09_pairs(4):
+            def agent():
+                return s_agent(g, h, cfg, classification=cls)
+            assert survival_vs(agent(), g, h, r_max, size_budget=12) == \
+                brute_survival(agent(), g, h, r_max)
+            pairs += 1
+        assert pairs > 50
+        for g, h in ((cycle(3), cycle(4)), (path(3), path(4)), (star(3), path(4))):
+            for k in (None, 0, 1):
+                rep = survival_vs(_Stubborn(), g, h, 3, k=k)
+                assert rep == brute_survival(_Stubborn(), g, h, 3, k=k)
+                assert not rep.always_wins and rep.max_rounds == 3
+                rep = survival_vs(_Switcher(), g, h, 4, k=k)
+                assert rep == brute_survival(_Switcher(), g, h, 4, k=k)
+            # under k = 0 every line ends at the overspending second move
+            rep = survival_vs(_Switcher(), g, h, 4, k=0)
+            assert not rep.always_wins
+            assert (rep.max_rounds, rep.deepest_total_rounds) == (4, 1)
+        g, h, anchors = p7_vs_split()
+        c8, cc8 = cycle(8), two_cycles(8)
+        for g, h, anchors in ((g, h, anchors), (c8, cc8, ((0, 0), (4, 8)))):
+            wins = []
+            for r_max in (3, 4, 6):
+                def agent():
+                    return halving_agent(g, h, range(g.n), anchors, [], [])
+                rep = survival_vs(agent(), g, h, r_max, initial_pairs=anchors,
+                                  size_budget=g.n + h.n)
+                assert rep == brute_survival(agent(), g, h, r_max,
+                                             initial_pairs=anchors)
+                wins.append(rep.always_wins)
+            assert wins[0] is False and wins[-1] is True
+
+    @pytest.mark.parametrize("make", [
+        lambda: (s_agent(random_bounded_tree(8, 3, 2), random_bounded_tree(8, 3, 3),
+                         StrategyConfig(provider="tree_centroid")), 20, ()),
+        lambda: (s_agent(cycle(6), path(6), StrategyConfig(provider="class_o")),
+                 20, ()),
+        lambda: (halving_agent(cycle(8), two_cycles(8), range(8),
+                               ((0, 0), (4, 8)), [], []), 8, ((0, 0), (4, 8))),
+    ], ids=["s_agent-tree", "s_agent-class_o", "halving"])
+    def test_caller_agent_not_advanced(self, make):
+        agent, r_max, anchors = make()
+        g, h = agent.machine.g, agent.machine.h
+        before = copy.deepcopy(machine_state(agent.machine))
+        reports = [survival_vs(agent, g, h, r_max, initial_pairs=anchors,
+                               size_budget=g.n + h.n) for _ in range(2)]
+        assert machine_state(agent.machine) == before
+        assert reports[0] == reports[1] and reports[0].always_wins
+        if anchors:
+            return
+        trees = [reply_tree(g, h, agent, r_max) for _ in range(2)]
+        assert machine_state(agent.machine) == before
+        first, second = [(t.depth, t.branches, print_formula(extract_formula(t)))
+                         for t in trees]
+        assert first == second
