@@ -22,6 +22,8 @@ is a name and a sha256 hex digest:
 - oracle_formulas.k=None, oracle_formulas.k=1: the printed formula that
   OracleSpoiler synthesizes for every query with a value.
 - csv.trees, csv.hop: the CSVs of the README's two `fodef verify` commands.
+- classify: (tag, witness_cycle, missing_edges) of classify_o on every graph
+  of order <= 7 (1,252 graphs), in enumeration order.
 """
 
 from __future__ import annotations
@@ -162,6 +164,18 @@ def csv_hash(argv) -> tuple[str, int]:
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
 
 
+def classify_hash() -> tuple[str, int]:
+    digest = hashlib.sha256()
+    graphs = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            cls = classify_o(g)
+            digest.update(repr((cls.tag, cls.witness_cycle,
+                                cls.missing_edges)).encode())
+            graphs += 1
+    return digest.hexdigest(), graphs
+
+
 def main() -> int:
     grouped, enumeration, pairs = criterion09_hashes()
     print(f"criterion09 {grouped}  ({pairs} pairs)", flush=True)
@@ -173,6 +187,8 @@ def main() -> int:
     for name, argv in README_CSVS:
         digest, code = csv_hash(argv)
         print(f"csv.{name} {digest}  (exit {code})", flush=True)
+    digest, graphs = classify_hash()
+    print(f"classify {digest}  ({graphs} graphs)", flush=True)
     return 0
 
 

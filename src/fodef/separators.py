@@ -1,5 +1,5 @@
-"""Constructive separators and membership tests for the near-Hamiltonian-
-outerplanar class.
+"""Constructive separators and a constructive membership test for the near-
+Hamiltonian-outerplanar class.
 
 The class O consists of HOP graphs (2-connected outerplanar, equivalently a
 spanning cycle plus pairwise non-crossing chords), graphs one edge-addition
@@ -20,7 +20,6 @@ from fodef.graphs import BudgetExceeded, ColoredGraph, GraphError, flaps_of
 
 log = logging.getLogger(__name__)
 
-SEARCH_NODE_BUDGET = 2_000_000   # spanning-path search nodes per completion test
 EXHAUSTIVE_O_CAP = 16            # largest order the class-O subset search takes
 BRUTE_N_CAP = 24                 # largest order brute_min_separator takes
 
@@ -44,14 +43,12 @@ class OClassification:
 
     witness_cycle orders all vertices so that consecutive pairs (cyclically)
     are edges of the graph or listed in missing_edges; chords are pairwise
-    non-crossing in that order.  exact=True means the tag was established by
-    exhaustive search (minimal number of additions); constructive separator
-    annotations are upper-bound certificates with exact=False.
+    non-crossing in that order.  classify_o's tags are minimal; the
+    separator's flap annotations may list more additions than needed.
     """
     tag: str
     witness_cycle: Optional[tuple[int, ...]]
     missing_edges: tuple[tuple[int, int], ...] = ()
-    exact: bool = True
 
     def in_class(self) -> bool:
         return self.tag != NOT_IN_O
@@ -262,58 +259,74 @@ def _hop_cycle(g: ColoredGraph) -> Optional[tuple[int, ...]]:
     return tuple(order) if cand.certifies(g) else None
 
 
+def _cut_vertices(g: ColoredGraph) -> set[int]:
+    """The cut vertices of a connected g: Hopcroft-Tarjan low points over a
+    depth-first search from vertex 0 that runs on an explicit stack."""
+    disc: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    stack = [(0, -1)]
+    while stack:
+        v, p = stack.pop()
+        if v not in disc:
+            disc[v], parent[v] = len(disc), p
+            stack.extend((u, v) for u in g.adj[v] if u not in disc)
+    low = dict(disc)
+    cuts = set()
+    for v in reversed(disc):  # children first; ancestors still hold disc
+        low[v] = min([low[v]] + [low[u] for u in g.adj[v] if u != parent[v]])
+        if v and low[v] >= disc[parent[v]]:
+            cuts.add(parent[v])
+    if sum(p == 0 for p in parent.values()) < 2:
+        cuts.discard(0)
+    return cuts
+
+
+def _end_blocks(g: ColoredGraph) -> list[tuple[tuple[int, ...], int]]:
+    """The leaf blocks of a connected g, sorted, each with its cut vertex:
+    the components of g minus its cut vertices that touch exactly one."""
+    cuts = _cut_vertices(g)
+    ends = []
+    for comp in g.components(frozenset(range(g.n)) - cuts):
+        touched = {u for v in comp for u in g.adj[v] if u in cuts}
+        if len(touched) == 1:
+            ends.append((tuple(sorted(set(comp) | touched)), min(touched)))
+    return ends
+
+
 def _edhop1_completion(g: ColoredGraph) -> Optional[tuple[tuple[int, ...], tuple[int, int]]]:
-    """Search for a spanning path whose endpoint closure is outerplanar;
-    returns (completion cycle, missing edge) of a 1-edge completion to HOP."""
+    """(completion cycle, missing edge) of a 1-edge completion of g to HOP;
+    the cycle is the lexicographically least spanning path the edge closes.
+
+    If g + e is HOP and g has a cut vertex, the cycle holds e, so g's blocks
+    form a chain and e joins, in each end block, a cycle neighbor of its
+    cut vertex: at most four candidates, each certified by _hop_cycle.
+    """
     n = g.n
     if n < 3 or not g.is_connected() or g.edge_count() > 2 * n - 4:
         return None
-    nodes = 0
-    in_path = [False] * n
-    path: list[int] = []
-
-    def validate() -> Optional[tuple[tuple[int, ...], tuple[int, int]]]:
-        u, v = path[0], path[-1]
-        if g.has_edge(u, v):
-            return None
-        cand = OClassification(EDHOP1, tuple(path), (_norm(u, v),))
-        if cand.certifies(g):
-            return tuple(path), _norm(u, v)
+    ends = _end_blocks(g)
+    if len(ends) != 2:
         return None
-
-    def extend() -> Optional[tuple]:
-        nonlocal nodes
-        nodes += 1
-        if nodes > SEARCH_NODE_BUDGET:
-            raise BudgetExceeded(
-                f"spanning-path search exceeded {SEARCH_NODE_BUDGET} nodes")
-        if len(path) == n:
-            if path[0] < path[-1]:
-                return validate()
+    sides = []
+    for block, c in ends:
+        cyc = _hop_cycle(g.induced(block)[0])
+        if cyc is None:
             return None
-        for u in sorted(g.adj[path[-1]]):
-            if not in_path[u]:
-                path.append(u)
-                in_path[u] = True
-                got = extend()
-                in_path[u] = False
-                path.pop()
-                if got:
-                    return got
-        return None
-
-    for s in range(n):
-        path = [s]
-        in_path = [False] * n
-        in_path[s] = True
-        got = extend()
-        if got:
-            return got
-    return None
+        i = cyc.index(block.index(c))
+        sides.append({block[cyc[i - 1]], block[cyc[(i + 1) % len(cyc)]]})
+    found = []
+    for e in {_norm(a, b) for a in sides[0] for b in sides[1]}:
+        cyc = _hop_cycle(g.with_edges_added([e]))
+        if cyc is not None:
+            i = cyc.index(e[0])
+            path = cyc[i:] + cyc[:i]
+            found.append((path if path[-1] == e[1] else path[:1] + path[:0:-1], e))
+    return min(found, default=None)
 
 
 def classify_o(g: ColoredGraph) -> OClassification:
-    """Exhaustive membership test for the class O, with certificate."""
+    """Constructive membership test for the class O, with a certificate of
+    the least number of edge additions; EDHOP2 tries each non-edge."""
     if g.n == 0:
         raise GraphError("empty graph")
     if not g.is_connected():
@@ -324,7 +337,8 @@ def classify_o(g: ColoredGraph) -> OClassification:
     one = _edhop1_completion(g)
     if one is not None:
         return OClassification(EDHOP1, one[0], (one[1],))
-    if g.edge_count() <= 2 * g.n - 5:
+    # one added edge removes at most two end blocks; EDHOP1 graphs have two
+    if g.edge_count() <= 2 * g.n - 5 and len(_end_blocks(g)) <= 4:
         non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
                      if not g.has_edge(u, v)]
         for d in non_edges:
@@ -389,8 +403,7 @@ def _run_certificate(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
     tag = (HOP, EDHOP1, EDHOP2)[len(additions)]
     sub, idx = g.induced(flap)
     local = OClassification(tag, tuple(idx[v] for v in order),
-                            tuple(sorted(_norm(idx[a], idx[b]) for a, b in additions)),
-                            exact=False)
+                            tuple(sorted(_norm(idx[a], idx[b]) for a, b in additions)))
     return local if local.certifies(sub) else None
 
 

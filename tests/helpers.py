@@ -220,3 +220,85 @@ def brute_survival(spoiler, g: ColoredGraph, h: ColoredGraph, r_max: int,
 
     surv, wins, deepest = walk(base, spoiler)
     return SurvivalReport(surv, wins, branches, deepest)
+
+
+SEARCH_NODE_BUDGET = 2_000_000   # spanning-path search nodes per completion test
+
+
+def brute_edhop1_completion(g: ColoredGraph):
+    """Search for a spanning path whose endpoint closure is outerplanar;
+    returns (completion cycle, missing edge) of a 1-edge completion to HOP."""
+    from fodef.graphs import BudgetExceeded
+    from fodef.separators import EDHOP1, OClassification, _norm
+
+    n = g.n
+    if n < 3 or not g.is_connected() or g.edge_count() > 2 * n - 4:
+        return None
+    nodes = 0
+    in_path = [False] * n
+    path: list[int] = []
+
+    def validate():
+        u, v = path[0], path[-1]
+        if g.has_edge(u, v):
+            return None
+        cand = OClassification(EDHOP1, tuple(path), (_norm(u, v),))
+        if cand.certifies(g):
+            return tuple(path), _norm(u, v)
+        return None
+
+    def extend():
+        nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise BudgetExceeded(
+                f"spanning-path search exceeded {SEARCH_NODE_BUDGET} nodes")
+        if len(path) == n:
+            if path[0] < path[-1]:
+                return validate()
+            return None
+        for u in sorted(g.adj[path[-1]]):
+            if not in_path[u]:
+                path.append(u)
+                in_path[u] = True
+                got = extend()
+                in_path[u] = False
+                path.pop()
+                if got:
+                    return got
+        return None
+
+    for s in range(n):
+        path = [s]
+        in_path = [False] * n
+        in_path[s] = True
+        got = extend()
+        if got:
+            return got
+    return None
+
+
+def brute_classify_o(g: ColoredGraph):
+    """Reference class-O classification on the spanning-path search: HOP,
+    then one addition, then two, trying every non-edge in order."""
+    from fodef.separators import (
+        EDHOP1, EDHOP2, HOP, NOT_IN_O, OClassification, _hop_cycle,
+    )
+
+    if not g.is_connected():
+        return OClassification(NOT_IN_O, None)
+    cyc = _hop_cycle(g)
+    if cyc is not None:
+        return OClassification(HOP, cyc)
+    one = brute_edhop1_completion(g)
+    if one is not None:
+        return OClassification(EDHOP1, one[0], (one[1],))
+    if g.edge_count() <= 2 * g.n - 5:
+        non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if not g.has_edge(u, v)]
+        for d in non_edges:
+            two = brute_edhop1_completion(g.with_edges_added([d]))
+            if two is not None:
+                cyc2, c = two
+                return OClassification(EDHOP2, cyc2, tuple(sorted((c, d))))
+    return OClassification(NOT_IN_O, None)

@@ -4,6 +4,7 @@ import pytest
 
 from fodef.cli import main, perturb_hop, perturb_tree, _parse_sizes
 from fodef.families import random_bounded_tree, random_hop
+from fodef.graphs import ColoredGraph
 from fodef.separators import classify_o
 
 
@@ -27,21 +28,28 @@ class TestCli:
     def test_separate_class_o(self, tmp_path, capsys):
         p = tmp_path / "c9.json"
         main(["gen", "--family", "cycle", "--n", "9", "--out", str(p)])
-        code, out, _ = run(capsys, "separate", "--in", str(p), "--method", "class-o")
-        assert code == 0
-        res = json.loads(out.splitlines()[-1])
-        assert len(res["X"]) <= 5
-        assert len(res["flaps"]) <= 7
-        assert res["verified"]
+        # an EDHOP2 graph: a HOP graph less two of its cycle edges
+        q = tmp_path / "edhop2.json"
+        hop = random_hop(60, 3)
+        q.write_text(ColoredGraph.build(60, [
+            e for e in hop.edges() if e not in ((0, 59), (30, 31))]).to_json())
+        for f in (p, q):
+            code, out, _ = run(capsys, "separate", "--in", str(f), "--method", "class-o")
+            assert code == 0
+            res = json.loads(out.splitlines()[-1])
+            assert len(res["X"]) <= 5
+            assert len(res["flaps"]) <= 7
+            assert res["verified"]
 
     def test_classify(self, tmp_path, capsys):
-        p = tmp_path / "p4.json"
-        main(["gen", "--family", "path", "--n", "4", "--out", str(p)])
-        code, out, _ = run(capsys, "classify", "--in", str(p))
-        assert code == 0
-        res = json.loads(out.splitlines()[-1])
-        assert res["tag"] == "EDHOP1"
-        assert res["missing_edges"] == [[0, 3]]
+        for n in (4, 3000):
+            p = tmp_path / f"p{n}.json"
+            main(["gen", "--family", "path", "--n", str(n), "--out", str(p)])
+            code, out, _ = run(capsys, "classify", "--in", str(p))
+            assert code == 0
+            res = json.loads(out.splitlines()[-1])
+            assert res["tag"] == "EDHOP1"
+            assert res["missing_edges"] == [[0, n - 1]]
 
     def test_play_transcript_replays(self, tmp_path, capsys):
         a = tmp_path / "c3.json"

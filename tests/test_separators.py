@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fodef.families import (
-    cycle, complete, enumerate_graphs, enumerate_hop_graphs, path, random_hop, star,
+    cycle, complete, enumerate_graphs, enumerate_hop_graphs, path,
+    random_bounded_tree, random_hop, star,
 )
 from fodef.graphs import BudgetExceeded, ColoredGraph, are_isomorphic, flap_decompose
 from fodef.separators import (
@@ -14,9 +16,13 @@ from fodef.separators import (
     brute_min_separator, chords_cross, chords_non_crossing, class_o_separator,
     classify_o, flap_subproblem,
     tree_centroid_separator, verify_separator,
+    _cut_vertices, _edhop1_completion,
 )
 
-from helpers import brute_outerplanar, brute_two_connected
+from helpers import (
+    brute_classify_o, brute_edhop1_completion, brute_outerplanar,
+    brute_two_connected,
+)
 
 
 @st.composite
@@ -127,6 +133,63 @@ class TestClassify:
                 if cls.tag == HOP:
                     assert g.is_connected()
 
+    def test_completion_matches_spanning_path_search(self):
+        # every connected graph of order <= 7, and every input of the EDHOP2
+        # loop on connected graphs of order <= 6
+        for n in range(1, 8):
+            for g in enumerate_graphs(n, connected_only=True):
+                assert _edhop1_completion(g) == brute_edhop1_completion(g)
+                if n <= 6:
+                    for u, v in combinations(range(n), 2):
+                        if not g.has_edge(u, v):
+                            gd = g.with_edges_added([(u, v)])
+                            assert _edhop1_completion(gd) == brute_edhop1_completion(gd)
+
+    def test_classify_matches_reference(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                got, want = classify_o(g), brute_classify_o(g)
+                assert (got.tag, got.witness_cycle, got.missing_edges) == \
+                    (want.tag, want.witness_cycle, want.missing_edges)
+
+    def test_cut_vertices_match_definition(self):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n, connected_only=True):
+                want = {v for v in range(n)
+                        if not g.induced(set(range(n)) - {v})[0].is_connected()}
+                assert _cut_vertices(g) == want
+        assert _cut_vertices(path(3000)) == set(range(1, 2999))
+        assert _cut_vertices(cycle(3000)) == set()
+
+    def test_long_path_edhop1(self):
+        g = path(3000)
+        cls = classify_o(g)
+        assert cls.tag == EDHOP1
+        assert cls.missing_edges == ((0, 2999),)
+        assert cls.witness_cycle == tuple(range(3000))
+
+    def test_large_tree_not_in_o(self):
+        g = random_bounded_tree(3000, 3, 1)
+        start = time.perf_counter()
+        assert classify_o(g).tag == NOT_IN_O
+        assert time.perf_counter() - start < 1.0
+
+    def test_large_edhop2(self):
+        hop = random_hop(200, 3)
+        g = ColoredGraph.build(200, [e for e in hop.edges()
+                                     if e not in ((0, 199), (100, 101))])
+        cls = classify_o(g)
+        assert cls.tag == EDHOP2
+        assert cls.certifies(g)
+
+    def test_chain_with_pendants_not_in_o(self):
+        # a chain of triangles with three pendant vertices on vertex 15 has
+        # five end blocks; an added edge removes at most two, HOP has none
+        edges = [(i, i + 1) for i in range(29)]
+        edges += [(i, i + 2) for i in range(0, 27, 2)]
+        edges += [(15, 30), (15, 31), (15, 32)]
+        assert classify_o(ColoredGraph.build(33, edges)).tag == NOT_IN_O
+
 
 class TestChords:
     @settings(max_examples=300, deadline=None)
@@ -219,7 +282,7 @@ class TestClassOSeparator:
         monkeypatch.setattr(separators, "_extend_split", spy)
         hop = random_hop(n, seed)
         g = ColoredGraph.build(n, [e for e in hop.edges() if e not in missing])
-        cls = OClassification(EDHOP2, tuple(range(n)), missing, exact=False)
+        cls = OClassification(EDHOP2, tuple(range(n)), missing)
         assert cls.certifies(g)
         res = class_o_separator(g, classification=cls)
         assert extended == [list(want_x)]
