@@ -24,6 +24,10 @@ is a name and a sha256 hex digest:
 - csv.trees, csv.hop: the CSVs of the README's two `fodef verify` commands.
 - classify: (tag, witness_cycle, missing_edges) of classify_o on every graph
   of order <= 7 (1,252 graphs), in enumeration order.
+- opponents: the edge lists of G and of the opponent H that cli._opponent
+  draws for it, over the sizes of the benchmark's campaign round (trees of
+  degree <= 3 up to n = 2048, HOP graphs up to n = 512), three seeds each;
+  for HOP pairs also class_o_separator's x and flaps on G and on H.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -41,12 +46,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from fodef import cli  # noqa: E402
 from fodef.families import (  # noqa: E402
-    cycle, enumerate_graphs, path, star, triv, two_cycles,
+    cycle, enumerate_graphs, path, random_bounded_tree, random_hop, star, triv,
+    two_cycles,
 )
 from fodef.formulas import print_formula  # noqa: E402
 from fodef.graphs import are_isomorphic  # noqa: E402
 from fodef.oracle import OracleSpoiler, exact_rank, survival_vs  # noqa: E402
-from fodef.separators import classify_o  # noqa: E402
+from fodef.separators import class_o_separator, classify_o  # noqa: E402
 from fodef.strategies import (  # noqa: E402
     StrategyConfig, bound, extract_formula, reply_tree, s_agent,
 )
@@ -176,6 +182,31 @@ def classify_hash() -> tuple[str, int]:
     return digest.hexdigest(), graphs
 
 
+OPPONENT_SIZES = (("tree", (64, 128, 256, 512, 1024, 2048)),
+                  ("hop", (64, 128, 256, 512)))
+OPPONENT_SEEDS = (1, 2, 3)
+
+
+def opponents_hash() -> tuple[str, int]:
+    """G and cli._opponent's H as the benchmark's campaign draws them."""
+    digest = hashlib.sha256()
+    pairs = 0
+    for family, sizes in OPPONENT_SIZES:
+        for n in sizes:
+            for seed in OPPONENT_SEEDS:
+                g = (random_bounded_tree(n, 3, seed) if family == "tree"
+                     else random_hop(n, seed))
+                h = cli._opponent(g, family, 3, seed, random.Random(seed))
+                parts = [family, n, seed, list(g.edges()), list(h.edges())]
+                if family == "hop":
+                    for x in (g, h):
+                        sep = class_o_separator(x)
+                        parts += [sep.x, sep.flaps]
+                digest.update(repr(parts).encode())
+                pairs += 1
+    return digest.hexdigest(), pairs
+
+
 def main() -> int:
     grouped, enumeration, pairs = criterion09_hashes()
     print(f"criterion09 {grouped}  ({pairs} pairs)", flush=True)
@@ -189,6 +220,8 @@ def main() -> int:
         print(f"csv.{name} {digest}  (exit {code})", flush=True)
     digest, graphs = classify_hash()
     print(f"classify {digest}  ({graphs} graphs)", flush=True)
+    digest, pairs = opponents_hash()
+    print(f"opponents {digest}  ({pairs} pairs)", flush=True)
     return 0
 
 

@@ -25,7 +25,7 @@ from fodef.graphs import (
 from fodef.oracle import OracleSpoiler, defining_rank_lb, exact_rank
 from fodef.separators import (
     SeparatorError, brute_min_separator, class_o_separator, classify_o,
-    tree_centroid_separator, verify_separator,
+    inner_faces, tree_centroid_separator, verify_separator,
 )
 from fodef.strategies import (
     BOUND_NAMES, StrategyConfig, StrategyError, bound, s_agent, s_star_agent,
@@ -58,19 +58,23 @@ def perturb_tree(g: ColoredGraph, rng: random.Random) -> ColoredGraph:
     return ColoredGraph.build(g.n, keep + [(min(a, b), max(a, b))])
 
 
+def _addable_chords(n: int, chords: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of cycle positions 0..n-1 that are no cycle
+    edge and no chord and cross none of the non-crossing `chords`, sorted:
+    the non-consecutive pairs of each inner face."""
+    return sorted((f[s], f[t]) for f in inner_faces(n, chords)
+                  for s in range(len(f)) for t in range(s + 2, len(f))
+                  if (s, t) != (0, len(f) - 1))
+
+
 def perturb_hop(g: ColoredGraph, rng: random.Random) -> ColoredGraph:
-    """Toggle one chord of the spanning cycle, keeping the class membership."""
+    """Toggle one chord of the spanning cycle, keeping the class membership.
+
+    g must be HOP with its vertices numbered in cycle order 0..n-1, as
+    random_hop and its perturbations are."""
     n = g.n
-    cyc = {(i, (i + 1) % n) for i in range(n)}
-    cyc |= {(b, a) for a, b in cyc}
-    chords = [e for e in g.edges() if e not in cyc]
-    candidates = []
-    for i in range(n):
-        for j in range(i + 2, n):
-            if (i, j) in cyc or g.has_edge(i, j):
-                continue
-            if all(not (i < a < j < b or a < i < b < j) for a, b in chords):
-                candidates.append((i, j))
+    chords = [(a, b) for a, b in g.edges() if b - a not in (1, n - 1)]
+    candidates = _addable_chords(n, chords)
     if chords and (not candidates or rng.random() < 0.5):
         drop = rng.choice(chords)
         return ColoredGraph.build(n, [e for e in g.edges() if e != drop])

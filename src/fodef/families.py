@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -79,15 +81,16 @@ def random_bounded_tree(n: int, d: int, seed: int) -> ColoredGraph:
         return ColoredGraph.build(2, [(0, 1)])
     rng = random.Random(seed)
     count = [0] * n
+    eligible = list(range(n))  # sorted: the vertices with count < d - 1
     seq = []
     for _ in range(n - 2):
-        eligible = [v for v in range(n) if count[v] < d - 1]
         v = rng.choice(eligible)
         count[v] += 1
+        if count[v] == d - 1:
+            del eligible[bisect_left(eligible, v)]
         seq.append(v)
     # standard sequence decode
     degree = [c + 1 for c in count]
-    import heapq
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     edges = []
@@ -103,22 +106,20 @@ def random_bounded_tree(n: int, d: int, seed: int) -> ColoredGraph:
 
 
 def _random_triangulation_chords(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Chords of a random triangulation of the polygon 0..n-1: each arc i..j
+    (i < j) splits at a random k, arcs visited in pre-order, i..k first."""
     chords: list[tuple[int, int]] = []
-
-    def tri(i: int, j: int):
-        # polygon arc i..j (cyclic positions, i<j); split at a random k
+    arcs = [(0, n - 1)] if n >= 4 else []
+    while arcs:
+        i, j = arcs.pop()
         if j - i < 2:
-            return
+            continue
         k = rng.randint(i + 1, j - 1)
         if k - i >= 2:
             chords.append((i, k))
         if j - k >= 2:
             chords.append((k, j))
-        tri(i, k)
-        tri(k, j)
-
-    if n >= 4:
-        tri(0, n - 1)
+        arcs += [(k, j), (i, k)]
     return chords
 
 

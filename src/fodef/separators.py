@@ -11,6 +11,7 @@ class is closed under the flap recursion all the way down.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -106,6 +107,31 @@ def chords_non_crossing(chords: Sequence[tuple[int, int]]) -> bool:
             return False
         open_ends.append(q)
     return True
+
+
+def inner_faces(n: int, chords: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The inner faces of the polygon on cycle positions 0..n-1 cut by the
+    pairwise non-crossing chords (p, q), p < q (no cycle edges among them),
+    each as its positions in increasing order.  Two positions are crossed by
+    no chord exactly when they lie on a common face.
+
+    One stack pass along the cycle: at v, each chord (a, v), the largest a
+    first, pops the positions above a off the stack and closes the face
+    a..v; the stack left at the end is the face holding the edge (0, n-1)."""
+    ends: list[list[int]] = [[] for _ in range(n)]
+    for p, q in sorted(chords, reverse=True):
+        ends[q].append(p)
+    faces: list[list[int]] = []
+    stack: list[int] = []
+    at = [0] * n
+    for v in range(n):
+        for a in ends[v]:
+            faces.append(stack[at[a]:] + [v])
+            del stack[at[a] + 1:]
+        at[v] = len(stack)
+        stack.append(v)
+    faces.append(stack)
+    return faces
 
 
 @dataclass(frozen=True)
@@ -409,35 +435,35 @@ def _run_certificate(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
 
 def _find_split_pair(n: int, chords: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
     """Positions (i,j) on the cycle such that both open arcs have at most 2n/3
-    vertices and no chord joins the two arcs."""
+    vertices and no chord joins the two arcs, normalized.
+
+    A balanced chord comes first, the one with the smallest larger arc.
+    Otherwise the pair lies on a common inner face: the one with the largest
+    gap (j - i) mod n <= n/2, then the least start i."""
+    def balanced(gap: int) -> bool:
+        return 3 * (gap - 1) <= 2 * n and 3 * (n - gap - 1) <= 2 * n
+
     balanced_chord = None
     for p, q in chords:
-        arc1, arc2 = q - p - 1, n - (q - p) - 1
-        if 3 * arc1 <= 2 * n and 3 * arc2 <= 2 * n:
-            score = max(arc1, arc2)
+        if balanced(q - p):
+            score = max(q - p, n - (q - p)) - 1
             if balanced_chord is None or score < balanced_chord[0]:
                 balanced_chord = (score, (p, q))
     if balanced_chord is not None:
         return balanced_chord[1]
 
-    def separates(i: int, gap: int, chord: tuple[int, int]) -> bool:
-        def side(x: int) -> int:
-            rel = (x - i) % n
-            if rel == 0 or rel == gap:
-                return 0
-            return 1 if rel < gap else 2
-        a, b = side(chord[0]), side(chord[1])
-        return {a, b} == {1, 2}
-
-    gaps = [gp for gp in range(2, n // 2 + 1)
-            if 3 * (gp - 1) <= 2 * n and 3 * (n - gp - 1) <= 2 * n]
-    gaps.sort(key=lambda gp: abs(gp - n / 2))
-    for gap in gaps:
-        for i in range(n):
-            j = (i + gap) % n
-            if all(not separates(i, gap, c) for c in chords):
-                return _norm(i, j)
-    return None
+    # from each face vertex i, the farthest face vertex at most n/2 ahead
+    pairs = []
+    for face in inner_faces(n, chords):
+        twice = face + [p + n for p in face]
+        for i in face:
+            gap = twice[bisect_right(twice, i + n // 2) - 1] - i
+            if gap >= 2 and balanced(gap):
+                pairs.append((gap, -i))
+    if not pairs:
+        return None
+    gap, i = max(pairs)
+    return _norm(-i, (gap - i) % n)
 
 
 def _exhaustive_o_separator(g: ColoredGraph) -> SeparatorResult:

@@ -1,11 +1,43 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fodef.cli import main, perturb_hop, perturb_tree, _parse_sizes
+from fodef.cli import main, perturb_hop, perturb_tree, _addable_chords, _parse_sizes
 from fodef.families import random_bounded_tree, random_hop
 from fodef.graphs import ColoredGraph
 from fodef.separators import classify_o
+
+
+def reference_candidates(g: ColoredGraph):
+    """perturb_hop's former candidate scan, O(n^2 * chords), kept as the
+    reference: the chords and the pairs (i, j) that are no edge and cross
+    no chord, in (i, j) order."""
+    n = g.n
+    cyc = {(i, (i + 1) % n) for i in range(n)}
+    cyc |= {(b, a) for a, b in cyc}
+    chords = [e for e in g.edges() if e not in cyc]
+    candidates = []
+    for i in range(n):
+        for j in range(i + 2, n):
+            if (i, j) in cyc or g.has_edge(i, j):
+                continue
+            if all(not (i < a < j < b or a < i < b < j) for a, b in chords):
+                candidates.append((i, j))
+    return chords, candidates
+
+
+def reference_perturb_hop(g: ColoredGraph, rng: random.Random) -> ColoredGraph:
+    """perturb_hop as it was before the face walk."""
+    n = g.n
+    chords, candidates = reference_candidates(g)
+    if chords and (not candidates or rng.random() < 0.5):
+        drop = rng.choice(chords)
+        return ColoredGraph.build(n, [e for e in g.edges() if e != drop])
+    if candidates:
+        return g.with_edges_added([rng.choice(candidates)])
+    return random_hop(n, rng.randrange(1 << 30))
 
 
 def run(capsys, *argv):
@@ -190,3 +222,21 @@ class TestCampaignHelpers:
         for _ in range(10):
             h = perturb_hop(g, rng)
             assert classify_o(h).tag == "HOP"
+
+    @given(st.integers(3, 40), st.integers(0, 10**6), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_perturb_hop_matches_reference(self, n, seed, steps):
+        # random_hop, or a few perturbations of it: both keep the cycle 0..n-1
+        g = random_hop(n, seed)
+        rng = random.Random(seed)
+        for _ in range(steps):
+            g = perturb_hop(g, rng)
+        chords, candidates = reference_candidates(g)
+        assert _addable_chords(n, chords) == candidates
+        h = perturb_hop(g, random.Random(seed + 1))
+        assert h == reference_perturb_hop(g, random.Random(seed + 1))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_perturb_hop_large_stays_hop(self, seed):
+        h = perturb_hop(random_hop(4096, seed), random.Random(seed))
+        assert classify_o(h).tag == "HOP"

@@ -1,4 +1,6 @@
 import hashlib
+import heapq
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,11 +8,63 @@ from hypothesis import given, settings, strategies as st
 from fodef.families import (
     FamilySpec, enumerate_graphs, enumerate_hop_graphs, generate,
     path, cycle, two_cycles, star, complete, triv,
-    random_bounded_tree, random_hop,
+    random_bounded_tree, random_hop, _random_triangulation_chords,
 )
 from fodef.graphs import ColoredGraph, GraphError, are_isomorphic
 
 from helpers import brute_all_graphs, brute_isomorphic, brute_outerplanar, brute_two_connected
+
+
+def reference_bounded_tree(n: int, d: int, seed: int) -> ColoredGraph:
+    """random_bounded_tree as it was before the sorted eligible list: the
+    list is rebuilt at every step, O(n^2)."""
+    if n == 1:
+        return ColoredGraph.build(1, [])
+    if n == 2:
+        return ColoredGraph.build(2, [(0, 1)])
+    rng = random.Random(seed)
+    count = [0] * n
+    seq = []
+    for _ in range(n - 2):
+        eligible = [v for v in range(n) if count[v] < d - 1]
+        v = rng.choice(eligible)
+        count[v] += 1
+        seq.append(v)
+    # standard sequence decode
+    degree = [c + 1 for c in count]
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
+    edges.append((u, w))
+    return ColoredGraph.build(n, edges)
+
+
+def reference_triangulation_chords(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """_random_triangulation_chords as it was before the explicit stack."""
+    chords: list[tuple[int, int]] = []
+
+    def tri(i: int, j: int):
+        # polygon arc i..j (cyclic positions, i<j); split at a random k
+        if j - i < 2:
+            return
+        k = rng.randint(i + 1, j - 1)
+        if k - i >= 2:
+            chords.append((i, k))
+        if j - k >= 2:
+            chords.append((k, j))
+        tri(i, k)
+        tri(k, j)
+
+    if n >= 4:
+        tri(0, n - 1)
+    return chords
 
 
 class TestGenerators:
@@ -50,6 +104,23 @@ class TestGenerators:
         assert g.edge_count() == n - 1
         assert g.is_connected()
         assert g.max_degree() <= d
+
+    @given(st.integers(1, 300), st.sampled_from([2, 3, 4]), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_tree_matches_reference(self, n, d, seed):
+        got = random_bounded_tree(n, d, seed)
+        assert list(got.edges()) == list(reference_bounded_tree(n, d, seed).edges())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_tree_large_degree_bound(self, seed):
+        g = random_bounded_tree(20000, 3, seed)
+        assert g.edge_count() == 19999 and g.max_degree() <= 3
+
+    @given(st.integers(0, 300), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_triangulation_matches_reference(self, n, seed):
+        got = _random_triangulation_chords(n, random.Random(seed))
+        assert got == reference_triangulation_chords(n, random.Random(seed))
 
     def test_random_tree_reproducible(self):
         a = random_bounded_tree(20, 3, 99)

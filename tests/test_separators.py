@@ -1,4 +1,6 @@
+import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,16 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from fodef.families import (
     cycle, complete, enumerate_graphs, enumerate_hop_graphs, path,
-    random_bounded_tree, random_hop, star,
+    random_bounded_tree, random_hop, star, _random_triangulation_chords,
 )
 from fodef.graphs import BudgetExceeded, ColoredGraph, are_isomorphic, flap_decompose
 from fodef.separators import (
     EDHOP1, EDHOP2, HOP, NOT_IN_O,
     OClassification, SeparatorError,
     brute_min_separator, chords_cross, chords_non_crossing, class_o_separator,
-    classify_o, flap_subproblem,
+    classify_o, flap_subproblem, inner_faces,
     tree_centroid_separator, verify_separator,
-    _cut_vertices, _edhop1_completion,
+    _cut_vertices, _edhop1_completion, _find_split_pair, _norm,
 )
 
 from helpers import (
@@ -45,6 +47,52 @@ def connected_with_subset(draw):
         edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
     x = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     return ColoredGraph.build(n, sorted(edges)), x
+
+
+@st.composite
+def non_crossing_chords(draw):
+    """The chords of a random triangulation of the n-gon, n <= 40, each kept
+    with a drawn probability: from none or a few (sparse sets, where no
+    chord is balanced) to all of them, in a shuffled order."""
+    n = draw(st.integers(3, 40))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    keep = draw(st.sampled_from([0.0, 0.05, 0.15, 0.5, 1.0]))
+    chords = [c for c in _random_triangulation_chords(n, rng) if rng.random() < keep]
+    rng.shuffle(chords)
+    return n, chords
+
+
+def reference_find_split_pair(n, chords):
+    """_find_split_pair as it was before the face walk, kept as the
+    reference: its fallback tests every (gap, start) against every chord."""
+    balanced_chord = None
+    for p, q in chords:
+        arc1, arc2 = q - p - 1, n - (q - p) - 1
+        if 3 * arc1 <= 2 * n and 3 * arc2 <= 2 * n:
+            score = max(arc1, arc2)
+            if balanced_chord is None or score < balanced_chord[0]:
+                balanced_chord = (score, (p, q))
+    if balanced_chord is not None:
+        return balanced_chord[1]
+
+    def separates(i: int, gap: int, chord: tuple[int, int]) -> bool:
+        def side(x: int) -> int:
+            rel = (x - i) % n
+            if rel == 0 or rel == gap:
+                return 0
+            return 1 if rel < gap else 2
+        a, b = side(chord[0]), side(chord[1])
+        return {a, b} == {1, 2}
+
+    gaps = [gp for gp in range(2, n // 2 + 1)
+            if 3 * (gp - 1) <= 2 * n and 3 * (n - gp - 1) <= 2 * n]
+    gaps.sort(key=lambda gp: abs(gp - n / 2))
+    for gap in gaps:
+        for i in range(n):
+            j = (i + gap) % n
+            if all(not separates(i, gap, c) for c in chords):
+                return _norm(i, j)
+    return None
 
 
 def full_binary_tree7():
@@ -197,6 +245,27 @@ class TestChords:
     def test_stack_pass_matches_pairwise(self, chords):
         pairwise = any(chords_cross(a, b) for a, b in combinations(chords, 2))
         assert chords_non_crossing(chords) == (not pairwise)
+
+    @settings(max_examples=200, deadline=None)
+    @given(non_crossing_chords())
+    def test_inner_faces_invariants(self, case):
+        n, chords = case
+        faces = inner_faces(n, chords)
+        sides = Counter()
+        for f in faces:
+            assert len(f) >= 3 and f == sorted(f)
+            sides.update(_norm(a, b) for a, b in zip(f, f[1:] + f[:1]))
+        cycle_edges = {_norm(i, (i + 1) % n) for i in range(n)}
+        assert set(sides) == cycle_edges | set(chords)
+        assert all(sides[c] == 2 for c in chords)
+        assert all(sides[e] == 1 for e in cycle_edges)
+        assert sum(len(f) - 2 for f in faces) == n - 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(non_crossing_chords())
+    def test_split_pair_matches_reference(self, case):
+        n, chords = case
+        assert _find_split_pair(n, chords) == reference_find_split_pair(n, chords)
 
 
 class TestClassOSeparator:
