@@ -16,6 +16,9 @@ is a name and a sha256 hex digest:
   repr((SurvivalReport, depth, branches, printed formula)).
   criterion09.enumeration_order hashes the same pairs in enumeration order,
   with the order-6 pairs interleaved.
+- formulas: for the formula synthesized on each criterion-09 pair, in
+  enumeration order, whether parse_formula(print_formula(f)) == f, the truth
+  of f on G and on H, and analyze(f, nest_cap=0).
 - oracle.k=None, oracle.k=1: (value, best_first_move) of every exact_rank
   query of the benchmark's oracle workload (the named pairs, then every graph
   of order 3 and 4 against every graph of order <= 6; 3,136 queries).
@@ -49,7 +52,9 @@ from fodef.families import (  # noqa: E402
     cycle, enumerate_graphs, path, random_bounded_tree, random_hop, star, triv,
     two_cycles,
 )
-from fodef.formulas import print_formula  # noqa: E402
+from fodef.formulas import (  # noqa: E402
+    analyze, evaluate, parse_formula, print_formula,
+)
 from fodef.graphs import are_isomorphic  # noqa: E402
 from fodef.oracle import OracleSpoiler, exact_rank, survival_vs  # noqa: E402
 from fodef.separators import class_o_separator, classify_o  # noqa: E402
@@ -92,18 +97,23 @@ def criterion09_pairs():
             yield g, h, cfg, int(cap) + 1, None if is_tree else cls
 
 
-def criterion09_hashes() -> tuple[str, str, int]:
-    """Digests with the order <= 5 pairs first, and in enumeration order."""
+def criterion09_hashes() -> tuple[str, str, str, int]:
+    """Digests with the order <= 5 pairs first, in enumeration order, and of
+    the formula layer on each pair's formula."""
     grouped, enumeration = hashlib.sha256(), hashlib.sha256()
+    formulas = hashlib.sha256()
     order6 = []
     pairs = 0
     for g, h, cfg, r_max, cls in criterion09_pairs():
         report = survival_vs(s_agent(g, h, cfg, classification=cls), g, h,
                              r_max=r_max, size_budget=12)
         tree = reply_tree(g, h, s_agent(g, h, cfg, classification=cls), r_max)
-        line = repr((report, tree.depth, tree.branches,
-                     print_formula(extract_formula(tree)))).encode()
+        f = extract_formula(tree)
+        text = print_formula(f)
+        line = repr((report, tree.depth, tree.branches, text)).encode()
         enumeration.update(line)
+        formulas.update(repr((parse_formula(text) == f, evaluate(f, g),
+                              evaluate(f, h), analyze(f, nest_cap=0))).encode())
         if max(g.n, h.n) == 6:
             order6.append(line)
         else:
@@ -111,7 +121,8 @@ def criterion09_hashes() -> tuple[str, str, int]:
         pairs += 1
     for line in order6:
         grouped.update(line)
-    return grouped.hexdigest(), enumeration.hexdigest(), pairs
+    return (grouped.hexdigest(), enumeration.hexdigest(), formulas.hexdigest(),
+            pairs)
 
 
 def oracle_queries():
@@ -208,9 +219,10 @@ def opponents_hash() -> tuple[str, int]:
 
 
 def main() -> int:
-    grouped, enumeration, pairs = criterion09_hashes()
+    grouped, enumeration, formulas, pairs = criterion09_hashes()
     print(f"criterion09 {grouped}  ({pairs} pairs)", flush=True)
     print(f"criterion09.enumeration_order {enumeration}", flush=True)
+    print(f"formulas {formulas}  ({pairs} formulas)", flush=True)
     for k in (None, 1):
         values, formulas, queries = oracle_hashes(k)
         print(f"oracle.k={k} {values}  ({queries} queries)", flush=True)

@@ -101,100 +101,112 @@ def disjunction(parts: list[Formula]) -> Formula:
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<id>[a-z][a-z0-9_]*)|(?P<num>[0-9]+)|(?P<sym>[().,&|~]))")
+_TOKEN = re.compile(r"\s*([a-z][a-z0-9_]*|[0-9]+|[().,&|~])")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and not text[pos:].strip():
-            break
-        if m.lastgroup is None:
-            break
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    if text[pos:].strip():
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text: identifiers and keywords, numbers and symbols."""
+    tokens = _TOKEN.findall(text)
+    # findall skips what no token matches, so the tokens cover the text's
+    # non-space characters exactly when it holds no stray character
+    if "".join(tokens) != "".join(text.split()):
+        pos = 0
+        while m := _TOKEN.match(text, pos):
+            pos = m.end()
         raise FormulaError(f"unexpected character {text[pos:].strip()[0]!r} at position {pos}")
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def at(self, i: int) -> str:
+        """Token i and its position in the text, for an error message."""
+        pos = [m.start(1) for m in _TOKEN.finditer(self.text)][i]
+        return f"{self.tokens[i]!r} at position {pos}"
 
-    def take(self, value: Optional[str] = None) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
+    def take(self, value: Optional[str] = None) -> str:
+        i = self.i
+        if i == len(self.tokens):
             raise FormulaError("unexpected end of input")
-        if value is not None and tok[1] != value:
-            raise FormulaError(f"expected {value!r}, found {tok[1]!r} at position {tok[2]}")
-        self.i += 1
+        tok = self.tokens[i]
+        if value is not None and tok != value:
+            raise FormulaError(f"expected {value!r}, found {self.at(i)}")
+        self.i = i + 1
         return tok
 
     def ident(self) -> str:
         tok = self.take()
-        if tok[0] != "id" or tok[1] in _RESERVED:
-            raise FormulaError(f"expected identifier, found {tok[1]!r} at position {tok[2]}")
-        return tok[1]
+        if not tok[0].islower() or tok in _RESERVED:
+            raise FormulaError(f"expected identifier, found {self.at(self.i - 1)}")
+        return tok
 
     def formula(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaError("unexpected end of input")
-        kind, value, pos = tok
-        if value == "ex" or value == "all":
-            self.take()
-            var = self.ident()
-            self.take(".")
-            body = self.formula()
-            return Exists(var, body) if value == "ex" else Forall(var, body)
-        if value == "~":
-            self.take()
-            return Not(self.formula())
-        if value == "(":
-            self.take()
-            left = self.formula()
-            op = self.take()
-            if op[1] not in ("&", "|"):
-                raise FormulaError(f"expected '&' or '|', found {op[1]!r} at position {op[2]}")
-            right = self.formula()
-            self.take(")")
-            return And(left, right) if op[1] == "&" else Or(left, right)
-        if value in ("adj", "eq"):
-            self.take()
-            self.take("(")
-            a = self.ident()
-            self.take(",")
-            b = self.ident()
-            self.take(")")
-            return Adj(a, b) if value == "adj" else Eq(a, b)
-        if value == "col":
-            self.take()
-            self.take("(")
-            num = self.take()
-            if num[0] != "num":
-                raise FormulaError(f"expected color id, found {num[1]!r} at position {num[2]}")
-            self.take(",")
-            a = self.ident()
-            self.take(")")
-            return Col(int(num[1]), a)
-        raise FormulaError(f"unexpected token {value!r} at position {pos}")
+        """One formula, read left to right in a single loop: quantifier
+        prefixes, negations and open parentheses wait on an explicit stack
+        until the formula they apply to is complete."""
+        stack: list = []    # (Exists|Forall, var), (Not, None), ("(", None), (And|Or, left)
+        while True:
+            value = self.take()
+            if value == "ex" or value == "all":
+                var = self.ident()
+                self.take(".")
+                stack.append((Exists if value == "ex" else Forall, var))
+                continue
+            if value == "~":
+                stack.append((Not, None))
+                continue
+            if value == "(":
+                stack.append(("(", None))
+                continue
+            if value in ("adj", "eq"):
+                self.take("(")
+                a = self.ident()
+                self.take(",")
+                b = self.ident()
+                self.take(")")
+                f = Adj(a, b) if value == "adj" else Eq(a, b)
+            elif value == "col":
+                self.take("(")
+                num = self.take()
+                if not num[0].isdigit():
+                    raise FormulaError(f"expected color id, found {self.at(self.i - 1)}")
+                self.take(",")
+                a = self.ident()
+                self.take(")")
+                f = Col(int(num), a)
+            else:
+                raise FormulaError(f"unexpected token {self.at(self.i - 1)}")
+            # f is complete: apply what waits on it, up to an open parenthesis
+            # that now has its left operand
+            while stack:
+                head, arg = stack[-1]
+                if head == "(":
+                    op = self.take()
+                    if op != "&" and op != "|":
+                        raise FormulaError(f"expected '&' or '|', found {self.at(self.i - 1)}")
+                    stack[-1] = (And if op == "&" else Or, f)
+                    break
+                stack.pop()
+                if head is Not:
+                    f = Not(f)
+                    continue
+                if head is And or head is Or:
+                    self.take(")")
+                f = head(arg, f)
+            else:
+                return f
 
 
 def parse_formula(text: str, strict: bool = False) -> Formula:
     """Parse concrete syntax; with strict=True, free variables are an error."""
     p = _Parser(text)
     f = p.formula()
-    tok = p.peek()
-    if tok is not None:
-        raise FormulaError(f"trailing input {tok[1]!r} at position {tok[2]}")
+    if p.i < len(p.tokens):
+        raise FormulaError(f"trailing input {p.at(p.i)}")
     if strict:
         fv = free_variables(f)
         if fv:
@@ -241,45 +253,53 @@ def free_variables(f: Formula) -> frozenset[str]:
 
 def evaluate(f: Formula, g: ColoredGraph,
              assignment: Optional[Mapping[str, int]] = None) -> bool:
-    """Standard truth over g; assignment must cover the free variables."""
+    """Standard truth over g; assignment must cover the free variables.
+    Nodes are dispatched on their exact type, one of the eight node classes
+    above, so any other object (a subclass of one included) raises
+    TypeError."""
     env: dict[str, int] = dict(assignment or {})
     missing = free_variables(f) - env.keys()
     if missing:
         raise UnboundVariableError(f"unbound variables: {', '.join(sorted(missing))}")
+    adj, colors, n = g.adj, g.colors, g.n
 
     def go(f: Formula) -> bool:
-        if isinstance(f, Adj):
-            return g.has_edge(env[f.x], env[f.y])
-        if isinstance(f, Eq):
-            return env[f.x] == env[f.y]
-        if isinstance(f, Col):
-            return f.color in g.colors[env[f.x]]
-        if isinstance(f, Not):
-            return not go(f.body)
-        if isinstance(f, And):
+        t = type(f)
+        if t is And:
             return go(f.left) and go(f.right)
-        if isinstance(f, Or):
+        if t is Or:
             return go(f.left) or go(f.right)
-        if isinstance(f, (Exists, Forall)):
-            shadowed = env.get(f.var)
-            had = f.var in env
-            hits = 0
-            for v in range(g.n):
-                env[f.var] = v
-                val = go(f.body)
-                if isinstance(f, Exists) and val:
-                    hits = 1
-                    break
-                if isinstance(f, Forall) and not val:
-                    hits = -1
-                    break
-            if had:
-                env[f.var] = shadowed
+        if t is Exists or t is Forall:
+            var, body = f.var, f.body
+            had = var in env
+            shadowed = env.get(var)
+            if t is Exists:
+                result = False
+                for v in range(n):
+                    env[var] = v
+                    if go(body):
+                        result = True
+                        break
             else:
-                env.pop(f.var, None)
-            if isinstance(f, Exists):
-                return hits == 1
-            return hits != -1
+                result = True
+                for v in range(n):
+                    env[var] = v
+                    if not go(body):
+                        result = False
+                        break
+            if had:
+                env[var] = shadowed
+            else:
+                env.pop(var, None)
+            return result
+        if t is Not:
+            return not go(f.body)
+        if t is Adj:
+            return env[f.y] in adj[env[f.x]]
+        if t is Eq:
+            return env[f.x] == env[f.y]
+        if t is Col:
+            return f.color in colors[env[f.x]]
         raise TypeError(f)
 
     return go(f)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from fodef.graphs import (BudgetExceeded, ColoredGraph,
-                          extends_partial_isomorphism, find_isomorphism)
+                          extends_partial_isomorphism)
 
 REPLY_NODE_CAP = 500_000    # Spoiler moves one reply walk may explore
 
@@ -71,6 +71,17 @@ def new_game(g: ColoredGraph, h: ColoredGraph, r: int,
     return GameState(g, h, r, k)
 
 
+def _reply_graph(state: GameState, side: str, u: int) -> ColoredGraph:
+    """The graph Duplicator answers in; IllegalMove for an unknown side or a
+    Spoiler vertex out of range."""
+    if side not in (SIDE_G, SIDE_H):
+        raise IllegalMove(f"unknown side {side!r}")
+    own = state.g if side == SIDE_G else state.h
+    if not (0 <= u < own.n):
+        raise IllegalMove(f"spoiler vertex {u} out of range")
+    return state.h if side == SIDE_G else state.g
+
+
 def step(state: GameState, spoiler_move: tuple[str, int],
          duplicator_move: int) -> GameState:
     """One full round; returns the new state with the win condition applied.
@@ -81,12 +92,7 @@ def step(state: GameState, spoiler_move: tuple[str, int],
     if state.status != RUNNING:
         raise IllegalMove("game is over")
     side, u = spoiler_move
-    if side not in (SIDE_G, SIDE_H):
-        raise IllegalMove(f"unknown side {side!r}")
-    own = state.g if side == SIDE_G else state.h
-    other = state.h if side == SIDE_G else state.g
-    if not (0 <= u < own.n):
-        raise IllegalMove(f"spoiler vertex {u} out of range")
+    other = _reply_graph(state, side, u)
     if not (0 <= duplicator_move < other.n):
         raise IllegalMove(f"duplicator vertex {duplicator_move} out of range")
     if not state.switch_allowed(side):
@@ -154,25 +160,6 @@ class GreedyDuplicator(Agent):
             if best is None or score < best:
                 best = score
         return best[2]
-
-
-class MirrorDuplicator(Agent):
-    """Plays the image of Spoiler's vertex along a fixed isomorphism."""
-    label = "mirror"
-
-    def __init__(self, mapping: dict[int, int]):
-        self.fwd = dict(mapping)
-        self.rev = {v: u for u, v in mapping.items()}
-
-    def respond(self, state, side, vertex):
-        return self.fwd[vertex] if side == SIDE_G else self.rev[vertex]
-
-
-def mirror_duplicator(g: ColoredGraph, h: ColoredGraph) -> MirrorDuplicator:
-    m = find_isomorphism(g, h)
-    if m is None:
-        raise AgentError("mirror duplicator needs isomorphic inputs")
-    return MirrorDuplicator(m)
 
 
 class HumanDuplicator(Agent):
@@ -333,10 +320,12 @@ def explore_replies(g: ColoredGraph, h: ColoredGraph, spoiler: Agent,
                     r_max: int, k: Optional[int] = None,
                     initial_pairs: tuple = ()) -> ReplyTree:
     """Play a fork of a deterministic Spoiler agent against every Duplicator
-    reply, after the initial pairs, each played as a G-side move.  A node's
-    replies are all stepped, then walked in reply order: the last running one
-    inherits the node's agent and the others get forks, since nothing
-    consults a node's agent after its last line."""
+    reply, after the initial pairs, each played as a G-side move.  Each reply
+    is first tested against the pebbles: one that breaks the partial
+    isomorphism is a won line and keeps only its pebbles, and only the others
+    go through `step`.  Replies are handled in reply order; the last one that
+    keeps the game running inherits the node's agent and the others get
+    forks, since nothing consults a node's agent after its last line."""
     state = new_game(g, h, r_max, k)
     for u, v in initial_pairs:
         state = step(state, (SIDE_G, u), v)
@@ -352,20 +341,27 @@ def explore_replies(g: ColoredGraph, h: ColoredGraph, spoiler: Agent,
             raise BudgetExceeded(f"reply tree exceeded {REPLY_NODE_CAP} nodes")
         move = agent.choose(state)
         node = ReplyNode(move)
-        if not state.switch_allowed(move[0]):
+        side, u = move
+        if not state.switch_allowed(side):
             unwon.append(replace(state, status=DUPLICATOR_SURVIVED))
             return node
-        other = h if move[0] == SIDE_G else g
-        children = [step(state, move, v) for v in range(other.n)]
-        last = max((v for v, c in enumerate(children) if c.status == RUNNING),
-                   default=None)
-        for v, child in enumerate(children):
+        other = _reply_graph(state, side, u)
+        pebbles = state.pebbles
+        pairs = ([(u, v) for v in range(other.n)] if side == SIDE_G
+                 else [(v, u) for v in range(other.n)])
+        keeps = [extends_partial_isomorphism(g, h, pebbles, p) for p in pairs]
+        # a kept reply keeps the game running unless it fills the last round,
+        # so the last kept reply is the last running one, if any runs
+        last = max((v for v, kept in enumerate(keeps) if kept), default=None)
+        for v, pair in enumerate(pairs):
+            if not keeps[v]:
+                won += 1
+                depth = max(depth, len(pebbles) + 1)
+                node.children[v] = pebbles + (pair,)
+                continue
+            child = step(state, move, v)
             if child.status == RUNNING:
                 node.children[v] = walk(child, agent if v == last else agent.fork())
-            elif child.status == SPOILER_WON:
-                won += 1
-                depth = max(depth, child.round)
-                node.children[v] = child.pebbles
             else:
                 unwon.append(child)
         return node

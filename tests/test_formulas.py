@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,159 @@ from fodef.formulas import (
 from fodef.graphs import ColoredGraph
 
 from helpers import brute_nest
+
+
+# -- references: the isinstance evaluator and the recursive-descent parser, with
+# the match-by-match tokenizer ----------------------------------------------------
+
+
+def reference_evaluate(f, g, assignment=None):
+    env = dict(assignment or {})
+    missing = F.free_variables(f) - env.keys()
+    if missing:
+        raise UnboundVariableError(f"unbound variables: {', '.join(sorted(missing))}")
+
+    def go(f):
+        if isinstance(f, Adj):
+            return g.has_edge(env[f.x], env[f.y])
+        if isinstance(f, Eq):
+            return env[f.x] == env[f.y]
+        if isinstance(f, Col):
+            return f.color in g.colors[env[f.x]]
+        if isinstance(f, Not):
+            return not go(f.body)
+        if isinstance(f, And):
+            return go(f.left) and go(f.right)
+        if isinstance(f, Or):
+            return go(f.left) or go(f.right)
+        if isinstance(f, (Exists, Forall)):
+            shadowed = env.get(f.var)
+            had = f.var in env
+            hits = 0
+            for v in range(g.n):
+                env[f.var] = v
+                val = go(f.body)
+                if isinstance(f, Exists) and val:
+                    hits = 1
+                    break
+                if isinstance(f, Forall) and not val:
+                    hits = -1
+                    break
+            if had:
+                env[f.var] = shadowed
+            else:
+                env.pop(f.var, None)
+            if isinstance(f, Exists):
+                return hits == 1
+            return hits != -1
+        raise TypeError(f)
+
+    return go(f)
+
+
+REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<id>[a-z][a-z0-9_]*)|(?P<num>[0-9]+)|(?P<sym>[().,&|~]))")
+
+
+def reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = REFERENCE_TOKEN.match(text, pos)
+        if not m or m.end() == pos and not text[pos:].strip():
+            break
+        if m.lastgroup is None:
+            break
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    if text[pos:].strip():
+        raise FormulaError(f"unexpected character {text[pos:].strip()[0]!r} at position {pos}")
+    return tokens
+
+
+class ReferenceParser:
+    def __init__(self, text):
+        self.tokens = reference_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self, value=None):
+        tok = self.peek()
+        if tok is None:
+            raise FormulaError("unexpected end of input")
+        if value is not None and tok[1] != value:
+            raise FormulaError(f"expected {value!r}, found {tok[1]!r} at position {tok[2]}")
+        self.i += 1
+        return tok
+
+    def ident(self):
+        tok = self.take()
+        if tok[0] != "id" or tok[1] in F._RESERVED:
+            raise FormulaError(f"expected identifier, found {tok[1]!r} at position {tok[2]}")
+        return tok[1]
+
+    def formula(self):
+        tok = self.peek()
+        if tok is None:
+            raise FormulaError("unexpected end of input")
+        kind, value, pos = tok
+        if value == "ex" or value == "all":
+            self.take()
+            var = self.ident()
+            self.take(".")
+            body = self.formula()
+            return Exists(var, body) if value == "ex" else Forall(var, body)
+        if value == "~":
+            self.take()
+            return Not(self.formula())
+        if value == "(":
+            self.take()
+            left = self.formula()
+            op = self.take()
+            if op[1] not in ("&", "|"):
+                raise FormulaError(f"expected '&' or '|', found {op[1]!r} at position {op[2]}")
+            right = self.formula()
+            self.take(")")
+            return And(left, right) if op[1] == "&" else Or(left, right)
+        if value in ("adj", "eq"):
+            self.take()
+            self.take("(")
+            a = self.ident()
+            self.take(",")
+            b = self.ident()
+            self.take(")")
+            return Adj(a, b) if value == "adj" else Eq(a, b)
+        if value == "col":
+            self.take()
+            self.take("(")
+            num = self.take()
+            if num[0] != "num":
+                raise FormulaError(f"expected color id, found {num[1]!r} at position {num[2]}")
+            self.take(",")
+            a = self.ident()
+            self.take(")")
+            return Col(int(num[1]), a)
+        raise FormulaError(f"unexpected token {value!r} at position {pos}")
+
+
+def reference_parse(text):
+    p = ReferenceParser(text)
+    f = p.formula()
+    tok = p.peek()
+    if tok is not None:
+        raise FormulaError(f"trailing input {tok[1]!r} at position {tok[2]}")
+    return f
+
+
+def outcome(parse, text):
+    """The parsed formula, or the class and message of the error raised."""
+    try:
+        return parse(text)
+    except FormulaError as exc:
+        return type(exc), str(exc)
 
 
 def cycle(n):
@@ -43,6 +198,35 @@ def asts(draw, depth=4):
     v = draw(st.sampled_from(VARS))
     body = draw(asts(depth=depth - 1))
     return Exists(v, body) if kind == "ex" else Forall(v, body)
+
+
+@st.composite
+def colored_graphs(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if draw(st.booleans())]
+    colors = [draw(st.sets(st.integers(0, 3), max_size=2)) for _ in range(n)]
+    return ColoredGraph.build(n, edges, colors)
+
+
+# pieces a corrupted text may gain: every token kind, keywords included
+NOISE = ["(", ")", "~", "&", "|", ".", ",", "x", "y", "7", "ex", "all", "adj",
+         "eq", "col", "ex x.", "adj(x,y)", "$", " "]
+
+
+@st.composite
+def damaged_texts(draw):
+    """A printed formula, cut short, or with up to three characters or
+    pieces dropped, inserted or replaced."""
+    text = print_formula(draw(asts(depth=4)))
+    if draw(st.booleans()):
+        return text[:draw(st.integers(0, len(text)))]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = min(len(text), i + draw(st.integers(0, 4)))
+        piece = draw(st.sampled_from(NOISE)) if draw(st.booleans()) else ""
+        text = text[:i] + piece + text[j:]
+    return text
 
 
 class TestParser:
@@ -78,6 +262,59 @@ class TestParser:
     def test_parse_print_roundtrip(self, f):
         assert parse_formula(print_formula(f)) == f
 
+    @given(asts(depth=6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_printed_asts(self, f):
+        text = print_formula(f)
+        assert parse_formula(text) == reference_parse(text)
+
+    @given(damaged_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_on_damaged_texts(self, text):
+        assert outcome(parse_formula, text) == outcome(reference_parse, text)
+
+    def test_error_messages(self):
+        # one case per message, each checked against the reference
+        cases = {
+            "": "unexpected end of input",
+            "(adj(x,y) & eq(x,y)": "unexpected end of input",
+            "ex x adj(x,x)": "expected '.', found 'adj' at position 5",
+            "ex eq. adj(x,x)": "expected identifier, found 'eq' at position 3",
+            "(adj(x,y) ~ eq(x,y))": "expected '&' or '|', found '~' at position 10",
+            "(adj(x,y) & eq(x,y) & adj(y,y))": "expected ')', found '&' at position 20",
+            "col(x,y)": "expected color id, found 'x' at position 4",
+            "x": "unexpected token 'x' at position 0",
+            "~eq(x,y) x": "trailing input 'x' at position 9",
+            "adj(x,y) $": "unexpected character '$' at position 8",
+        }
+        for text, message in cases.items():
+            assert outcome(parse_formula, text) == (FormulaError, message)
+            assert outcome(reference_parse, text) == (FormulaError, message)
+
+    def test_deep_nesting_parses_without_recursion(self):
+        depth = 1500
+        text = "(" * depth + "adj(x,y)" + " & eq(x,y))" * depth
+        f = parse_formula(text)
+        # == and hash recurse on such a tree, so walk it by hand
+        levels = 0
+        while isinstance(f, And):
+            assert f.right == Eq("x", "y")
+            f = f.left
+            levels += 1
+        assert levels == depth
+        assert f == Adj("x", "y")
+
+    def test_deep_prefixes_parse_without_recursion(self):
+        depth = 1500
+        f = parse_formula("~ex x. " * depth + "eq(x,x)")
+        levels = 0
+        while isinstance(f, Not):
+            assert isinstance(f.body, Exists) and f.body.var == "x"
+            f = f.body.body
+            levels += 1
+        assert levels == depth
+        assert f == Eq("x", "x")
+
 
 class TestEvaluate:
     def test_nonadjacent_pair_exists(self):
@@ -99,6 +336,25 @@ class TestEvaluate:
         assert evaluate(f, cycle(3), {"y": 0})
         shadow = parse_formula("ex x. ex x. eq(x,x)")
         assert evaluate(shadow, cycle(3))
+
+    @given(asts(depth=4), colored_graphs(),
+           st.lists(st.integers(0, 3), min_size=len(VARS), max_size=len(VARS)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, f, g, picks):
+        # every variable is assigned, so each quantifier shadows a binding
+        env = {v: p % g.n for v, p in zip(VARS, picks)}
+        before = dict(env)
+        assert evaluate(f, g, env) == reference_evaluate(f, g, env)
+        assert env == before
+        closed = Forall("x", Exists("y", Forall("z", f)))
+        assert evaluate(closed, g) == reference_evaluate(closed, g)
+
+    def test_unknown_node_raises_type_error(self):
+        class Negation(Not):
+            pass
+
+        with pytest.raises(TypeError):
+            evaluate(Negation(Eq("x", "x")), cycle(3), {"x": 0})
 
     @given(asts(depth=3), st.integers(0, 6))
     @settings(max_examples=80, deadline=None)

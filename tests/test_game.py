@@ -1,14 +1,24 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import hypothesis.strategies as hst
 import pytest
 from hypothesis import given, settings
 
-from fodef.families import cycle, path, star
+from fodef import game
+from fodef.families import cycle, enumerate_graphs, path, star
 from fodef.game import (
-    DUPLICATOR_SURVIVED, RUNNING, SIDE_G, SIDE_H, SPOILER_WON,
-    Agent, AgentError, IllegalMove,
-    builtin_duplicator, mirror_duplicator, new_game, run_match, step,
+    DUPLICATOR_SURVIVED, REPLY_NODE_CAP, RUNNING, SIDE_G, SIDE_H, SPOILER_WON,
+    Agent, AgentError, IllegalMove, ReplyNode, ReplyTree,
+    builtin_duplicator, explore_replies, new_game, run_match, step,
 )
-from fodef.graphs import ColoredGraph, check_partial_isomorphism
+from fodef.graphs import (
+    BudgetExceeded, ColoredGraph, are_isomorphic, check_partial_isomorphism,
+    find_isomorphism,
+)
+from fodef.oracle import OracleSpoiler, exact_rank
+from fodef.separators import classify_o
+from fodef.strategies import StrategyConfig, bound, s_agent
 
 from helpers import brute_partial_isomorphism
 
@@ -50,6 +60,25 @@ class ScriptedSpoiler(Agent):
         twin = ScriptedSpoiler(self.moves)
         twin.i = self.i
         return twin
+
+
+class MirrorDuplicator(Agent):
+    """Plays the image of Spoiler's vertex along a fixed isomorphism."""
+    label = "mirror"
+
+    def __init__(self, mapping: dict[int, int]):
+        self.fwd = dict(mapping)
+        self.rev = {v: u for u, v in mapping.items()}
+
+    def respond(self, state, side, vertex):
+        return self.fwd[vertex] if side == SIDE_G else self.rev[vertex]
+
+
+def mirror_duplicator(g: ColoredGraph, h: ColoredGraph) -> MirrorDuplicator:
+    m = find_isomorphism(g, h)
+    if m is None:
+        raise AgentError("mirror duplicator needs isomorphic inputs")
+    return MirrorDuplicator(m)
 
 
 class TestStateMachine:
@@ -249,3 +278,164 @@ class TestDuplicators:
         v = d.respond(st, SIDE_G, 0)
         assert v == 1
         assert any("spoiler played 0" in ln for ln in lines)
+
+
+# -- the reply walk ------------------------------------------------------------------
+
+
+def reference_explore_replies(g, h, spoiler, r_max, k=None, initial_pairs=()):
+    """The walk that steps every reply, kept as the reference for
+    `explore_replies`, which steps only the replies that keep the pebbles a
+    partial isomorphism."""
+    state = new_game(g, h, r_max, k)
+    for u, v in initial_pairs:
+        state = step(state, (SIDE_G, u), v)
+    if state.status != RUNNING:
+        raise ValueError("initial configuration is already decided")
+    unwon = []
+    nodes = won = depth = 0
+
+    def walk(state, agent):
+        nonlocal nodes, won, depth
+        nodes += 1
+        if nodes > REPLY_NODE_CAP:
+            raise BudgetExceeded(f"reply tree exceeded {REPLY_NODE_CAP} nodes")
+        move = agent.choose(state)
+        node = ReplyNode(move)
+        if not state.switch_allowed(move[0]):
+            unwon.append(replace(state, status=DUPLICATOR_SURVIVED))
+            return node
+        other = h if move[0] == SIDE_G else g
+        children = [step(state, move, v) for v in range(other.n)]
+        last = max((v for v, c in enumerate(children) if c.status == RUNNING),
+                   default=None)
+        for v, child in enumerate(children):
+            if child.status == RUNNING:
+                node.children[v] = walk(child, agent if v == last else agent.fork())
+            elif child.status == SPOILER_WON:
+                won += 1
+                depth = max(depth, child.round)
+                node.children[v] = child.pebbles
+            else:
+                unwon.append(child)
+        return node
+
+    root = walk(state, spoiler.fork())
+    return ReplyTree(g, h, root, depth, won + len(unwon), unwon)
+
+
+def same_reply_nodes(a: ReplyNode, b: ReplyNode) -> bool:
+    """Equal moves and children, the children in the same insertion order."""
+    if a.move != b.move or list(a.children) != list(b.children):
+        return False
+    for x, y in zip(a.children.values(), b.children.values()):
+        if isinstance(x, ReplyNode) != isinstance(y, ReplyNode):
+            return False
+        if not (same_reply_nodes(x, y) if isinstance(x, ReplyNode) else x == y):
+            return False
+    return True
+
+
+def reply_counts(node: ReplyNode) -> tuple[int, int]:
+    """(running replies, won replies) below node."""
+    running = won = 0
+    todo = [node]
+    while todo:
+        for child in todo.pop().children.values():
+            if isinstance(child, ReplyNode):
+                running += 1
+                todo.append(child)
+            else:
+                won += 1
+    return running, won
+
+
+EPS = Fraction(2, 3)
+
+
+def criterion09_small_pairs():
+    """The criterion-09 pairs of order <= 5: a connected tree or class-O G
+    against every connected non-isomorphic H, with the strategy's config,
+    classification and the lemma-3.6 bound + 1 as r_max."""
+    conn = [g for n in range(1, 6)
+            for g in enumerate_graphs(n, connected_only=True)]
+    for g in conn:
+        if g.n < 2:
+            continue
+        is_tree = g.is_tree()
+        cls = classify_o(g)
+        if not (is_tree or cls.in_class()):
+            continue
+        for h in conn:
+            if g.n == h.n and are_isomorphic(g, h):
+                continue
+            if is_tree:
+                cfg = StrategyConfig(provider="tree_centroid")
+                cap = bound("lemma36", n=g.n, m=max(1, g.max_degree()),
+                            epsilon=EPS, k=1)
+            else:
+                cfg = StrategyConfig(provider="class_o")
+                cap = bound("lemma36", n=g.n, m=7, epsilon=EPS, k=5)
+            yield g, h, cfg, None if is_tree else cls, int(cap) + 1
+
+
+class TestReplyWalk:
+    def check_walk(self, monkeypatch, make_spoiler, g, h, r_max, k=None):
+        """explore_replies and the reference give the same tree, depth,
+        branches and unwon states, and step runs once per running or unwon
+        reply; returns the tree and its number of won replies."""
+        want = reference_explore_replies(g, h, make_spoiler(), r_max, k)
+        calls = 0
+
+        def counting_step(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(game, "step", counting_step)
+            got = explore_replies(g, h, make_spoiler(), r_max, k)
+        assert same_reply_nodes(got.root, want.root)
+        assert (got.depth, got.branches) == (want.depth, want.branches)
+        assert got.unwon == want.unwon
+        running, won = reply_counts(want.root)
+        # an unwon state that did not fill the rounds ended on the budget
+        stepped_unwon = sum(1 for s in want.unwon if s.round == r_max)
+        assert calls == running + stepped_unwon
+        return got, won
+
+    def test_matches_reference_on_criterion09_pairs(self, monkeypatch):
+        pairs = won = 0
+        for g, h, cfg, cls, r_max in criterion09_small_pairs():
+            won += self.check_walk(
+                monkeypatch, lambda: s_agent(g, h, cfg, classification=cls),
+                g, h, r_max)[1]
+            pairs += 1
+        assert pairs == 630
+        assert won > 0   # won lines are the replies step skips
+
+    def test_oracle_spoiler_matches_reference(self, monkeypatch):
+        # at the pair's rank every line is won; one round less leaves
+        # survivals
+        for g, h, _, _, _ in criterion09_small_pairs():
+            value = exact_rank(g, h).value
+            for r in (value, value - 1):
+                if r >= 1:
+                    self.check_walk(monkeypatch, lambda: OracleSpoiler(g, h),
+                                    g, h, r)
+
+    def test_budget_end_matches_reference(self, monkeypatch):
+        # the third move switches sides a second time, past k = 1
+        moves = [(SIDE_G, 0), (SIDE_H, 1), (SIDE_G, 2), (SIDE_G, 3)]
+        tree, won = self.check_walk(monkeypatch, lambda: ScriptedSpoiler(moves),
+                                    cycle(4), cycle(5), 4, k=1)
+        assert won > 0
+        assert any(s.round < 4 for s in tree.unwon)
+
+    def test_illegal_spoiler_move_raises(self):
+        spoiler = ScriptedSpoiler([(SIDE_G, 7)])
+        with pytest.raises(IllegalMove, match="spoiler vertex 7 out of range"):
+            explore_replies(cycle(3), cycle(4), spoiler, 2)
+        spoiler = ScriptedSpoiler([("X", 0)])
+        with pytest.raises(IllegalMove, match="unknown side"):
+            explore_replies(cycle(3), cycle(4), spoiler, 2)
