@@ -27,6 +27,10 @@ is a name and a sha256 hex digest:
 - csv.trees, csv.hop: the CSVs of the README's two `fodef verify` commands.
 - classify: (tag, witness_cycle, missing_edges) of classify_o on every graph
   of order <= 7 (1,252 graphs), in enumeration order.
+- orbits: the orbit representatives that the rank search prunes moves to,
+  for every graph of order <= 6 and every set X of at most two of its
+  vertices pebbled (RankSearcher._candidates with the pairs (x, x)), in
+  enumeration order and then by X in lexicographic order.
 - opponents: the edge lists of G and of the opponent H that cli._opponent
   draws for it, over the sizes of the benchmark's campaign round (trees of
   degree <= 3 up to n = 2048, HOP graphs up to n = 512), three seeds each;
@@ -38,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import os
 import random
@@ -56,7 +61,10 @@ from fodef.formulas import (  # noqa: E402
     analyze, evaluate, parse_formula, print_formula,
 )
 from fodef.graphs import are_isomorphic  # noqa: E402
-from fodef.oracle import OracleSpoiler, exact_rank, survival_vs  # noqa: E402
+from fodef.game import SIDE_G  # noqa: E402
+from fodef.oracle import (  # noqa: E402
+    OracleSpoiler, RankSearcher, exact_rank, survival_vs,
+)
 from fodef.separators import class_o_separator, classify_o  # noqa: E402
 from fodef.strategies import (  # noqa: E402
     StrategyConfig, bound, extract_formula, reply_tree, s_agent,
@@ -193,6 +201,21 @@ def classify_hash() -> tuple[str, int]:
     return digest.hexdigest(), graphs
 
 
+def orbits_hash() -> tuple[str, int]:
+    digest = hashlib.sha256()
+    sets = 0
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            searcher = RankSearcher(g, g)
+            for size in range(3):
+                for xs in itertools.combinations(range(n), size):
+                    pairs = frozenset((x, x) for x in xs)
+                    reps = list(searcher._candidates(SIDE_G, pairs))
+                    digest.update(repr((xs, reps)).encode())
+                    sets += 1
+    return digest.hexdigest(), sets
+
+
 OPPONENT_SIZES = (("tree", (64, 128, 256, 512, 1024, 2048)),
                   ("hop", (64, 128, 256, 512)))
 OPPONENT_SEEDS = (1, 2, 3)
@@ -232,6 +255,8 @@ def main() -> int:
         print(f"csv.{name} {digest}  (exit {code})", flush=True)
     digest, graphs = classify_hash()
     print(f"classify {digest}  ({graphs} graphs)", flush=True)
+    digest, sets = orbits_hash()
+    print(f"orbits {digest}  ({sets} sets)", flush=True)
     digest, pairs = opponents_hash()
     print(f"opponents {digest}  ({pairs} pairs)", flush=True)
     return 0

@@ -100,17 +100,18 @@ class ColoredGraph:
         """Connected components, each sorted, ordered by least vertex id."""
         pool = set(within) if within is not None else set(range(self.n))
         comps: list[tuple[int, ...]] = []
-        while pool:
-            start = min(pool)
+        for start in sorted(pool):
+            if start not in pool:
+                continue
             stack = [start]
             pool.discard(start)
-            comp = {start}
+            comp = [start]
             while stack:
                 v = stack.pop()
                 for u in self.adj[v]:
                     if u in pool:
                         pool.discard(u)
-                        comp.add(u)
+                        comp.append(u)
                         stack.append(u)
             comps.append(tuple(sorted(comp)))
         return comps
@@ -126,13 +127,12 @@ class ColoredGraph:
     def induced(self, vertices: Iterable[int]) -> tuple["ColoredGraph", dict[int, int]]:
         """Induced subgraph on `vertices` (sorted); returns (graph, old->new map)."""
         vs = sorted(set(vertices))
-        for v in vs:
-            if not (0 <= v < self.n):
-                raise GraphError(f"vertex {v} out of range")
+        if vs and (vs[0] < 0 or vs[-1] >= self.n):
+            bad = next(v for v in vs if not 0 <= v < self.n)
+            raise GraphError(f"vertex {bad} out of range")
         idx = {v: i for i, v in enumerate(vs)}
-        edges = [(idx[u], idx[v]) for u, v in self.edges() if u in idx and v in idx]
-        cols = [self.colors[v] for v in vs]
-        return ColoredGraph.build(len(vs), edges, cols), idx
+        adj = tuple(frozenset(idx[u] for u in self.adj[v] if u in idx) for v in vs)
+        return ColoredGraph(len(vs), adj, tuple(self.colors[v] for v in vs)), idx
 
     def with_extra_colors(self, overlay: Mapping[int, Iterable[int]]) -> "ColoredGraph":
         cols = list(self.colors)
@@ -304,9 +304,19 @@ def flap_decompose(g: ColoredGraph, x: Sequence[int]) -> FlapDecomposition:
     xs = tuple(x)
     fs = flaps_of(g, xs)
     fresh = tuple(g.max_color() + 1 + i for i in range(len(xs)))
-    recolored = tuple(g.with_extra_colors(flap_overlay(g, f, xs, fresh)).induced(f)[0]
-                      for f in fs)
+    recolored = tuple(recolored_flap(g, f, xs, fresh) for f in fs)
     return FlapDecomposition(g, xs, fs, recolored, fresh)
+
+
+def recolored_flap(g: ColoredGraph, flap: Iterable[int], sep: Sequence[int],
+                   fresh: Sequence[int],
+                   base: Optional[Mapping[int, Iterable[int]]] = None
+                   ) -> ColoredGraph:
+    """The subgraph induced on a flap, its vertex j being the flap's j-th
+    least vertex, with the colors `flap_overlay` adds."""
+    sub, idx = g.induced(flap)
+    extra = flap_overlay(g, idx, sep, fresh, base)
+    return sub.with_extra_colors({idx[v]: cs for v, cs in extra.items()})
 
 
 def flap_overlay(g: ColoredGraph, flap: Iterable[int], sep: Sequence[int],

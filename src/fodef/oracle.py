@@ -3,25 +3,33 @@ bounded-enumeration lower bound for the defining round count.
 
 The searcher runs a boolean existential/universal search over configurations
 (sets of pebble pairs), memoized with monotone win/lose round bounds, and
-prunes first moves through automorphism orbits of either graph.
+prunes early moves through the orbits of the stabilizer of the pebbled
+vertices.  The orbits are exact and no automorphism group is listed: a
+refinement with the pebbled vertices individualized bounds them, and each
+automorphism a search finds is kept and merged into a union-find (McKay &
+Piperno, "Practical graph isomorphism, II", 2014).  Found automorphisms and
+orbits are memoized per graph and shared by every search on an equal graph;
+the game memo stays with each search.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from fodef.families import enumerate_graphs
 from fodef.game import Agent, GameState, SIDE_G, SIDE_H, explore_replies
 from fodef.graphs import (
-    BudgetExceeded, ColoredGraph, automorphisms, are_isomorphic,
-    extends_partial_isomorphism,
+    BudgetExceeded, ColoredGraph, _refine, are_isomorphic,
+    extends_partial_isomorphism, find_isomorphism,
 )
 
 DEFAULT_SIZE_BUDGET = 16    # combined order, unless size_budget (CLI --budget) is given
 DEFAULT_R_MAX = 8
 ORBIT_DEPTH = 2             # pebbled pairs up to which moves are orbit-pruned
-AUT_LIMIT = 20000           # automorphisms listed per graph for the pruning
+ORBIT_MAX_ORDER = 24        # graphs above this order are not orbit-pruned
+ORBIT_GRAPHS = 8            # graphs whose orbit memo is kept
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,78 @@ class RankResult:
                 "nodes": self.nodes}
 
 
+class _OrbitMemo:
+    """Found automorphisms of one graph and the stabilizer orbits they give."""
+
+    def __init__(self, g: ColoredGraph):
+        self.g = g
+        self.pool: list[tuple[int, ...]] = []  # found automorphisms as images
+        self.found: dict[frozenset[int], tuple[tuple[int, ...], list[int]]] = {}
+
+    def orbits(self, pebbled: frozenset[int]) -> tuple[tuple[int, ...], list[int]]:
+        """The least vertex of each orbit of the stabilizer of `pebbled`,
+        ascending, and per vertex the least vertex of its orbit."""
+        found = self.found.get(pebbled)
+        if found is None:
+            found = self.found[pebbled] = self._search(pebbled)
+        return found
+
+    def _search(self, pebbled: frozenset[int]) -> tuple[tuple[int, ...], list[int]]:
+        # The orbits of the stabilizer of `pebbled` split those of the
+        # stabilizer of a subset and the cells of a refinement with `pebbled`
+        # individualized.  Found automorphisms that fix `pebbled` join orbits;
+        # a vertex left alone joins an earlier representative v only through
+        # an automorphism, searched for, that fixes `pebbled` and maps v to it.
+        g = self.g
+        base = self.orbits(pebbled - {max(pebbled)})[1] if pebbled else [0] * g.n
+        fresh = g.max_color() + 1
+        xs = {x: (fresh + i,) for i, x in enumerate(sorted(pebbled))}
+        mark = fresh + len(xs)
+        cell = None
+        parent = list(range(g.n))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            return v
+
+        def join(a: tuple[int, ...]) -> None:
+            for v, w in enumerate(a):
+                rv, rw = find(v), find(w)
+                if rv != rw:
+                    parent[max(rv, rw)] = min(rv, rw)
+
+        for a in self.pool:
+            if all(a[x] == x for x in pebbled):
+                join(a)
+        reps: list[int] = []
+        for w in range(g.n):
+            if find(w) != w:
+                continue
+            for v in reps:
+                if base[v] != base[w]:
+                    continue
+                if cell is None:
+                    cell = _refine(g.with_extra_colors(xs))[0]
+                if cell[v] != cell[w]:
+                    continue
+                iso = find_isomorphism(g.with_extra_colors({**xs, v: (mark,)}),
+                                       g.with_extra_colors({**xs, w: (mark,)}))
+                if iso is not None:
+                    a = tuple(iso[u] for u in range(g.n))
+                    self.pool.append(a)
+                    join(a)
+                    break
+            else:
+                reps.append(w)
+        return tuple(reps), [find(v) for v in range(g.n)]
+
+
+@functools.lru_cache(maxsize=ORBIT_GRAPHS)
+def _orbit_memo(g: ColoredGraph) -> _OrbitMemo:
+    return _OrbitMemo(g)
+
+
 class RankSearcher:
     """Shared search state for one (g, h) pair and one alternation budget."""
 
@@ -51,35 +131,21 @@ class RankSearcher:
         self.k = k
         self.win_lo: dict = {}
         self.lose_hi: dict = {}
-        self._reps: dict = {}  # (side, pebbled vertices) -> orbit representatives
         self.nodes = 0
         self.memo_hits = 0
-        self.auts_g = automorphisms(g, AUT_LIMIT) if g.n <= 24 else []
-        self.auts_h = automorphisms(h, AUT_LIMIT) if h.n <= 24 else []
+        self._orbits = {side: _orbit_memo(x) if x.n <= ORBIT_MAX_ORDER else None
+                        for side, x in ((SIDE_G, g), (SIDE_H, h))}
 
     # -- helpers ----------------------------------------------------------
 
     def _candidates(self, side: str, pairs) -> Sequence[int]:
         """The least vertex of each orbit of the stabilizer of the pebbled
         vertices on `side`, ascending; every vertex beyond ORBIT_DEPTH."""
-        own = self.g if side == SIDE_G else self.h
-        if len(pairs) > ORBIT_DEPTH:
-            return range(own.n)
-        key = (side, frozenset(p[0] if side == SIDE_G else p[1] for p in pairs))
-        if key not in self._reps:
-            auts = self.auts_g if side == SIDE_G else self.auts_h
-            stab = [a for a in auts if all(a[x] == x for x in key[1])]
-            reps = []
-            seen: set[int] = set()
-            for v in range(own.n):
-                if v not in seen:
-                    reps.append(v)
-                    frontier = {v}
-                    while frontier:
-                        seen |= frontier
-                        frontier = {a[w] for a in stab for w in frontier} - seen
-            self._reps[key] = reps
-        return self._reps[key]
+        memo = self._orbits[side]
+        if memo is None or len(pairs) > ORBIT_DEPTH:
+            return range((self.g if side == SIDE_G else self.h).n)
+        i = 0 if side == SIDE_G else 1
+        return memo.orbits(frozenset(p[i] for p in pairs))[0]
 
     def _key(self, pairs, last_side, alts):
         if self.k is None:

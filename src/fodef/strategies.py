@@ -28,6 +28,7 @@ from fodef.game import (
 )
 from fodef.graphs import (
     ColoredGraph, distances_within, flap_overlay, group_by_isomorphism,
+    recolored_flap,
 )
 from fodef.separators import (
     OClassification, brute_min_separator, class_o_separator, classify_o,
@@ -386,13 +387,9 @@ class StrategyMachine:
         frame.flaps_g = [frozenset(c) for c in self.g.components(within=gs)]
         frame.flaps_h = [frozenset(c) for c in self.h.components(within=hs)]
 
-        def recolored(graph, overlay, flap, sep_order):
-            extra = flap_overlay(graph, flap, sep_order, fresh, overlay)
-            return graph.with_extra_colors(extra).induced(flap)[0]
-
-        gsubs = [recolored(self.g, frame.overlay_g, f, frame.x_order)
+        gsubs = [recolored_flap(self.g, f, frame.x_order, fresh, frame.overlay_g)
                  for f in frame.flaps_g]
-        hsubs = [recolored(self.h, frame.overlay_h, f, frame.y_order)
+        hsubs = [recolored_flap(self.h, f, frame.y_order, fresh, frame.overlay_h)
                  for f in frame.flaps_h]
         classes = group_by_isomorphism(gsubs + hsubs)
         ng = len(gsubs)

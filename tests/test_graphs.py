@@ -16,8 +16,11 @@ from fodef.graphs import (
     distance,
     find_isomorphism,
     flap_decompose,
+    flap_overlay,
+    flaps_of,
     group_by_isomorphism,
     iso_invariant_key,
+    recolored_flap,
     similar_flap_census,
 )
 
@@ -103,6 +106,24 @@ class TestConstruction:
         g = ColoredGraph.from_edge_list("3 2\n0 1\n1 2\n")
         assert g == path(3)
 
+    @given(small_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_induced_matches_build(self, g, data):
+        vs = sorted(data.draw(st.sets(st.integers(0, g.n - 1))))
+        idx = {v: i for i, v in enumerate(vs)}
+        want = ColoredGraph.build(len(vs), [(idx[u], idx[v]) for u, v in g.edges()
+                                            if u in idx and v in idx],
+                                  [g.colors[v] for v in vs])
+        assert g.induced(vs) == (want, idx)
+        assert g.components(within=frozenset(vs)) == [
+            tuple(vs[i] for i in c) for c in want.components()]
+
+    def test_induced_rejects_out_of_range(self):
+        # the least vertex out of range is named
+        for vs, bad in (([0, 3], 3), ([-1, 1], -1), ([9, 1, 5], 5)):
+            with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+                path(3).induced(vs)
+
 
 class TestFlapDecompose:
     def test_c4_antipodal(self):
@@ -129,6 +150,17 @@ class TestFlapDecompose:
     def test_out_of_range(self):
         with pytest.raises(GraphError):
             flap_decompose(path(3), [7])
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_recolored_flap_matches_recoloring_g(self, g, data):
+        # recoloring the flap's subgraph is recoloring g and then inducing
+        sep = sorted(data.draw(st.sets(st.integers(0, g.n - 1), max_size=2)))
+        fresh = [g.max_color() + 1 + i for i in range(len(sep))]
+        base = {v: {9} for v in range(0, g.n, 2)}
+        for flap in flaps_of(g, sep):
+            whole = g.with_extra_colors(flap_overlay(g, flap, sep, fresh, base))
+            assert recolored_flap(g, flap, sep, fresh, base) == whole.induced(flap)[0]
 
     def test_fresh_colors_distinct_from_base(self):
         g = ColoredGraph.build(4, [(0, 1), (1, 2), (2, 3)], [[5], [], [3], []])

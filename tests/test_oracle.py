@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fodef.families import complete, cycle, enumerate_graphs, path, star, triv, two_cycles
-from fodef.graphs import BudgetExceeded, ColoredGraph
+from fodef.game import SIDE_H, SPOILER_WON, builtin_duplicator, run_match
+from fodef.graphs import BudgetExceeded, ColoredGraph, automorphisms
 from fodef.oracle import (
-    OracleSpoiler, RankSearcher, defining_rank_lb, exact_rank, survival_vs,
+    OracleSpoiler, RankSearcher, _orbit_memo, defining_rank_lb, exact_rank,
+    survival_vs,
 )
 
 from helpers import brute_best_move, brute_rank
@@ -125,3 +129,83 @@ class TestDefiningRankLB:
     def test_cap(self):
         with pytest.raises(BudgetExceeded):
             defining_rank_lb(path(3), 9)
+
+
+def orbit_reps(g, pebbled):
+    """The orbit representatives the rank search prunes to."""
+    return _orbit_memo(g).orbits(frozenset(pebbled))[0]
+
+
+def listed_orbit_reps(g, pebbled):
+    """The least vertex of each orbit of the maps of the listed automorphism
+    group that fix `pebbled` pointwise, ascending."""
+    stab = [a for a in automorphisms(g) if all(a[x] == x for x in pebbled)]
+    return tuple(v for v in range(g.n) if all(a[v] >= v for a in stab))
+
+
+@st.composite
+def colored_graphs(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = ColoredGraph.build(n, [e for e in pairs if draw(st.booleans())])
+    overlay = {v: draw(st.sets(st.integers(0, 1), max_size=1)) for v in range(n)}
+    return g.with_extra_colors(overlay)
+
+
+class TestOrbits:
+    def test_matches_listed_group(self):
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                for size in range(3):
+                    for xs in itertools.combinations(range(n), size):
+                        assert orbit_reps(g, xs) == listed_orbit_reps(g, xs), (g, xs)
+
+    @given(colored_graphs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_listed_group_colored(self, g, data):
+        xs = data.draw(st.sets(st.integers(0, g.n - 1), max_size=2))
+        assert orbit_reps(g, xs) == listed_orbit_reps(g, xs)
+
+    def test_triv_pair_reps_are_exact(self):
+        # the H side of the triv(3) identity pair: two isolated edges and
+        # eight isolated vertices, two orbits, three once vertex 4 is pebbled
+        g, h = triv(3, 6), triv(2, 8)
+        s = RankSearcher(g, h)
+        assert tuple(s._candidates(SIDE_H, frozenset())) == (0, 4)
+        assert tuple(s._candidates(SIDE_H, frozenset({(0, 4)}))) == (0, 4, 5)
+        assert exact_rank(g, h, r_max=8, size_budget=24).nodes == 27
+
+    def test_equal_graphs_share_the_memo(self):
+        g = path(5)
+        twin = ColoredGraph.build(5, [(3, 4), (2, 3), (1, 2), (0, 1)])
+        assert twin == g and twin is not g
+        sets = [xs for size in range(3) for xs in itertools.combinations(range(5), size)]
+        shared = [orbit_reps(g, xs) for xs in sets]
+        assert _orbit_memo(twin) is _orbit_memo(g)
+        assert [orbit_reps(twin, xs) for xs in sets] == shared
+        _orbit_memo.cache_clear()
+        assert [orbit_reps(twin, xs) for xs in sets] == shared
+
+    def test_one_duplicator_across_pairs(self):
+        # one exhaustive Duplicator on star(3)/star(4) and then on
+        # path(5)/path(6) plays as one started on an empty orbit memo
+        def play():
+            d = builtin_duplicator("exhaustive")
+            out = [run_match(star(3), star(4), OracleSpoiler(star(3), star(4)), d, 3)]
+            g, h = path(5), path(6)
+            out += [run_match(g, h, OracleSpoiler(g, h), d, r) for r in (2, 3)]
+            return out
+
+        shared = play()
+        assert (shared[0].status, shared[0].rounds_used) == (SPOILER_WON, 3)
+        _orbit_memo.cache_clear()
+        assert play() == shared
+
+    def test_game_memo_is_per_search(self):
+        # a second search on the same pair finds the orbits memoized but
+        # searches the game afresh
+        g, h = cycle(4), path(4)
+        first = exact_rank(g, h)
+        again = exact_rank(g, h)
+        assert (again.value, again.best_first_move, again.nodes) == \
+            (first.value, first.best_first_move, first.nodes)
