@@ -35,6 +35,10 @@ is a name and a sha256 hex digest:
   draws for it, over the sizes of the benchmark's campaign round (trees of
   degree <= 3 up to n = 2048, HOP graphs up to n = 512), three seeds each;
   for HOP pairs also class_o_separator's x and flaps on G and on H.
+- transcripts: the moves and status of s_agent (provider tree_centroid or
+  class_o, r_max the thm41 or thm43 bound + 1) against the greedy and the
+  random Duplicator (seed ^ 0x5f5f) on each opponents pair, 60 matches; a
+  match that raises StrategyError is hashed by its message.
 """
 
 from __future__ import annotations
@@ -61,13 +65,13 @@ from fodef.formulas import (  # noqa: E402
     analyze, evaluate, parse_formula, print_formula,
 )
 from fodef.graphs import are_isomorphic  # noqa: E402
-from fodef.game import SIDE_G  # noqa: E402
+from fodef.game import SIDE_G, builtin_duplicator, run_match  # noqa: E402
 from fodef.oracle import (  # noqa: E402
     OracleSpoiler, RankSearcher, exact_rank, survival_vs,
 )
 from fodef.separators import class_o_separator, classify_o  # noqa: E402
 from fodef.strategies import (  # noqa: E402
-    StrategyConfig, bound, extract_formula, reply_tree, s_agent,
+    StrategyConfig, StrategyError, bound, extract_formula, reply_tree, s_agent,
 )
 
 EPS = Fraction(2, 3)
@@ -221,24 +225,52 @@ OPPONENT_SIZES = (("tree", (64, 128, 256, 512, 1024, 2048)),
 OPPONENT_SEEDS = (1, 2, 3)
 
 
-def opponents_hash() -> tuple[str, int]:
-    """G and cli._opponent's H as the benchmark's campaign draws them."""
-    digest = hashlib.sha256()
-    pairs = 0
+def opponent_pairs():
+    """(family, n, seed, G, H) with H drawn by cli._opponent, as the
+    benchmark's campaign draws them."""
     for family, sizes in OPPONENT_SIZES:
         for n in sizes:
             for seed in OPPONENT_SEEDS:
                 g = (random_bounded_tree(n, 3, seed) if family == "tree"
                      else random_hop(n, seed))
-                h = cli._opponent(g, family, 3, seed, random.Random(seed))
-                parts = [family, n, seed, list(g.edges()), list(h.edges())]
-                if family == "hop":
-                    for x in (g, h):
-                        sep = class_o_separator(x)
-                        parts += [sep.x, sep.flaps]
-                digest.update(repr(parts).encode())
-                pairs += 1
+                yield (family, n, seed, g,
+                       cli._opponent(g, family, 3, seed, random.Random(seed)))
+
+
+def opponents_hash() -> tuple[str, int]:
+    digest = hashlib.sha256()
+    pairs = 0
+    for family, n, seed, g, h in opponent_pairs():
+        parts = [family, n, seed, list(g.edges()), list(h.edges())]
+        if family == "hop":
+            for x in (g, h):
+                sep = class_o_separator(x)
+                parts += [sep.x, sep.flaps]
+        digest.update(repr(parts).encode())
+        pairs += 1
     return digest.hexdigest(), pairs
+
+
+def transcripts_hash() -> tuple[str, int]:
+    """s_agent against the greedy and the random Duplicator on every
+    opponents pair, as the campaign plays them."""
+    digest = hashlib.sha256()
+    matches = 0
+    for family, n, seed, g, h in opponent_pairs():
+        if family == "tree":
+            cfg, cap = StrategyConfig("tree_centroid"), bound("thm41", n=n, d=3)
+        else:
+            cfg, cap = StrategyConfig("class_o"), bound("thm43", n=n)
+        for name in ("greedy", "random"):
+            dup = builtin_duplicator(name, seed=seed ^ 0x5f5f)
+            try:
+                t = run_match(g, h, s_agent(g, h, cfg), dup, int(cap) + 1)
+                outcome = (t.moves, t.status)
+            except StrategyError as exc:
+                outcome = ("StrategyError", str(exc))
+            digest.update(repr((family, n, seed, name, outcome)).encode())
+            matches += 1
+    return digest.hexdigest(), matches
 
 
 def main() -> int:
@@ -259,6 +291,8 @@ def main() -> int:
     print(f"orbits {digest}  ({sets} sets)", flush=True)
     digest, pairs = opponents_hash()
     print(f"opponents {digest}  ({pairs} pairs)", flush=True)
+    digest, matches = transcripts_hash()
+    print(f"transcripts {digest}  ({matches} matches)", flush=True)
     return 0
 
 

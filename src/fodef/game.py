@@ -9,6 +9,7 @@ budget limits how often Spoiler may switch sides between consecutive rounds.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import random
 from dataclasses import dataclass, field, replace
@@ -18,6 +19,7 @@ from fodef.graphs import (BudgetExceeded, ColoredGraph,
                           extends_partial_isomorphism)
 
 REPLY_NODE_CAP = 500_000    # Spoiler moves one reply walk may explore
+REPLY_INDEX_GRAPHS = 4      # graphs whose greedy reply index is kept
 
 SIDE_G = "G"
 SIDE_H = "G'"
@@ -142,24 +144,70 @@ class RandomDuplicator(Agent):
         return self.rng.randrange(other.n)
 
 
+@functools.lru_cache(maxsize=REPLY_INDEX_GRAPHS)
+def _reply_index(g: ColoredGraph) -> tuple[dict, dict]:
+    """The vertices of g by colors and then degree, and by degree alone,
+    each list ascending."""
+    by_colors: dict = {}
+    by_degree: dict = {}
+    for v in range(g.n):
+        d = len(g.adj[v])
+        by_colors.setdefault(g.colors[v], {}).setdefault(d, []).append(v)
+        by_degree.setdefault(d, []).append(v)
+    return by_colors, by_degree
+
+
+def _nearest_degree(by_degree: dict, d: int, skip=()) -> Optional[int]:
+    """The least vertex outside `skip` among those whose degree is nearest
+    to d, or None when every listed vertex is skipped."""
+    for gap in sorted({abs(e - d) for e in by_degree}):
+        firsts = (next((v for v in by_degree.get(e, ()) if v not in skip), None)
+                  for e in (d - gap, d + gap))
+        found = [v for v in firsts if v is not None]
+        if found:
+            return min(found)
+    return None
+
+
 class GreedyDuplicator(Agent):
     """Keeps the pairing a partial isomorphism whenever some reply can,
-    preferring degree-matched vertices; least id breaks ties."""
+    preferring degree-matched vertices; least id breaks ties.
+
+    The reply is that least (keeps, degree gap, id) over every vertex,
+    found from an index of the answering graph instead of a scan.  A
+    pebbled vertex can only be answered by its partner, and a vertex next
+    to a pebble only by a neighbour of that pebble's partner.  Any other
+    vertex is answered, if at all, by a vertex of its colors outside the
+    partners and their neighbourhoods."""
     label = "greedy"
 
     def respond(self, state, side, vertex):
-        own = state.g if side == SIDE_G else state.h
-        other = state.h if side == SIDE_G else state.g
-        best = None
-        for v in range(other.n):
+        own, other = (state.g, state.h) if side == SIDE_G else (state.h, state.g)
+        mine, theirs = (0, 1) if side == SIDE_G else (1, 0)
+        by_colors, by_degree = _reply_index(other)
+        d = own.degree(vertex)
+        partner = {p[mine]: p[theirs] for p in state.pebbles}
+        near = [b for a, b in partner.items() if a in own.adj[vertex]]
+        if vertex in partner:
+            cands = (partner[vertex],)
+        elif near:
+            cands = min((other.adj[b] for b in near), key=len)
+        else:
+            blocked = set(partner.values())
+            for b in partner.values():
+                blocked |= other.adj[b]
+            v = _nearest_degree(by_colors.get(own.colors[vertex], {}), d, blocked)
+            if v is not None:
+                return v
+            cands = ()
+        kept = []
+        for v in cands:
             pair = (vertex, v) if side == SIDE_G else (v, vertex)
-            keeps = extends_partial_isomorphism(state.g, state.h, state.pebbles, pair)
-            score = (0 if keeps else 1,
-                     abs(own.degree(vertex) - other.degree(v)),
-                     v)
-            if best is None or score < best:
-                best = score
-        return best[2]
+            if extends_partial_isomorphism(state.g, state.h, state.pebbles, pair):
+                kept.append(v)
+        if kept:
+            return min(kept, key=lambda v: (abs(d - other.degree(v)), v))
+        return _nearest_degree(by_degree, d)
 
 
 class HumanDuplicator(Agent):

@@ -117,7 +117,17 @@ class ColoredGraph:
         return comps
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        """One search from vertex 0 reaches every vertex."""
+        if self.n <= 1:
+            return True
+        seen = {0}
+        stack = [0]
+        while stack:
+            for u in self.adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == self.n
 
     def is_tree(self) -> bool:
         return self.is_connected() and self.edge_count() == self.n - 1

@@ -333,7 +333,7 @@ class StrategyMachine:
         """Separator recursion from the empty position."""
         if not g.is_connected():
             raise StrategyError("the structured side must be connected")
-        if config.provider == "tree_centroid" and not g.is_tree():
+        if config.provider == "tree_centroid" and g.edge_count() != g.n - 1:
             raise StrategyError("tree separator requires a tree")
         if config.provider == "class_o":
             if classification is None:
@@ -377,7 +377,13 @@ class StrategyMachine:
 
     def _decompose(self, frame: _Frame):
         """Split both domains along the separator pairing and bucket the
-        recolored flaps of both sides into isomorphism classes."""
+        recolored flaps of both sides into isomorphism classes.
+
+        Isomorphic flaps have equal orders, so a flap alone in its order is
+        a class of its own and is neither recolored nor coded; the flaps
+        that share an order are grouped by `group_by_isomorphism`.  Classes
+        come in order of least index (G flaps first, then H flaps), as one
+        grouping of every recolored flap would list them."""
         k = len(frame.x_order)
         fresh = [self.color_counter + i for i in range(k)]
         self.color_counter += k
@@ -387,20 +393,28 @@ class StrategyMachine:
         frame.flaps_g = [frozenset(c) for c in self.g.components(within=gs)]
         frame.flaps_h = [frozenset(c) for c in self.h.components(within=hs)]
 
-        gsubs = [recolored_flap(self.g, f, frame.x_order, fresh, frame.overlay_g)
-                 for f in frame.flaps_g]
-        hsubs = [recolored_flap(self.h, f, frame.y_order, fresh, frame.overlay_h)
-                 for f in frame.flaps_h]
-        classes = group_by_isomorphism(gsubs + hsubs)
-        ng = len(gsubs)
-        frame.class_of_g = [0] * ng
-        frame.class_of_h = [0] * len(hsubs)
+        flaps = ([(self.g, f, frame.x_order, frame.overlay_g) for f in frame.flaps_g]
+                 + [(self.h, f, frame.y_order, frame.overlay_h) for f in frame.flaps_h])
+        by_order: dict[int, list[int]] = {}
+        for i, (_, f, _, _) in enumerate(flaps):
+            by_order.setdefault(len(f), []).append(i)
+        classes = []
+        for members in by_order.values():
+            if len(members) == 1:
+                classes.append(members)
+                continue
+            subs = (recolored_flap(gr, f, sep, fresh, overlay)
+                    for gr, f, sep, overlay in (flaps[i] for i in members))
+            classes += [[members[j] for j in local]
+                        for local in group_by_isomorphism(subs)]
+        classes.sort(key=lambda c: c[0])
+        class_of = [0] * len(flaps)
         for ci, members in enumerate(classes):
             for i in members:
-                if i < ng:
-                    frame.class_of_g[i] = ci
-                else:
-                    frame.class_of_h[i - ng] = ci
+                class_of[i] = ci
+        ng = len(frame.flaps_g)
+        frame.class_of_g = class_of[:ng]
+        frame.class_of_h = class_of[ng:]
         frame.nclasses = len(classes)
 
     # -- public interface -------------------------------------------------------
@@ -493,10 +507,11 @@ class StrategyMachine:
 
     def _enter(self, frame: _Frame, state: GameState):
         n_dom = len(frame.dom_g)
-        comps_h = self.h.components(within=frame.dom_h)
-        if len(comps_h) > 1 and frame.anchor is None:
+        # a child frame's H domain is one flap, so only the root's can split
+        if frame.anchor is None and not self.h.is_connected():
+            first, second = self.h.components()[:2]
             frame.phase = "shortcut"
-            frame.queue = [comps_h[0][0], comps_h[1][0]]
+            frame.queue = [first[0], second[0]]
             self.trace.record(depth=frame.depth, case="HALVING", x=[],
                               note="disconnected_other_side")
             return

@@ -14,7 +14,7 @@ from fodef.game import (
 )
 from fodef.graphs import (
     BudgetExceeded, ColoredGraph, are_isomorphic, check_partial_isomorphism,
-    find_isomorphism,
+    extends_partial_isomorphism, find_isomorphism,
 )
 from fodef.oracle import OracleSpoiler, exact_rank
 from fodef.separators import classify_o
@@ -278,6 +278,94 @@ class TestDuplicators:
         v = d.respond(st, SIDE_G, 0)
         assert v == 1
         assert any("spoiler played 0" in ln for ln in lines)
+
+
+# -- the indexed greedy reply ---------------------------------------------------------
+
+
+def reference_greedy_reply(state, side, vertex):
+    """The scan the indexed greedy reply replaced: the least (breaks the
+    pebbles, degree gap, id) over every vertex of the answering graph."""
+    own, other = (state.g, state.h) if side == SIDE_G else (state.h, state.g)
+
+    def score(v):
+        pair = (vertex, v) if side == SIDE_G else (v, vertex)
+        return (not extends_partial_isomorphism(state.g, state.h, state.pebbles, pair),
+                abs(own.degree(vertex) - other.degree(v)), v)
+
+    return min(range(other.n), key=score)
+
+
+def random_colored_pair(rng):
+    """A colored graph of order <= 16 of random density, against itself, a
+    relabelled copy with at most one edge toggled, or another such graph."""
+    def graph(n):
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p]
+        colors = [rng.choice([(), (), (0,), (1,)]) for _ in range(n)]
+        return ColoredGraph.build(n, edges, colors)
+
+    g = graph(rng.randint(1, 16))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return g, g
+    if kind == 2:
+        return g, graph(rng.randint(1, 16))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()}
+    if g.n > 1 and rng.random() < 0.5:
+        edges ^= {tuple(sorted(rng.sample(range(g.n), 2)))}
+    colors = [()] * g.n
+    for v in range(g.n):
+        colors[perm[v]] = g.colors[v]
+    return g, ColoredGraph.build(g.n, sorted(edges), colors)
+
+
+class TestGreedyIndex:
+    def test_matches_scan_on_random_pairs(self):
+        import random
+        rng = random.Random(13)
+        greedy = builtin_duplicator("greedy")
+        replies = 0
+        for _ in range(600):
+            g, h = random_colored_pair(rng)
+            state = new_game(g, h, 10)
+            while state.status == RUNNING:
+                side = rng.choice([SIDE_G, SIDE_H])
+                u = rng.randrange((g if side == SIDE_G else h).n)
+                v = greedy.respond(state, side, u)
+                assert v == reference_greedy_reply(state, side, u)
+                state = step(state, (side, u), v)
+                replies += 1
+        assert replies > 2000
+
+    def test_matches_scan_in_strategy_matches(self):
+        # the replies the campaigns ask for: s_agent on trees and HOP pairs
+        from fodef.families import random_bounded_tree, random_hop
+
+        class Checked(Agent):
+            def __init__(self):
+                self.replies = 0
+
+            def respond(self, state, side, vertex):
+                v = builtin_duplicator("greedy").respond(state, side, vertex)
+                assert v == reference_greedy_reply(state, side, vertex)
+                self.replies += 1
+                return v
+
+        dup = Checked()
+        for seed in range(1, 7):
+            for g, cfg, cap in (
+                    (random_bounded_tree(48, 3, seed), "tree_centroid",
+                     bound("thm41", n=48, d=3)),
+                    (random_hop(48, seed), "class_o", bound("thm43", n=48))):
+                h = (random_bounded_tree(48, 3, seed + 100) if cfg == "tree_centroid"
+                     else random_hop(48, seed + 100))
+                agent = s_agent(g, h, StrategyConfig(provider=cfg))
+                assert run_match(g, h, agent, dup, int(cap) + 1).status == SPOILER_WON
+        assert dup.replies > 50
 
 
 # -- the reply walk ------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fodef import cli
 from fodef.families import (
     cycle, enumerate_graphs, path, random_bounded_tree, random_hop, star,
     two_cycles,
@@ -15,13 +16,15 @@ from fodef.game import (
     RUNNING, SIDE_G, SIDE_H, SPOILER_WON, Agent, builtin_duplicator, new_game,
     run_match, step,
 )
-from fodef.graphs import ColoredGraph, are_isomorphic
+from fodef.graphs import (
+    ColoredGraph, are_isomorphic, group_by_isomorphism, recolored_flap,
+)
 from fodef.oracle import OracleSpoiler, exact_rank, survival_vs
 from fodef.separators import classify_o
 from fodef.strategies import (
     BOUND_NAMES, HypothesisError, StrategyConfig, StrategyError,
-    StrategySpoiler, bound, choose_depth, extract_formula, halving_agent,
-    reply_tree, s_agent, s_star_agent, synthesize_distinguisher,
+    StrategyMachine, StrategySpoiler, bound, choose_depth, extract_formula,
+    halving_agent, reply_tree, s_agent, s_star_agent, synthesize_distinguisher,
 )
 
 from helpers import brute_survival
@@ -568,3 +571,66 @@ class TestReplyWalk:
         first, second = [(t.depth, t.branches, print_formula(extract_formula(t)))
                          for t in trees]
         assert first == second
+
+
+class TestDecompose:
+    """The size-first flap classes against one `group_by_isomorphism` over
+    every recolored flap of both sides."""
+
+    @staticmethod
+    def reference(m, frame):
+        subs = ([recolored_flap(m.g, f, frame.x_order, frame.fresh, frame.overlay_g)
+                 for f in frame.flaps_g]
+                + [recolored_flap(m.h, f, frame.y_order, frame.fresh, frame.overlay_h)
+                   for f in frame.flaps_h])
+        class_of = [0] * len(subs)
+        classes = group_by_isomorphism(subs)
+        for ci, members in enumerate(classes):
+            for i in members:
+                class_of[i] = ci
+        ng = len(frame.flaps_g)
+        return class_of[:ng], class_of[ng:], len(classes)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Counts of the decompositions checked, and of those in which
+        two flaps share an order."""
+        counts = {"frames": 0, "shared": 0}
+        decompose = StrategyMachine._decompose
+
+        def checked_decompose(m, frame):
+            decompose(m, frame)
+            got = (frame.class_of_g, frame.class_of_h, frame.nclasses)
+            assert got == self.reference(m, frame)
+            orders = [len(f) for f in frame.flaps_g + frame.flaps_h]
+            counts["frames"] += 1
+            counts["shared"] += len(set(orders)) < len(orders)
+
+        monkeypatch.setattr(StrategyMachine, "_decompose", checked_decompose)
+        return counts
+
+    @staticmethod
+    def play(g, h, cfg, r_max, cls=None):
+        for name in ("greedy", "random"):
+            agent = s_agent(g, h, cfg, classification=cls)
+            run_match(g, h, agent, builtin_duplicator(name, seed=g.n * h.n), r_max)
+
+    def test_criterion09_pairs(self, checked):
+        for g, h, cfg, r_max, cls in criterion09_pairs(5):
+            self.play(g, h, cfg, r_max, cls)
+        assert checked["frames"] > 400 and checked["shared"] > 200
+
+    @pytest.mark.parametrize("family", ["tree", "hop"])
+    def test_seeded_trials(self, checked, family):
+        import random
+        for n in (64, 128):
+            for seed in range(1, 13):
+                if family == "tree":
+                    g = random_bounded_tree(n, 3, seed)
+                    cfg, cap = StrategyConfig("tree_centroid"), bound("thm41", n=n, d=3)
+                else:
+                    g = random_hop(n, seed)
+                    cfg, cap = StrategyConfig("class_o"), bound("thm43", n=n)
+                h = cli._opponent(g, family, 3, seed, random.Random(seed))
+                self.play(g, h, cfg, int(cap) + 1)
+        assert checked["frames"] > 30 and checked["shared"] > 8
