@@ -19,6 +19,8 @@ is a name and a sha256 hex digest:
 - formulas: for the formula synthesized on each criterion-09 pair, in
   enumeration order, whether parse_formula(print_formula(f)) == f, the truth
   of f on G and on H, and analyze(f, nest_cap=0).
+- formulas.nest: analyze(f) at the default nest_cap for the same formulas,
+  with the nest set sorted (a frozenset's order varies between processes).
 - oracle.k=None, oracle.k=1: (value, best_first_move) of every exact_rank
   query of the benchmark's oracle workload (the named pairs, then every graph
   of order 3 and 4 against every graph of order <= 6; 3,136 queries).
@@ -109,11 +111,11 @@ def criterion09_pairs():
             yield g, h, cfg, int(cap) + 1, None if is_tree else cls
 
 
-def criterion09_hashes() -> tuple[str, str, str, int]:
+def criterion09_hashes() -> tuple[str, str, str, str, int]:
     """Digests with the order <= 5 pairs first, in enumeration order, and of
     the formula layer on each pair's formula."""
     grouped, enumeration = hashlib.sha256(), hashlib.sha256()
-    formulas = hashlib.sha256()
+    formulas, nest = hashlib.sha256(), hashlib.sha256()
     order6 = []
     pairs = 0
     for g, h, cfg, r_max, cls in criterion09_pairs():
@@ -126,6 +128,11 @@ def criterion09_hashes() -> tuple[str, str, str, int]:
         enumeration.update(line)
         formulas.update(repr((parse_formula(text) == f, evaluate(f, g),
                               evaluate(f, h), analyze(f, nest_cap=0))).encode())
+        prof = analyze(f)
+        summary = prof.nest_summary
+        nest.update(repr((prof.quantifier_rank, prof.alternation_number,
+                          prof.is_nnf,
+                          None if summary is None else sorted(summary))).encode())
         if max(g.n, h.n) == 6:
             order6.append(line)
         else:
@@ -134,7 +141,7 @@ def criterion09_hashes() -> tuple[str, str, str, int]:
     for line in order6:
         grouped.update(line)
     return (grouped.hexdigest(), enumeration.hexdigest(), formulas.hexdigest(),
-            pairs)
+            nest.hexdigest(), pairs)
 
 
 def oracle_queries():
@@ -274,10 +281,11 @@ def transcripts_hash() -> tuple[str, int]:
 
 
 def main() -> int:
-    grouped, enumeration, formulas, pairs = criterion09_hashes()
+    grouped, enumeration, formulas, nest, pairs = criterion09_hashes()
     print(f"criterion09 {grouped}  ({pairs} pairs)", flush=True)
     print(f"criterion09.enumeration_order {enumeration}", flush=True)
     print(f"formulas {formulas}  ({pairs} formulas)", flush=True)
+    print(f"formulas.nest {nest}", flush=True)
     for k in (None, 1):
         values, formulas, queries = oracle_hashes(k)
         print(f"oracle.k={k} {values}  ({queries} queries)", flush=True)

@@ -9,12 +9,20 @@ quantifiers extend maximally to the right):
 
 Identifiers match [a-z][a-z0-9_]* and may not be the reserved words
 ex, all, adj, eq, col.
+
+Every traversal but `evaluate` is iterative, so a formula thousands of levels
+deep (`conjunction` builds left-deep chains) can be parsed, printed, compared,
+hashed and analyzed.  The walks dispatch on the exact node type: any object
+that is not one of the eight node classes, a subclass included, raises
+TypeError.  `evaluate` stays recursive because it short-circuits and binds
+variables on the way down; an explicit-stack version ran slower.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Optional, Union
 
 from fodef.graphs import ColoredGraph
@@ -26,6 +34,19 @@ class FormulaError(ValueError):
 
 class UnboundVariableError(FormulaError):
     pass
+
+
+class _Node:
+    """Equality and hashing of the compound nodes below, by `_key`.  Atoms keep
+    the generated dataclass methods: they cannot recurse and are faster."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or _key(self) == _key(other)
+
+    def __hash__(self):
+        return hash(_key(self))
 
 
 @dataclass(frozen=True)
@@ -46,57 +67,106 @@ class Col:
     x: str
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False)
+class Exists(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@dataclass(frozen=True, eq=False)
+class Forall(_Node):
     var: str
     body: "Formula"
 
 
 Formula = Union[Adj, Eq, Col, Not, And, Or, Exists, Forall]
 
-_ATOMS = (Adj, Eq, Col)
 _RESERVED = {"ex", "all", "adj", "eq", "col"}
 
 
 def conjunction(parts: list[Formula]) -> Formula:
     if not parts:
         raise FormulaError("empty conjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts)
 
 
 def disjunction(parts: list[Formula]) -> Formula:
     if not parts:
         raise FormulaError("empty disjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return reduce(Or, parts)
+
+
+# -- traversal -----------------------------------------------------------------
+
+
+def _postorder(f: Formula) -> list:
+    """The nodes of f, children before parents and left before right, found
+    with an explicit stack (the mirrored pre-order, reversed)."""
+    order, stack = [], [f]
+    pop, push, emit = stack.pop, stack.append, order.append
+    while stack:
+        node = pop()
+        emit(node)
+        t = type(node)
+        if t is And or t is Or:
+            push(node.left)
+            push(node.right)
+        elif t is Not or t is Exists or t is Forall:
+            push(node.body)
+        elif t is not Adj and t is not Eq and t is not Col:
+            raise TypeError(node)
+    order.reverse()
+    return order
+
+
+def _fold(f: Formula, step):
+    """f folded bottom-up: each node's value is step(node, *the values of its
+    children), and the root's value is returned."""
+    values: list = []
+    for node in _postorder(f):
+        t = type(node)
+        if t is And or t is Or:
+            right = values.pop()
+            values[-1] = step(node, values[-1], right)
+        elif t is Not or t is Exists or t is Forall:
+            values[-1] = step(node, values[-1])
+        else:
+            values.append(step(node))
+    return values[0]
+
+
+def _key(f: Formula) -> tuple:
+    """f as the post-order sequence of its nodes' exact types and scalar
+    fields; with fixed arities the sequence determines the tree."""
+    key: list = []
+    emit = key.append
+    for node in _postorder(f):
+        t = type(node)
+        emit(t)
+        if t is Exists or t is Forall:
+            emit(node.var)
+        elif t is Col:
+            key += (node.color, node.x)
+        elif t is Adj or t is Eq:
+            key += (node.x, node.y)
+    return tuple(key)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -215,48 +285,41 @@ def parse_formula(text: str, strict: bool = False) -> Formula:
 
 
 def print_formula(f: Formula) -> str:
-    if isinstance(f, Adj):
-        return f"adj({f.x},{f.y})"
-    if isinstance(f, Eq):
-        return f"eq({f.x},{f.y})"
-    if isinstance(f, Col):
-        return f"col({f.color},{f.x})"
-    if isinstance(f, Not):
-        return f"~{print_formula(f.body)}"
-    if isinstance(f, And):
-        return f"({print_formula(f.left)} & {print_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"({print_formula(f.left)} | {print_formula(f.right)})"
-    if isinstance(f, Exists):
-        return f"ex {f.var}. {print_formula(f.body)}"
-    if isinstance(f, Forall):
-        return f"all {f.var}. {print_formula(f.body)}"
-    raise TypeError(f)
+    def step(node, a=None, b=None):
+        t = type(node)
+        if t is And or t is Or:
+            return f"({a} {'&' if t is And else '|'} {b})"
+        if t is Not:
+            return f"~{a}"
+        if t is Exists or t is Forall:
+            return f"{'ex' if t is Exists else 'all'} {node.var}. {a}"
+        if t is Col:
+            return f"col({node.color},{node.x})"
+        return f"{'adj' if t is Adj else 'eq'}({node.x},{node.y})"
+
+    return _fold(f, step)
 
 
 # -- semantics ---------------------------------------------------------------
 
 
 def free_variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Adj, Eq)):
-        return frozenset({f.x, f.y})
-    if isinstance(f, Col):
-        return frozenset({f.x})
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, (And, Or)):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_variables(f.body) - {f.var}
-    raise TypeError(f)
+    def step(node, a=None, b=None):
+        t = type(node)
+        if t is And or t is Or:
+            return a | b
+        if t is Exists or t is Forall:
+            return a - {node.var}
+        if t is Not:
+            return a
+        return frozenset((node.x,) if t is Col else (node.x, node.y))
+
+    return _fold(f, step)
 
 
 def evaluate(f: Formula, g: ColoredGraph,
              assignment: Optional[Mapping[str, int]] = None) -> bool:
-    """Standard truth over g; assignment must cover the free variables.
-    Nodes are dispatched on their exact type, one of the eight node classes
-    above, so any other object (a subclass of one included) raises
-    TypeError."""
+    """Standard truth over g; assignment must cover the free variables."""
     env: dict[str, int] = dict(assignment or {})
     missing = free_variables(f) - env.keys()
     if missing:
@@ -298,9 +361,7 @@ def evaluate(f: Formula, g: ColoredGraph,
             return env[f.y] in adj[env[f.x]]
         if t is Eq:
             return env[f.x] == env[f.y]
-        if t is Col:
-            return f.color in colors[env[f.x]]
-        raise TypeError(f)
+        return f.color in colors[env[f.x]]  # free_variables checked the types
 
     return go(f)
 
@@ -319,93 +380,42 @@ class FormulaProfile:
 _FLIP = str.maketrans("EA", "AE")
 
 
+def analyze(f: Formula, nest_cap: int = 4096) -> FormulaProfile:
+    """Rank, alternation number, NNF flag (negation only on atoms) and nest
+    set in one pass.  The nest set of nested-quantifier sequences ('E'/'A'
+    strings) is None once a conjunction or disjunction would give it more
+    than nest_cap elements.  Alternations are counted per first quantifier:
+    the most along a sequence that starts with E, and with A (-1: none)."""
+    atom = (0, -1, -1, True, frozenset(("",)))
+
+    def step(node, a=None, b=None):
+        t = type(node)
+        if a is None:  # an atom
+            return atom
+        rank, alt_e, alt_a, nnf, nest = a
+        if t is And or t is Or:
+            nest = None if nest is None or b[4] is None else nest | b[4]
+            if nest is not None and len(nest) > nest_cap:
+                nest = None
+            return (max(rank, b[0]), max(alt_e, b[1]), max(alt_a, b[2]),
+                    nnf and b[3], nest)
+        if t is Not:
+            if nest is not None:
+                nest = frozenset(x.translate(_FLIP) for x in nest)
+            return (rank, alt_a, alt_e, type(node.body) in (Adj, Eq, Col), nest)
+        if nest is not None:
+            nest = frozenset(("E" if t is Exists else "A") + x for x in nest)
+        if t is Exists:
+            return (rank + 1, max(alt_e, alt_a + 1), -1, nnf, nest)
+        return (rank + 1, -1, max(alt_a, alt_e + 1), nnf, nest)
+
+    rank, alt_e, alt_a, nnf, nest = _fold(f, step)
+    return FormulaProfile(rank, max(alt_e, alt_a, 0), nnf, nest)
+
+
 def quantifier_rank(f: Formula) -> int:
-    if isinstance(f, _ATOMS):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_rank(f.body)
-    if isinstance(f, (And, Or)):
-        return max(quantifier_rank(f.left), quantifier_rank(f.right))
-    return 1 + quantifier_rank(f.body)
-
-
-def _alt3(f: Formula) -> tuple[bool, Optional[int], Optional[int]]:
-    """(epsilon present, max alternations over sequences starting with E,
-    same for A); None when no sequence starts with that quantifier."""
-    if isinstance(f, _ATOMS):
-        return (True, None, None)
-    if isinstance(f, Not):
-        eps, me, ma = _alt3(f.body)
-        return (eps, ma, me)
-    if isinstance(f, (And, Or)):
-        e1, me1, ma1 = _alt3(f.left)
-        e2, me2, ma2 = _alt3(f.right)
-        pick = lambda a, b: (max(a, b) if a is not None and b is not None
-                             else (a if a is not None else b))
-        return (e1 or e2, pick(me1, me2), pick(ma1, ma2))
-    eps, me, ma = _alt3(f.body)
-    cands = []
-    if eps:
-        cands.append(0)
-    if isinstance(f, Exists):
-        if me is not None:
-            cands.append(me)
-        if ma is not None:
-            cands.append(ma + 1)
-        return (False, max(cands), None)
-    if me is not None:
-        cands.append(me + 1)
-    if ma is not None:
-        cands.append(ma)
-    return (False, None, max(cands))
+    return analyze(f, nest_cap=0).quantifier_rank
 
 
 def alternation_number(f: Formula) -> int:
-    eps, me, ma = _alt3(f)
-    vals = [v for v in (0 if eps else None, me, ma) if v is not None]
-    return max(vals)
-
-
-def is_nnf(f: Formula) -> bool:
-    """Negation occurs only directly on atoms."""
-    if isinstance(f, _ATOMS):
-        return True
-    if isinstance(f, Not):
-        return isinstance(f.body, _ATOMS)
-    if isinstance(f, (And, Or)):
-        return is_nnf(f.left) and is_nnf(f.right)
-    return is_nnf(f.body)
-
-
-def nest_set(f: Formula, cap: int = 4096) -> Optional[frozenset[str]]:
-    """The set of nested-quantifier sequences ('E'/'A' strings), or None when
-    it would exceed cap elements (it can be exponential in formula size)."""
-    def go(f: Formula) -> Optional[frozenset[str]]:
-        if isinstance(f, _ATOMS):
-            return frozenset({""})
-        if isinstance(f, Not):
-            s = go(f.body)
-            return None if s is None else frozenset(x.translate(_FLIP) for x in s)
-        if isinstance(f, (And, Or)):
-            a, b = go(f.left), go(f.right)
-            if a is None or b is None:
-                return None
-            u = a | b
-            return u if len(u) <= cap else None
-        s = go(f.body)
-        if s is None:
-            return None
-        q = "E" if isinstance(f, Exists) else "A"
-        return frozenset(q + x for x in s)
-
-    return go(f)
-
-
-def analyze(f: Formula, nest_cap: int = 4096) -> FormulaProfile:
-    """Rank, alternation number, NNF flag and (when small) the nest set."""
-    return FormulaProfile(
-        quantifier_rank=quantifier_rank(f),
-        alternation_number=alternation_number(f),
-        is_nnf=is_nnf(f),
-        nest_summary=nest_set(f, cap=nest_cap),
-    )
+    return analyze(f, nest_cap=0).alternation_number

@@ -273,7 +273,7 @@ class _Frame:
     class_of_h: list = field(default_factory=list)
     fresh: list = field(default_factory=list)
     nclasses: int = 0
-    provider_tags: Optional[list] = None       # (flap vertex set, annotation)
+    provider_tags: Optional[tuple] = None      # annotation of each of flaps_g
     target_class: Optional[int] = None
     probe_flaps: list = field(default_factory=list)
     probe_idx: int = 0
@@ -349,29 +349,25 @@ class StrategyMachine:
 
     # -- separator providers -------------------------------------------------
 
-    def _separate(self, frame: _Frame) -> tuple[list[int], Optional[list]]:
-        """Separator of the current G-side region in original ids, plus
-        per-flap membership annotations when the provider computes them.
-
-        Annotations stay valid for the flap's standalone induced graph
-        because induced() reindexes monotonically."""
+    def _separate(self, frame: _Frame) -> tuple[list[int], list, Optional[tuple]]:
+        """Separator of the current G-side region and its flaps in original
+        ids, plus per-flap membership annotations when the provider computes
+        them.  induced() reindexes monotonically, so the flaps come out as
+        components() lists them and each annotation stays valid for its
+        flap's standalone induced graph."""
         sub, idx = self.g.induced(frame.dom_g)
-        back = {i: v for v, i in idx.items()}
-        cfg = self.config
-        if cfg.provider == "tree_centroid":
+        back = sorted(idx)
+        provider = self.config.provider
+        if provider == "tree_centroid":
             res = tree_centroid_separator(sub)
-            return sorted(back[i] for i in res.x), None
-        if cfg.provider == "class_o":
+        elif provider == "class_o":
             res = class_o_separator(sub, classification=frame.cls)
-            tags = []
-            for fi, f in enumerate(res.flaps):
-                tags.append((frozenset(back[i] for i in f),
-                             res.tags[fi] if res.tags else None))
-            return sorted(back[i] for i in res.x), tags
-        res = brute_min_separator(sub, EPSILON, BRUTE_SIZE_CAP)
-        if res is None:
-            raise StrategyError(f"no separator of at most {BRUTE_SIZE_CAP} vertices")
-        return sorted(back[i] for i in res.x), None
+        else:
+            res = brute_min_separator(sub, EPSILON, BRUTE_SIZE_CAP)
+            if res is None:
+                raise StrategyError(f"no separator of at most {BRUTE_SIZE_CAP} vertices")
+        flaps = [frozenset(back[i] for i in f) for f in res.flaps]
+        return sorted(back[i] for i in res.x), flaps, res.tags
 
     # -- recoloring and flap classification -----------------------------------
 
@@ -388,9 +384,7 @@ class StrategyMachine:
         fresh = [self.color_counter + i for i in range(k)]
         self.color_counter += k
         frame.fresh = fresh
-        gs = frame.dom_g - frozenset(frame.x_order)
         hs = frame.dom_h - frozenset(frame.y_order)
-        frame.flaps_g = [frozenset(c) for c in self.g.components(within=gs)]
         frame.flaps_h = [frozenset(c) for c in self.h.components(within=hs)]
 
         flaps = ([(self.g, f, frame.x_order, frame.overlay_g) for f in frame.flaps_g]
@@ -523,10 +517,9 @@ class StrategyMachine:
                 frame.s0_dup_picks.append(frame.anchor[1])
             self.trace.record(depth=frame.depth, case="S0", x=[], n=n_dom)
             return
-        x, tags = self._separate(frame)
+        x, frame.flaps_g, frame.provider_tags = self._separate(frame)
         frame.phase = "sep"
-        frame.queue = list(x)
-        frame.provider_tags = tags
+        frame.queue = x
         self.trace.sep_sizes.append(len(x))
 
     # -- reply handling ---------------------------------------------------------------
@@ -724,12 +717,7 @@ class StrategyMachine:
         flap_h = frame.flaps_h[hflap]
         over_g = flap_overlay(self.g, flap_g, frame.x_order, frame.fresh, frame.overlay_g)
         over_h = flap_overlay(self.h, flap_h, frame.y_order, frame.fresh, frame.overlay_h)
-        cls = None
-        if frame.provider_tags:
-            for fs, tag in frame.provider_tags:
-                if fs == flap_g:
-                    cls = tag
-                    break
+        cls = frame.provider_tags[gflap] if frame.provider_tags else None
         sub = _Frame(flap_g, flap_h, frame.depth - 1, tuple(anchor),
                      frame.enc_x | frozenset(frame.x_order),
                      frame.enc_y | frozenset(frame.y_order),

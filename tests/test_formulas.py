@@ -7,8 +7,8 @@ from fodef import formulas as F
 from fodef.formulas import (
     Adj, And, Col, Eq, Exists, Forall, Not, Or,
     FormulaError, UnboundVariableError,
-    alternation_number, analyze, evaluate, parse_formula, print_formula,
-    quantifier_rank,
+    alternation_number, analyze, conjunction, evaluate, parse_formula,
+    print_formula, quantifier_rank,
 )
 from fodef.graphs import ColoredGraph
 
@@ -295,7 +295,7 @@ class TestParser:
         depth = 1500
         text = "(" * depth + "adj(x,y)" + " & eq(x,y))" * depth
         f = parse_formula(text)
-        # == and hash recurse on such a tree, so walk it by hand
+        # the shape by hand, apart from ==
         levels = 0
         while isinstance(f, And):
             assert f.right == Eq("x", "y")
@@ -314,6 +314,17 @@ class TestParser:
             levels += 1
         assert levels == depth
         assert f == Eq("x", "x")
+
+    def test_deep_parses_compare_and_hash(self):
+        depth = 1500
+        text = "(" * depth + "adj(x,y)" + " & eq(x,y))" * depth
+        f, g = parse_formula(text), parse_formula(text)
+        assert f is not g
+        assert f == g and not f != g
+        assert hash(f) == hash(g)
+        other = parse_formula(text.replace("adj(x,y)", "adj(y,x)", 1))
+        assert f != other and not f == other
+        assert len({f, g, other}) == 2
 
 
 class TestEvaluate:
@@ -416,3 +427,54 @@ class TestAnalyze:
         prof = analyze(f, nest_cap=64)
         assert prof.nest_summary is None
         assert prof.quantifier_rank == 14
+
+    def test_unknown_node_raises_type_error(self):
+        class Negation(Not):
+            pass
+
+        f = Exists("x", And(Eq("x", "x"), Negation(Adj("x", "x"))))
+        for walk in (print_formula, F.free_variables, quantifier_rank,
+                     alternation_number, analyze, hash):
+            with pytest.raises(TypeError):
+                walk(f)
+        with pytest.raises(TypeError):
+            analyze(And(Eq("x", "x"), "adj(x,x)"))
+
+
+DEPTH = 3000
+
+
+class TestDepth:
+    """Each traversal but evaluate runs without recursion: a formula
+    DEPTH levels deep is printed, parsed back, compared and analyzed."""
+
+    def check(self, f, text, free, profile, nest):
+        assert print_formula(f) == text
+        assert F.free_variables(f) == free
+        assert quantifier_rank(f) == profile.quantifier_rank
+        assert alternation_number(f) == profile.alternation_number
+        assert analyze(f, nest_cap=0) == profile
+        assert analyze(f) == F.FormulaProfile(
+            profile.quantifier_rank, profile.alternation_number,
+            profile.is_nnf, nest)
+        back = parse_formula(text)
+        assert back == f and hash(back) == hash(f)
+
+    def test_long_conjunction(self):
+        parts = [Adj("x", "y") if i % 2 else Not(Eq("x", "z"))
+                 for i in range(DEPTH)]
+        f = Exists("x", conjunction(parts))
+        text = ("ex x. " + "(" * (DEPTH - 1) + "~eq(x,z)"
+                + "".join(f" & {print_formula(p)})" for p in parts[1:]))
+        # the first conjunction already exceeds a nest cap of 0
+        self.check(f, text, frozenset({"y", "z"}),
+                   F.FormulaProfile(1, 0, True, None), frozenset({"E"}))
+
+    def test_negated_quantifier_chain(self):
+        f = Eq("x", "x")
+        for _ in range(DEPTH):
+            f = Not(Exists("x", f))
+        # the one nest sequence alternates A, E, A, ... from the outside in
+        nest = frozenset({"AE" * (DEPTH // 2)})
+        self.check(f, "~ex x. " * DEPTH + "eq(x,x)", frozenset(),
+                   F.FormulaProfile(DEPTH, DEPTH - 1, False, nest), nest)

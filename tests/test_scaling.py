@@ -1,0 +1,71 @@
+"""Complexity gates on bytecode counts.
+
+`opcodes` counts the bytecode instructions that a call executes, traced with
+`sys.settrace` and `frame.f_trace_opcodes`.  The count is the same on every
+run for fixed inputs, so a gate can double the input and bound the ratio of
+the two counts, where wall-clock time on a shared machine is too noisy to
+tell linear from quadratic.  A linear call gives a ratio near 2; each gate
+allows 2.3, and the trace of the larger input stops as soon as its count
+passes that allowance, so a regression fails fast.
+
+Work done inside a C builtin counts as one opcode whatever the size of its
+operands: string concatenation, set union, `sorted`, `in` on a list, `del`
+on a list slice.  A gate therefore cannot see a cost hidden in such a call;
+the inputs below keep those operands small.
+"""
+
+import sys
+
+import pytest
+
+from fodef.formulas import Adj, Eq, Exists, Not, analyze, conjunction, free_variables
+
+RATIO = 2.3
+
+
+class _OverLimit(Exception):
+    pass
+
+
+def opcodes(call, limit=None) -> int:
+    """Bytecode instructions that call() executes, or limit + 1 once the
+    count passes limit."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+            if limit is not None and count > limit:
+                raise _OverLimit
+        return local
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        call()
+    except _OverLimit:
+        pass
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def formula(n: int):
+    """An n-part conjunction under one quantifier, over three variables, so
+    the sets the walks build stay small."""
+    return Exists("x", conjunction([Adj("x", "y") if i % 2 else Not(Eq("x", "z"))
+                                    for i in range(n)]))
+
+
+@pytest.mark.parametrize("walk", [analyze, free_variables],
+                         ids=["analyze", "free_variables"])
+def test_formula_walks_are_linear(walk):
+    small, large = formula(1000), formula(2000)
+    base = opcodes(lambda: walk(small))
+    allowance = int(RATIO * base)
+    assert opcodes(lambda: walk(large), limit=allowance) <= allowance

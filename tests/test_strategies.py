@@ -575,7 +575,8 @@ class TestReplyWalk:
 
 class TestDecompose:
     """The size-first flap classes against one `group_by_isomorphism` over
-    every recolored flap of both sides."""
+    every recolored flap of both sides; the G flaps the separator hands over
+    against `components`, and each flap annotation against its flap."""
 
     @staticmethod
     def reference(m, frame):
@@ -593,13 +594,21 @@ class TestDecompose:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """Counts of the decompositions checked, and of those in which
-        two flaps share an order."""
-        counts = {"frames": 0, "shared": 0}
+        """Counts of the decompositions checked, of those in which two
+        flaps share an order, and of those with flap annotations."""
+        counts = {"frames": 0, "shared": 0, "tagged": 0}
         decompose = StrategyMachine._decompose
 
         def checked_decompose(m, frame):
             decompose(m, frame)
+            rest = frame.dom_g - frozenset(frame.x_order)
+            assert frame.flaps_g == [frozenset(c)
+                                     for c in m.g.components(within=rest)]
+            if frame.provider_tags is not None:
+                counts["tagged"] += 1
+                assert len(frame.provider_tags) == len(frame.flaps_g)
+                assert all(tag.certifies(m.g.induced(f)[0]) for f, tag
+                           in zip(frame.flaps_g, frame.provider_tags))
             got = (frame.class_of_g, frame.class_of_h, frame.nclasses)
             assert got == self.reference(m, frame)
             orders = [len(f) for f in frame.flaps_g + frame.flaps_h]
@@ -634,3 +643,4 @@ class TestDecompose:
                 h = cli._opponent(g, family, 3, seed, random.Random(seed))
                 self.play(g, h, cfg, int(cap) + 1)
         assert checked["frames"] > 30 and checked["shared"] > 8
+        assert checked["tagged"] == (checked["frames"] if family == "hop" else 0)
