@@ -29,6 +29,11 @@ is a name and a sha256 hex digest:
 - csv.trees, csv.hop: the CSVs of the README's two `fodef verify` commands.
 - classify: (tag, witness_cycle, missing_edges) of classify_o on every graph
   of order <= 7 (1,252 graphs), in enumeration order.
+- class_o: x, flaps and each flap's (tag, witness_cycle, missing_edges) of
+  class_o_separator on every graph of order 7, 8 and 9 that is an
+  enumerate_hop_graphs graph less 0, 1 or 2 of its edges and stays connected
+  (29,158 graphs), once with classify_o's certificate and once with the
+  cycle-order one: the cycle 0..n-1 with the removed cycle edges missing.
 - orbits: the orbit representatives that the rank search prunes moves to,
   for every graph of order <= 6 and every set X of at most two of its
   vertices pebbled (RankSearcher._candidates with the pairs (x, x)), in
@@ -60,18 +65,20 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from fodef import cli  # noqa: E402
 from fodef.families import (  # noqa: E402
-    cycle, enumerate_graphs, path, random_bounded_tree, random_hop, star, triv,
+    cycle, enumerate_graphs, enumerate_hop_graphs, path, random_bounded_tree, random_hop, star, triv,
     two_cycles,
 )
 from fodef.formulas import (  # noqa: E402
     analyze, evaluate, parse_formula, print_formula,
 )
-from fodef.graphs import are_isomorphic  # noqa: E402
+from fodef.graphs import ColoredGraph, are_isomorphic  # noqa: E402
 from fodef.game import SIDE_G, builtin_duplicator, run_match  # noqa: E402
 from fodef.oracle import (  # noqa: E402
     OracleSpoiler, RankSearcher, exact_rank, survival_vs,
 )
-from fodef.separators import class_o_separator, classify_o  # noqa: E402
+from fodef.separators import (  # noqa: E402
+    EDHOP1, EDHOP2, HOP, OClassification, class_o_separator, classify_o,
+)
 from fodef.strategies import (  # noqa: E402
     StrategyConfig, StrategyError, bound, extract_formula, reply_tree, s_agent,
 )
@@ -212,6 +219,29 @@ def classify_hash() -> tuple[str, int]:
     return digest.hexdigest(), graphs
 
 
+def class_o_hash() -> tuple[str, int]:
+    digest = hashlib.sha256()
+    graphs = 0
+    for n in (7, 8, 9):
+        for hop in enumerate_hop_graphs(n):
+            edges = list(hop.edges())
+            for k in range(3):
+                for removed in itertools.combinations(edges, k):
+                    g = ColoredGraph.build(n, [e for e in edges if e not in removed])
+                    if not g.is_connected():
+                        continue
+                    missing = tuple(e for e in removed if e[1] - e[0] in (1, n - 1))
+                    by_cycle = OClassification((HOP, EDHOP1, EDHOP2)[len(missing)],
+                                               tuple(range(n)), missing)
+                    for cls in (classify_o(g), by_cycle):
+                        sep = class_o_separator(g, classification=cls)
+                        digest.update(repr((sep.x, sep.flaps, [
+                            (t.tag, t.witness_cycle, t.missing_edges)
+                            for t in sep.tags])).encode())
+                    graphs += 1
+    return digest.hexdigest(), graphs
+
+
 def orbits_hash() -> tuple[str, int]:
     digest = hashlib.sha256()
     sets = 0
@@ -295,6 +325,8 @@ def main() -> int:
         print(f"csv.{name} {digest}  (exit {code})", flush=True)
     digest, graphs = classify_hash()
     print(f"classify {digest}  ({graphs} graphs)", flush=True)
+    digest, graphs = class_o_hash()
+    print(f"class_o {digest}  ({graphs} graphs)", flush=True)
     digest, sets = orbits_hash()
     print(f"orbits {digest}  ({sets} sets)", flush=True)
     digest, pairs = opponents_hash()

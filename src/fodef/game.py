@@ -225,7 +225,10 @@ class HumanDuplicator(Agent):
         self.say(f"round {state.round + 1}: spoiler played {vertex} on {side}")
         self.say(f"pebbles so far: {list(state.pebbles)}")
         while True:
-            raw = self.ask(f"your vertex on {other_name} (0..{other.n - 1}): ")
+            try:
+                raw = self.ask(f"your vertex on {other_name} (0..{other.n - 1}): ")
+            except EOFError:
+                raise AgentError("input ended") from None
             try:
                 v = int(raw.strip())
             except ValueError:

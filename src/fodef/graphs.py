@@ -169,8 +169,16 @@ class ColoredGraph:
             raise GraphError(f"invalid graph JSON: {exc}") from exc
         if not isinstance(payload, dict) or "n" not in payload:
             raise GraphError("graph JSON must be an object with an 'n' field")
-        edges = [tuple(e) for e in payload.get("edges", [])]
-        return ColoredGraph.build(int(payload["n"]), edges, payload.get("colors"))
+        n, edges = payload["n"], payload.get("edges", [])
+        if type(n) is not int:
+            raise GraphError(f"graph JSON 'n' must be an integer, got {n!r}")
+        if not isinstance(edges, list):
+            raise GraphError("graph JSON 'edges' must be a list")
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2
+                    and all(type(v) is int for v in e)):
+                raise GraphError(f"graph JSON edge {e!r} is not a pair of integers")
+        return ColoredGraph.build(n, [tuple(e) for e in edges], payload.get("colors"))
 
     @staticmethod
     def from_edge_list(text: str) -> "ColoredGraph":

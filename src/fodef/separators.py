@@ -10,7 +10,6 @@ class is closed under the flap recursion all the way down.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,9 +18,6 @@ from typing import Optional, Sequence
 
 from fodef.graphs import BudgetExceeded, ColoredGraph, GraphError, flaps_of
 
-log = logging.getLogger(__name__)
-
-EXHAUSTIVE_O_CAP = 16            # largest order the class-O subset search takes
 BRUTE_N_CAP = 24                 # largest order brute_min_separator takes
 
 HOP = "HOP"
@@ -433,13 +429,19 @@ def _run_certificate(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
     return local if local.certifies(sub) else None
 
 
-def _find_split_pair(n: int, chords: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
+def _find_split_pair(n: int, chords: list[tuple[int, int]]) -> tuple[int, int]:
     """Positions (i,j) on the cycle such that both open arcs have at most 2n/3
-    vertices and no chord joins the two arcs, normalized.
+    vertices and no chord joins the two arcs, normalized; n >= 4, and the
+    chords (p, q), p < q, do not cross.
 
     A balanced chord comes first, the one with the smallest larger arc.
     Otherwise the pair lies on a common inner face: the one with the largest
-    gap (j - i) mod n <= n/2, then the least start i."""
+    gap (j - i) mod n <= n/2, then the least start i.  Such a pair exists:
+    an unbalanced chord cuts off fewer than L = max(2, (n-3)/3) steps, and
+    short sides nest or are disjoint, so on the face on the long side of
+    every chord consecutive vertices are fewer than L apart.  From each, the
+    first one at least L ahead is fewer than 2L <= n - L ahead (n >= 6; the
+    tests check every chord set at n = 4 and 5)."""
     def balanced(gap: int) -> bool:
         return 3 * (gap - 1) <= 2 * n and 3 * (n - gap - 1) <= 2 * n
 
@@ -460,14 +462,12 @@ def _find_split_pair(n: int, chords: list[tuple[int, int]]) -> Optional[tuple[in
             gap = twice[bisect_right(twice, i + n // 2) - 1] - i
             if gap >= 2 and balanced(gap):
                 pairs.append((gap, -i))
-    if not pairs:
-        return None
     gap, i = max(pairs)
     return _norm(-i, (gap - i) % n)
 
 
 def _exhaustive_o_separator(g: ColoredGraph) -> SeparatorResult:
-    """Subset search; the caller keeps n within EXHAUSTIVE_O_CAP."""
+    """Subset search; class_o_separator calls it for n <= 6 only."""
     n = g.n
     for k in range(1, min(5, n) + 1):
         for xs in combinations(range(n), k):
@@ -496,11 +496,13 @@ def class_o_separator(g: ColoredGraph,
     """Separator of size at most 5 with at most 7 flaps, each flap of at most
     2n/3 vertices and again in the class O (annotated with certificates).
 
-    Works on the completion cycle: a balanced split pair is located by direct
-    scan, each flap is certified by traversing its cycle blocks, and the
-    separator is extended by up to three extra vertices in the one
-    configuration where a flap would need three additions.  Small or
-    degenerate inputs fall back to exhaustive subset search.
+    n <= 6 takes the first such set of a subset search, any larger graph one
+    construction on the completion cycle of its certificate (classify_o's,
+    or `classification`, which must certify g), with no fallback: the split
+    pair (both arcs at most 2n/3, at most four flaps), each flap certified
+    by its cycle blocks, and one _extend_split if a flap needs three
+    additions.  The one contract check raises SeparatorError, naming the
+    instance, only for a certificate that does not certify g.
     """
     n = g.n
     if n < 2:
@@ -511,98 +513,81 @@ def class_o_separator(g: ColoredGraph,
     if n <= 6:
         return _exhaustive_o_separator(g)
 
-    cycle = list(cls.witness_cycle)
+    cycle = cls.witness_cycle
     missing = {_norm(*e) for e in cls.missing_edges}
     pos = {v: i for i, v in enumerate(cycle)}
-    pair = _find_split_pair(n, _chords(g, pos))
-    if pair is not None:
-        x = sorted((cycle[pair[0]], cycle[pair[1]]))
-        for attempt in range(2):
-            flaps = flaps_of(g, x)
-            tags: list[OClassification] = []
-            bad = None
-            for f in flaps:
-                cert = _run_certificate(g, f, cycle, pos, missing)
-                if cert is None:
-                    bad = f
-                    break
-                tags.append(cert)
-            if bad is None:
-                if len(x) <= 5 and len(flaps) <= 7 \
-                        and all(3 * len(f) <= 2 * n for f in flaps):
-                    return _make_result(g, x, Fraction(2, 3), tuple(tags), flaps)
-                break
-            if attempt == 1:
-                break
-            extended = _extend_split(g, bad, cycle, pos, missing, x)
-            if extended is None:
-                break
-            x = extended
-    if n <= EXHAUSTIVE_O_CAP:
-        return _exhaustive_o_separator(g)
-    raise SeparatorError(
-        f"constructive separator failed on n={n}; instance {_instance_id(g)}")
+    i, j = _find_split_pair(n, _chords(g, pos))
+    x = sorted((cycle[i], cycle[j]))
+    flaps = flaps_of(g, x)
+    tags = [_run_certificate(g, f, cycle, pos, missing) for f in flaps]
+    if None in tags:
+        x = _extend_split(g, flaps[tags.index(None)], cycle, pos, missing, x)
+        flaps = flaps_of(g, x)
+        tags = [_run_certificate(g, f, cycle, pos, missing) for f in flaps]
+    if len(x) > 5 or len(flaps) > 7 or None in tags \
+            or any(3 * len(f) > 2 * n for f in flaps):
+        raise _construction_error(g)
+    return _make_result(g, x, Fraction(2, 3), tuple(tags), flaps)
 
 
 def _instance_id(g: ColoredGraph) -> str:
-    """Short sha256 prefix of the graph's JSON, to name it in logs and errors."""
+    """Short sha256 prefix of the graph's JSON, to name it in errors."""
     import hashlib  # only on failure: its OpenSSL backend adds 3.5 MB resident
     return hashlib.sha256(g.to_json().encode()).hexdigest()[:12]
 
 
+def _construction_error(g: ColoredGraph) -> SeparatorError:
+    return SeparatorError(f"constructive separator failed on n={g.n}; "
+                          f"instance {_instance_id(g)}")
+
+
 def _extend_split(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
                   pos: dict[int, int], missing: set[tuple[int, int]],
-                  x: list[int]) -> Optional[list[int]]:
-    """Grow the split pair when one flap is a single block containing both
-    missing edges: add the two facing endpoints of the innermost connecting
-    edge, and a third when the outer segments are also joined."""
+                  x: list[int]) -> list[int]:
+    """Grow the split pair when one flap needs three edge additions: add the
+    two facing endpoints of the innermost connecting edge, and a third when
+    the outer segments are also joined.
+
+    Along an arc the flap changes only across a missing edge, so a flap is
+    one run of the cycle, or two runs bounded by both missing edges that
+    need only their junctions.  The flap needing three is thus one run, cut
+    by both missing edges into P, Q, R, and Q is joined to P or R by a chord
+    as the flap is connected.  Turned so that Q and R are joined, chords
+    that do not cross make e2 (first in Q with a neighbour in R) and e1
+    (last in R with one in Q) adjacent, pass over none of e1, e2 and f (last
+    in P with a neighbour in R), and keep P-Q chords at or before e2 and
+    P-R chords at or after e1.  Removing e2, or e1, e2 and f when P and R
+    are joined, leaves at most 4 or 6 flaps in the run, each one run with
+    at most one missing edge or two runs with none: all certified.
+
+    The two checks below hold for every certificate of g; they raise the
+    construction's one error where a broken one would raise IndexError or
+    StopIteration.
+    """
     n = len(cycle)
-    runs = _runs_of(flap, pos, n)
-    if len(runs) != 1:
-        log.warning("separator extension: unexpected multi-block flap %s", flap)
-        return None
-    seq = [cycle[p % n] for p in runs[0]]
-    cuts = [i for i in range(len(seq) - 1)
+    seq = [cycle[p] for p in _runs_of(flap, pos, n)[0]]
+    cuts = [i + 1 for i in range(len(seq) - 1)
             if _norm(seq[i], seq[i + 1]) in missing]
     if len(cuts) != 2:
-        log.warning("separator extension: expected two interior missing edges in %s", seq)
-        return None
-
-    def segments(s: list[int]) -> tuple[list[int], list[int], list[int]]:
-        c = [i for i in range(len(s) - 1) if _norm(s[i], s[i + 1]) in missing]
-        return s[:c[0] + 1], s[c[0] + 1:c[1] + 1], s[c[1] + 1:]
+        raise _construction_error(g)
+    p_seg, q_seg, r_seg = seq[:cuts[0]], seq[cuts[0]:cuts[1]], seq[cuts[1]:]
 
     def connected(a: list[int], b: list[int]) -> bool:
         bs = set(b)
         return any(w in bs for v in a for w in g.adj[v])
 
-    p_seg, q_seg, r_seg = segments(seq)
     if not connected(r_seg, q_seg):
         if not connected(p_seg, q_seg):
-            log.warning("separator extension: middle segment unattached in %s", seq)
-            return None
-        seq = list(reversed(seq))
-        p_seg, q_seg, r_seg = segments(seq)
+            raise _construction_error(g)
+        p_seg, q_seg, r_seg = r_seg[::-1], q_seg[::-1], p_seg[::-1]
 
     q_set, r_set = set(q_seg), set(r_seg)
-    e1 = next(v for v in reversed(r_seg) if any(w in q_set for w in g.adj[v]))
     e2 = next(v for v in q_seg if any(w in r_set for w in g.adj[v]))
-    if not g.has_edge(e1, e2):
-        log.warning("separator extension: facing endpoints %s,%s not adjacent "
-                    "in instance %s", e1, e2, _instance_id(g))
-        return None
     if connected(p_seg, r_seg):
+        e1 = next(v for v in reversed(r_seg) if any(w in q_set for w in g.adj[v]))
         f = next(v for v in reversed(p_seg) if any(w in r_set for w in g.adj[v]))
         return sorted(set(x) | {e1, e2, f})
     return sorted(set(x) | {e2})
-
-
-def flap_subproblem(g: ColoredGraph, result: SeparatorResult,
-                    i: int) -> tuple[ColoredGraph, Optional[OClassification]]:
-    """The i-th flap as a standalone graph plus its membership annotation."""
-    sub, _ = g.induced(result.flaps[i])
-    tag = result.tags[i] if result.tags is not None else None
-    return sub, tag
 
 
 # -- brute-force minimum separator ----------------------------------------------

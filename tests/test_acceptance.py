@@ -22,7 +22,7 @@ from fodef.formulas import analyze, evaluate, parse_formula
 from fodef.game import builtin_duplicator, run_match
 from fodef.graphs import are_isomorphic, check_partial_isomorphism, flap_decompose
 from fodef.oracle import OracleSpoiler, exact_rank, survival_vs
-from fodef.separators import class_o_separator, classify_o, flap_subproblem
+from fodef.separators import class_o_separator, classify_o
 from fodef.strategies import (
     StrategyConfig, bound, choose_depth, extract_formula, halving_agent,
     reply_tree, s_agent,
@@ -199,7 +199,7 @@ class TestAcceptance:
                     bad.append(("contract", cur.to_json(), res.to_json_dict()))
                     return
                 for i in range(res.flap_count):
-                    sub, tag = flap_subproblem(cur, res, i)
+                    sub, tag = cur.induced(res.flaps[i])[0], res.tags[i]
                     if tag is None or not tag.in_class() or not tag.certifies(sub):
                         bad.append(("flap-classification", cur.to_json(), i))
                         return

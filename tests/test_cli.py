@@ -1,5 +1,7 @@
+import io
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +195,33 @@ class TestCli:
                            "--method", "centroid")
         assert code == 1
         assert "tree" in err
+
+    def test_play_human_at_end_of_input(self, tmp_path, capsys, monkeypatch):
+        # as `fodef play ... --duplicator human < /dev/null`
+        a, b = tmp_path / "c3.json", tmp_path / "c4.json"
+        main(["gen", "--family", "cycle", "--n", "3", "--out", str(a)])
+        main(["gen", "--family", "cycle", "--n", "4", "--out", str(b)])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        code, _, err = run(capsys, "play", "--g", str(a), "--h", str(b),
+                           "--rounds", "3", "--duplicator", "human")
+        assert code == 1
+        assert err == "error: input ended\n"
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "edges": [[0, 1], [1, "a"]]}',
+        '{"n": 3, "edges": [[0, 1], [1, 2.0]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"n": 3, "edges": ["01"]}',
+        '{"n": "3", "edges": [[0, 1]]}',
+        '{"n": 3.5, "edges": []}',
+    ])
+    def test_bad_graph_json_exit_code(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        code, out, err = run(capsys, "classify", "--in", str(p))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: graph JSON ") and err.count("\n") == 1
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -102,6 +102,16 @@ class TestConstruction:
         h = ColoredGraph.from_json(g.to_json())
         assert g == h
 
+    def test_json_rejects_non_integer_ids(self):
+        for text in ('{"n": 3, "edges": [[0, 1], [1, "a"]]}',
+                     '{"n": 3, "edges": [[0, true]]}',
+                     '{"n": 3, "edges": [[0, 1, 2]]}',
+                     '{"n": 3, "edges": {"0": 1}}',
+                     '{"n": 3.0, "edges": []}',
+                     '{"n": null}'):
+            with pytest.raises(GraphError, match="graph JSON"):
+                ColoredGraph.from_json(text)
+
     def test_edge_list_parse(self):
         g = ColoredGraph.from_edge_list("3 2\n0 1\n1 2\n")
         assert g == path(3)

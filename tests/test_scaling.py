@@ -11,14 +11,18 @@ passes that allowance, so a regression fails fast.
 Work done inside a C builtin counts as one opcode whatever the size of its
 operands: string concatenation, set union, `sorted`, `in` on a list, `del`
 on a list slice.  A gate therefore cannot see a cost hidden in such a call;
-the inputs below keep those operands small.
+the formula inputs below keep those operands small, and the separator gate
+sees the Python-level work around its `sorted` and set calls only.
 """
 
 import sys
 
 import pytest
 
+from fodef.families import random_hop
 from fodef.formulas import Adj, Eq, Exists, Not, analyze, conjunction, free_variables
+from fodef.graphs import ColoredGraph
+from fodef.separators import EDHOP2, HOP, OClassification, class_o_separator
 
 RATIO = 2.3
 
@@ -69,3 +73,25 @@ def test_formula_walks_are_linear(walk):
     base = opcodes(lambda: walk(small))
     allowance = int(RATIO * base)
     assert opcodes(lambda: walk(large), limit=allowance) <= allowance
+
+
+def hop_case(n: int, seed: int, edhop2: bool):
+    """random_hop(n, seed) with its cycle-order certificate, or its EDHOP2
+    variant less the cycle edges (0, n-1) and (n/2, n/2+1)."""
+    g = random_hop(n, seed)
+    if not edhop2:
+        return g, OClassification(HOP, tuple(range(n)))
+    missing = ((0, n - 1), (n // 2, n // 2 + 1))
+    g = ColoredGraph.build(n, [e for e in g.edges() if e not in missing])
+    return g, OClassification(EDHOP2, tuple(range(n)), missing)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("edhop2", [False, True], ids=["HOP", "EDHOP2"])
+def test_class_o_separator_is_linear(edhop2, seed):
+    (small, small_cls), (large, large_cls) = (hop_case(n, seed, edhop2)
+                                              for n in (512, 1024))
+    base = opcodes(lambda: class_o_separator(small, small_cls))
+    allowance = int(RATIO * base)
+    assert opcodes(lambda: class_o_separator(large, large_cls),
+                   limit=allowance) <= allowance

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fodef.families import (
     cycle, complete, enumerate_graphs, enumerate_hop_graphs, path,
@@ -16,9 +16,9 @@ from fodef.separators import (
     EDHOP1, EDHOP2, HOP, NOT_IN_O,
     OClassification, SeparatorError,
     brute_min_separator, chords_cross, chords_non_crossing, class_o_separator,
-    classify_o, flap_subproblem, inner_faces,
+    classify_o, inner_faces,
     tree_centroid_separator, verify_separator,
-    _cut_vertices, _edhop1_completion, _find_split_pair, _norm,
+    _chords, _cut_vertices, _edhop1_completion, _find_split_pair, _norm,
 )
 
 from helpers import (
@@ -50,11 +50,11 @@ def connected_with_subset(draw):
 
 
 @st.composite
-def non_crossing_chords(draw):
-    """The chords of a random triangulation of the n-gon, n <= 40, each kept
-    with a drawn probability: from none or a few (sparse sets, where no
-    chord is balanced) to all of them, in a shuffled order."""
-    n = draw(st.integers(3, 40))
+def non_crossing_chords(draw, min_n=3):
+    """The chords of a random triangulation of the n-gon, min_n <= n <= 40,
+    each kept with a drawn probability: from none or a few (sparse sets,
+    where no chord is balanced) to all of them, in a shuffled order."""
+    n = draw(st.integers(min_n, 40))
     rng = random.Random(draw(st.integers(0, 10**6)))
     keep = draw(st.sampled_from([0.0, 0.05, 0.15, 0.5, 1.0]))
     chords = [c for c in _random_triangulation_chords(n, rng) if rng.random() < keep]
@@ -93,6 +93,50 @@ def reference_find_split_pair(n, chords):
             if all(not separates(i, gap, c) for c in chords):
                 return _norm(i, j)
     return None
+
+
+def flap_subproblem(g, res, i):
+    """The i-th flap of a separator result as a graph, with its certificate."""
+    return g.induced(res.flaps[i])[0], res.tags[i]
+
+
+def hop_less_edges(n):
+    """(g, cycle-order certificate) for every enumerate_hop_graphs(n) graph
+    less 0, 1 or 2 of its edges that stays connected.  The certificate is
+    the cycle 0..n-1 with the removed cycle edges missing."""
+    for hop in enumerate_hop_graphs(n):
+        edges = list(hop.edges())
+        for k in range(3):
+            for removed in combinations(edges, k):
+                g = ColoredGraph.build(n, [e for e in edges if e not in removed])
+                if g.is_connected():
+                    missing = tuple(e for e in removed if e[1] - e[0] in (1, n - 1))
+                    yield g, OClassification((HOP, EDHOP1, EDHOP2)[len(missing)],
+                                             tuple(range(n)), missing)
+
+
+def assert_contract(g, res):
+    """|X| <= 5, at most 7 flaps of at most 2n/3 vertices, each certified."""
+    assert len(res.x) <= 5 and res.flap_count <= 7
+    assert all(3 * len(f) <= 2 * g.n for f in res.flaps)
+    for i in range(res.flap_count):
+        sub, tag = flap_subproblem(g, res, i)
+        assert tag.in_class() and tag.certifies(sub)
+
+
+@st.composite
+def hop_less_cycle_edges(draw):
+    """random_hop(n, seed), 7 <= n <= 40, less 0, 1 or 2 of the edges of its
+    cycle 0..n-1, with the cycle-order certificate; connected only."""
+    n = draw(st.integers(7, 40))
+    hop = random_hop(n, draw(st.integers(0, 10**6)))
+    steps = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    missing = tuple(sorted(draw(st.lists(st.sampled_from(steps), max_size=2,
+                                         unique=True))))
+    g = ColoredGraph.build(n, [e for e in hop.edges() if e not in missing])
+    assume(g.is_connected())
+    return g, OClassification((HOP, EDHOP1, EDHOP2)[len(missing)],
+                              tuple(range(n)), missing)
 
 
 def full_binary_tree7():
@@ -262,10 +306,20 @@ class TestChords:
         assert sum(len(f) - 2 for f in faces) == n - 2
 
     @settings(max_examples=300, deadline=None)
-    @given(non_crossing_chords())
+    @given(non_crossing_chords(min_n=4))
     def test_split_pair_matches_reference(self, case):
         n, chords = case
         assert _find_split_pair(n, chords) == reference_find_split_pair(n, chords)
+
+    def test_split_pair_is_total(self):
+        # every chord set up to the cycle's symmetries, n = 4..9; at n = 3
+        # no two positions are 2 steps apart, and the reference has no pair
+        assert reference_find_split_pair(3, []) is None
+        for n in range(4, 10):
+            for g in enumerate_hop_graphs(n):
+                pos = {v: v for v in range(n)}
+                i, j = _find_split_pair(n, _chords(g, pos))
+                assert 3 * (j - i - 1) <= 2 * n and 3 * (n - (j - i) - 1) <= 2 * n
 
 
 class TestClassOSeparator:
@@ -292,13 +346,7 @@ class TestClassOSeparator:
         # n <= 6 goes through exhaustive search and keeps the contract
         for n in range(2, 7):
             for g in enumerate_hop_graphs(n):
-                res = class_o_separator(g)
-                assert len(res.x) <= 5
-                assert res.flap_count <= 7
-                assert all(3 * len(f) <= 2 * n for f in res.flaps)
-                for i in range(res.flap_count):
-                    sub, tag = flap_subproblem(g, res, i)
-                    assert tag.in_class() and tag.certifies(sub)
+                assert_contract(g, class_o_separator(g))
 
     def test_rejects_outside_class(self):
         with pytest.raises(SeparatorError):
@@ -356,11 +404,7 @@ class TestClassOSeparator:
         res = class_o_separator(g, classification=cls)
         assert extended == [list(want_x)]
         assert res.x == want_x
-        assert len(res.x) <= 5 and res.flap_count <= 7
-        assert all(3 * len(f) <= 2 * n for f in res.flaps)
-        for i in range(res.flap_count):
-            sub, tag = flap_subproblem(g, res, i)
-            assert tag.in_class() and tag.certifies(sub)
+        assert_contract(g, res)
         stack = [(g, cls)]
         steps = 0
         while stack:
@@ -375,13 +419,44 @@ class TestClassOSeparator:
     def test_random_hop_medium(self):
         for seed in range(8):
             g = random_hop(40, seed)
-            res = class_o_separator(g)
-            assert len(res.x) <= 5
-            assert res.flap_count <= 7
-            assert all(3 * len(f) <= 2 * g.n for f in res.flaps)
-            for i in range(res.flap_count):
-                sub, tag = flap_subproblem(g, res, i)
-                assert tag.in_class() and tag.certifies(sub)
+            assert_contract(g, class_o_separator(g))
+
+    def test_total_on_orders_7_and_8(self, monkeypatch):
+        # 5,932 graphs, each with classify_o's certificate and the
+        # cycle-order one; no subset search past n = 6
+        from fodef import separators
+
+        def no_search(g):
+            raise AssertionError(f"subset search at n={g.n}")
+
+        monkeypatch.setattr(separators, "_exhaustive_o_separator", no_search)
+        graphs = 0
+        for n in (7, 8):
+            for g, by_cycle in hop_less_edges(n):
+                assert by_cycle.certifies(g)
+                for cls in (classify_o(g), by_cycle):
+                    assert_contract(g, class_o_separator(g, classification=cls))
+                graphs += 1
+        assert graphs == 5932
+
+    @settings(max_examples=150, deadline=None)
+    @given(hop_less_cycle_edges())
+    def test_total_on_random_hop_less_cycle_edges(self, case):
+        g, cls = case
+        assert cls.certifies(g)
+        assert_contract(g, class_o_separator(g, classification=cls))
+
+    def test_broken_certificate_raises_one_error(self):
+        # a HOP certificate for a graph that lacks the cycle edge (4, 5): the
+        # flap on positions 1..6 fails, and _extend_split finds no missing
+        # edge to cut it at
+        g = ColoredGraph.build(15, [e for e in cycle(15).edges() if e != (4, 5)]
+                               + [(3, 6)])
+        cls = OClassification(HOP, tuple(range(15)))
+        assert not cls.certifies(g)
+        with pytest.raises(SeparatorError,
+                           match=r"failed on n=15; instance [0-9a-f]{12}$"):
+            class_o_separator(g, classification=cls)
 
 
 class TestBruteMin:
