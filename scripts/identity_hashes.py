@@ -46,6 +46,13 @@ is a name and a sha256 hex digest:
   class_o, r_max the thm41 or thm43 bound + 1) against the greedy and the
   random Duplicator (seed ^ 0x5f5f) on each opponents pair, 60 matches; a
   match that raises StrategyError is hashed by its message.
+- exhaustive_duplicator: the moves and status of OracleSpoiler against the
+  exhaustive Duplicator, one Duplicator for every match, on every ordered
+  pair of non-isomorphic graphs of order 2 to 4 and on the named pairs of
+  EXHAUSTIVE_PAIRS, for 2 rounds and for the larger order + 1 rounds; with
+  k = None, 0 and 1 (k = 1 alone plays as k = None on this corpus).
+- csv.lemma: the CSVs and exit codes of `fodef verify --claim lemma36` and
+  `--claim lemma52` on trees and on HOP graphs (LEMMA_CSVS).
 """
 
 from __future__ import annotations
@@ -310,6 +317,33 @@ def transcripts_hash() -> tuple[str, int]:
     return digest.hexdigest(), matches
 
 
+EXHAUSTIVE_PAIRS = ((path(5), path(6)), (cycle(5), cycle(6)), (star(4), star(5)),
+                    (cycle(6), two_cycles(3)))
+
+
+def exhaustive_duplicator_hash() -> tuple[str, int]:
+    digest = hashlib.sha256()
+    graphs = [g for n in range(2, 5) for g in enumerate_graphs(n)]
+    pairs = [(g, h) for g in graphs for h in graphs
+             if not (g.n == h.n and are_isomorphic(g, h))]
+    dup = builtin_duplicator("exhaustive")
+    matches = 0
+    for k in (None, 0, 1):
+        for g, h in pairs + list(EXHAUSTIVE_PAIRS):
+            for r in (2, max(g.n, h.n) + 1):
+                t = run_match(g, h, OracleSpoiler(g, h, k), dup, r, k)
+                digest.update(repr((k, t.moves, t.status)).encode())
+                matches += 1
+    return digest.hexdigest(), matches
+
+
+LEMMA_CSVS = tuple(
+    ["verify", "--claim", claim, "--family", family, "--n", sizes,
+     "--trials", "3", "--seed", "11"]
+    for claim in ("lemma36", "lemma52")
+    for family, sizes in (("tree", "16..64"), ("hop", "16..32")))
+
+
 def main() -> int:
     grouped, enumeration, formulas, nest, pairs = criterion09_hashes()
     print(f"criterion09 {grouped}  ({pairs} pairs)", flush=True)
@@ -333,6 +367,14 @@ def main() -> int:
     print(f"opponents {digest}  ({pairs} pairs)", flush=True)
     digest, matches = transcripts_hash()
     print(f"transcripts {digest}  ({matches} matches)", flush=True)
+    digest, matches = exhaustive_duplicator_hash()
+    print(f"exhaustive_duplicator {digest}  ({matches} matches)", flush=True)
+    digest, codes = hashlib.sha256(), []
+    for argv in LEMMA_CSVS:
+        csv_digest, code = csv_hash(argv)
+        digest.update(csv_digest.encode())
+        codes.append(code)
+    print(f"csv.lemma {digest.hexdigest()}  (exits {codes})", flush=True)
     return 0
 
 

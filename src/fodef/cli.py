@@ -24,8 +24,9 @@ from fodef.graphs import (
 )
 from fodef.oracle import OracleSpoiler, defining_rank_lb, exact_rank
 from fodef.separators import (
-    SeparatorError, brute_min_separator, class_o_separator, classify_o,
-    inner_faces, tree_centroid_separator, verify_separator,
+    EPSILON, MAX_FLAPS, MAX_SEPARATOR, SeparatorError, brute_min_separator,
+    class_o_separator, classify_o, inner_faces, tree_centroid_separator,
+    verify_separator,
 )
 from fodef.strategies import (
     BOUND_NAMES, StrategyConfig, StrategyError, bound, s_agent, s_star_agent,
@@ -117,44 +118,32 @@ def _opponent(g: ColoredGraph, family: str, d: int, seed: int,
 def campaign_rows(claim: str, family: str, sizes: Sequence[int], d: int,
                   trials: int, base_seed: int,
                   duplicators: Sequence[str]) -> list[CampaignRow]:
-    """One strategy match per (size, trial, duplicator); rows sorted."""
+    """One strategy match per (size, trial, duplicator); rows sorted.
+    thm41 bounds trees and thm43 HOP graphs; the lemmas take both."""
+    if family not in ("tree", "hop") \
+            or family != {"thm41": "tree", "thm43": "hop"}.get(claim, family):
+        raise StrategyError(f"claim {claim} is not checked on the family {family!r}")
+    cfg = StrategyConfig(provider="tree_centroid" if family == "tree" else "class_o")
+    starred = claim == "lemma52"
     rows = []
     for n in sizes:
         for trial in range(trials):
             seed = base_seed + 7919 * trial + n
             rng = random.Random(seed)
-            if family == "tree":
-                g = random_bounded_tree(n, d, seed)
-                cap = (bound("thm41", n=n, d=d) if claim == "thm41" else
-                       bound(claim, n=n, m=max(1, g.max_degree()),
-                             epsilon=Fraction(2, 3), k=1)
-                       if claim == "lemma36" else
-                       bound(claim, n=n, s=max(1, g.max_degree()),
-                             epsilon=Fraction(2, 3), k=1))
-                cfg = StrategyConfig(provider="tree_centroid")
-            elif family == "hop":
-                g = random_hop(n, seed)
-                cap = (bound("thm43", n=n) if claim == "thm43" else
-                       bound(claim, n=n, m=7, epsilon=Fraction(2, 3), k=5)
-                       if claim == "lemma36" else
-                       bound(claim, n=n, s=max(1, g.max_degree()),
-                             epsilon=Fraction(2, 3), k=5))
-                cfg = StrategyConfig(provider="class_o")
+            g = random_bounded_tree(n, d, seed) if family == "tree" else random_hop(n, seed)
+            if claim == "thm41":
+                cap = bound(claim, n=n, d=d)
+            elif claim == "thm43":
+                cap = bound(claim, n=n)
             else:
-                raise StrategyError(f"unknown campaign family {family!r}")
+                cap = bound(claim, n=n, epsilon=EPSILON, k=cfg.k_of(n),
+                            **{"s" if starred else "m": cfg.flap_bound(g, starred)})
             h = _opponent(g, family, d, seed, rng)
             for dup_name in duplicators:
                 dup = builtin_duplicator(dup_name, seed=seed ^ 0x5f5f)
-                if claim == "lemma52":
-                    agent = s_star_agent(g, h, cfg)
-                else:
-                    agent = s_agent(g, h, cfg)
+                agent = (s_star_agent if starred else s_agent)(g, h, cfg)
                 t = run_match(g, h, agent, dup, int(cap) + 1)
-                if claim == "lemma52":
-                    depth = agent.machine.frames[0].depth
-                    alt_cap = 2 * depth + 1
-                else:
-                    alt_cap = 2
+                alt_cap = 2 * agent.machine.frames[0].depth + 1 if starred else 2
                 ok = (t.status == SPOILER_WON and t.rounds_used <= cap
                       and t.alternations <= alt_cap)
                 rows.append(CampaignRow(f"{family}-{dup_name}", n, seed,
@@ -231,10 +220,6 @@ def _parse_sizes(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fodef",
                                   description=__doc__.splitlines()[0])
@@ -255,9 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", required=True,
                    choices=["centroid", "class-o", "brute"])
-    p.add_argument("--epsilon", type=_parse_fraction, default=Fraction(2, 3))
-    p.add_argument("--size-cap", type=int, default=5)
-    p.add_argument("--verify-m", type=int, default=7)
+    p.add_argument("--epsilon", type=Fraction, default=EPSILON)
+    p.add_argument("--size-cap", type=int, default=MAX_SEPARATOR)
+    p.add_argument("--verify-m", type=int, default=MAX_FLAPS)
 
     p = sub.add_parser("classify", help="class membership with certificate")
     p.add_argument("--in", dest="infile", required=True)
@@ -396,11 +381,6 @@ def _cmd_play(args) -> int:
     return 0
 
 
-def _closed_form_row(claim: str, params: dict) -> CampaignRow:
-    val = bound(claim, **params)
-    return CampaignRow(claim, int(params.get("n", 0)), 0, 0, 0, val, True)
-
-
 def _cmd_verify(args) -> int:
     sizes = _parse_sizes(args.n) if args.n else []
     if args.claim in ("eq1", "eq2", "eq4", "triv", "two_cycles"):
@@ -420,7 +400,11 @@ def _cmd_verify(args) -> int:
         for kv in args.params:
             key, val = kv.split("=", 1)
             params[key] = float(val)
-        rows = [_closed_form_row(args.claim, params)]
+        try:
+            val = bound(args.claim, **params)
+        except KeyError as exc:
+            raise ValueError(f"claim {args.claim} needs the parameter {exc.args[0]}") from None
+        rows = [CampaignRow(args.claim, int(params.get("n", 0)), 0, 0, 0, val, True)]
     buf = io.StringIO()
     write_rows(rows, buf)
     if args.out:

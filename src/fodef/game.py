@@ -44,7 +44,7 @@ class GameState:
     max_rounds: int
     alternation_budget: Optional[int]
     pebbles: tuple[tuple[int, int], ...] = ()
-    sides: tuple[str, ...] = ()
+    last_side: Optional[str] = None      # the side of the last Spoiler move
     alternations_used: int = 0
     status: str = RUNNING
 
@@ -52,16 +52,20 @@ class GameState:
     def round(self) -> int:
         return len(self.pebbles)
 
-    def last_side(self) -> Optional[str]:
-        return self.sides[-1] if self.sides else None
-
     def switch_allowed(self, side: str) -> bool:
-        if self.alternation_budget is None:
-            return True
-        last = self.last_side()
-        if last is None or side == last:
-            return True
-        return self.alternations_used + 1 <= self.alternation_budget
+        return alternations_after(self.last_side, self.alternations_used, side,
+                                  self.alternation_budget) is not None
+
+
+def alternations_after(last_side: Optional[str], used: int, side: str,
+                       budget: Optional[int]) -> Optional[int]:
+    """The side switches used after a Spoiler move on `side`, following one
+    on `last_side` with `used` spent; None when the budget forbids it."""
+    if last_side is None or side == last_side:
+        return used
+    if budget is not None and used >= budget:
+        return None
+    return used + 1
 
 
 def new_game(g: ColoredGraph, h: ColoredGraph, r: int,
@@ -97,12 +101,10 @@ def step(state: GameState, spoiler_move: tuple[str, int],
     other = _reply_graph(state, side, u)
     if not (0 <= duplicator_move < other.n):
         raise IllegalMove(f"duplicator vertex {duplicator_move} out of range")
-    if not state.switch_allowed(side):
+    alts = alternations_after(state.last_side, state.alternations_used, side,
+                              state.alternation_budget)
+    if alts is None:
         raise IllegalMove("alternation budget exceeded")
-    alts = state.alternations_used
-    last = state.last_side()
-    if last is not None and side != last:
-        alts += 1
     pair = (u, duplicator_move) if side == SIDE_G else (duplicator_move, u)
     pebbles = state.pebbles + (pair,)
     status = RUNNING
@@ -111,7 +113,7 @@ def step(state: GameState, spoiler_move: tuple[str, int],
     elif len(pebbles) >= state.max_rounds:
         status = DUPLICATOR_SURVIVED
     return GameState(state.g, state.h, state.max_rounds, state.alternation_budget,
-                     pebbles=pebbles, sides=state.sides + (side,),
+                     pebbles=pebbles, last_side=side,
                      alternations_used=alts, status=status)
 
 
@@ -239,46 +241,6 @@ class HumanDuplicator(Agent):
             self.say("out of range")
 
 
-class ExhaustiveDuplicator(Agent):
-    """Optimal replies from full game-tree search, on pairs within the
-    combined order `size_budget` (None: the oracle's default).  The search
-    memo is kept while the pair and the alternation budget stay the same."""
-    label = "exhaustive"
-
-    def __init__(self, size_budget: Optional[int] = None):
-        self.size_budget = size_budget
-        self._searcher = None
-
-    def respond(self, state, side, vertex):
-        from fodef.oracle import DEFAULT_SIZE_BUDGET, RankSearcher
-        budget = DEFAULT_SIZE_BUDGET if self.size_budget is None else self.size_budget
-        if state.g.n + state.h.n > budget:
-            raise AgentError("exhaustive duplicator refuses instances over "
-                             f"{budget} vertices")
-        s = self._searcher
-        if s is None or (s.g, s.h, s.k) != (state.g, state.h,
-                                            state.alternation_budget):
-            s = self._searcher = RankSearcher(state.g, state.h,
-                                              state.alternation_budget)
-        other = state.h if side == SIDE_G else state.g
-        rounds_left = state.max_rounds - state.round
-        last = side
-        alts = state.alternations_used
-        if state.sides and side != state.sides[-1]:
-            alts += 1
-        pebbles = frozenset(state.pebbles)
-        best = None
-        for v in range(other.n):
-            pair = (vertex, v) if side == SIDE_G else (v, vertex)
-            if not extends_partial_isomorphism(state.g, state.h, state.pebbles, pair):
-                surv = -1
-            else:
-                surv = s.survival(pebbles | {pair}, last, alts, rounds_left - 1)
-            if best is None or (-surv, v) < best:
-                best = (-surv, v)
-        return best[1]
-
-
 def builtin_duplicator(name: str, seed: Optional[int] = None,
                        size_budget: Optional[int] = None) -> Agent:
     """Factory for the named Duplicator policies."""
@@ -289,6 +251,7 @@ def builtin_duplicator(name: str, seed: Optional[int] = None,
     if name == "greedy":
         return GreedyDuplicator()
     if name == "exhaustive":
+        from fodef.oracle import ExhaustiveDuplicator
         return ExhaustiveDuplicator(size_budget)
     if name == "human":
         return HumanDuplicator()

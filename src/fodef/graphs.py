@@ -178,7 +178,11 @@ class ColoredGraph:
             if not (isinstance(e, list) and len(e) == 2
                     and all(type(v) is int for v in e)):
                 raise GraphError(f"graph JSON edge {e!r} is not a pair of integers")
-        return ColoredGraph.build(n, [tuple(e) for e in edges], payload.get("colors"))
+        colors = payload.get("colors")
+        if colors is not None and not (isinstance(colors, list) and all(
+                isinstance(cs, list) and all(type(c) is int for c in cs) for cs in colors)):
+            raise GraphError("graph JSON 'colors' must be a list of lists of integers")
+        return ColoredGraph.build(n, [tuple(e) for e in edges], colors)
 
     @staticmethod
     def from_edge_list(text: str) -> "ColoredGraph":

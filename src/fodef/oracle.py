@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from fodef.families import enumerate_graphs
-from fodef.game import Agent, GameState, SIDE_G, SIDE_H, explore_replies
+from fodef.game import (
+    Agent, AgentError, GameState, IllegalMove, SIDE_G, SIDE_H,
+    alternations_after, explore_replies,
+)
 from fodef.graphs import (
     BudgetExceeded, ColoredGraph, _refine, are_isomorphic,
     extends_partial_isomorphism, find_isomorphism,
@@ -171,17 +174,15 @@ class RankSearcher:
         self.nodes += 1
         move = None
         for side in (SIDE_G, SIDE_H):
-            switching = last_side is not None and side != last_side
-            if self.k is not None and switching and alts >= self.k:
+            nalts = alternations_after(last_side, alts, side, self.k)
+            if nalts is None:
                 continue
-            nalts = alts + (1 if switching else 0)
-            nlast = side
             other_reps = self._candidates(SIDE_H if side == SIDE_G else SIDE_G, pairs)
             for u in self._candidates(side, pairs):
                 for v in other_reps:
                     pair = (u, v) if side == SIDE_G else (v, u)
                     if extends_partial_isomorphism(self.g, self.h, pairs, pair) \
-                            and not self.spoiler_wins(pairs | {pair}, nlast, nalts, r - 1):
+                            and not self.spoiler_wins(pairs | {pair}, side, nalts, r - 1):
                         break
                 else:
                     move = (side, u)
@@ -236,6 +237,13 @@ def exact_rank(g: ColoredGraph, h: ColoredGraph, k: Optional[int] = None,
                       s.best_move(frozenset(), None, 0))
 
 
+def _position(state: GameState) -> tuple[frozenset, Optional[str], int, int]:
+    """The search's view of a running game: the pebbled pairs, the side of
+    the last Spoiler move, the switches used and the rounds left."""
+    return (frozenset(state.pebbles), state.last_side, state.alternations_used,
+            state.max_rounds - state.round)
+
+
 class OracleSpoiler(Agent):
     """Plays a minimum-round winning strategy computed by full search."""
     role = "spoiler"
@@ -251,14 +259,45 @@ class OracleSpoiler(Agent):
         return self  # stateless between calls; memo sharing is sound
 
     def choose(self, state: GameState) -> tuple[str, int]:
-        pairs = frozenset(state.pebbles)
-        last = state.sides[-1] if state.sides else None
-        alts = state.alternations_used
-        left = state.max_rounds - state.round
+        pairs, last, alts, left = _position(state)
         if self.searcher.min_win_rounds(pairs, last, alts, left) is not None:
             return self.searcher.best_move(pairs, last, alts)
         # no win within the remaining budget: play the least legal move
         return (SIDE_G, 0)
+
+
+class ExhaustiveDuplicator(Agent):
+    """Optimal replies from full game-tree search, on pairs within the
+    combined order `size_budget` (None: DEFAULT_SIZE_BUDGET).  The searcher
+    is kept while the pair and the alternation budget stay the same."""
+    label = "exhaustive"
+
+    def __init__(self, size_budget: Optional[int] = None):
+        self.size_budget = size_budget
+        self._searcher = None
+
+    def respond(self, state, side, vertex):
+        budget = DEFAULT_SIZE_BUDGET if self.size_budget is None else self.size_budget
+        if state.g.n + state.h.n > budget:
+            raise AgentError("exhaustive duplicator refuses instances over "
+                             f"{budget} vertices")
+        s = self._searcher
+        if s is None or (s.g, s.h, s.k) != (state.g, state.h,
+                                            state.alternation_budget):
+            s = self._searcher = RankSearcher(state.g, state.h,
+                                              state.alternation_budget)
+        pairs, last, alts, left = _position(state)
+        alts = alternations_after(last, alts, side, s.k)
+        if alts is None:
+            raise IllegalMove("alternation budget exceeded")
+
+        def survival(v: int) -> int:
+            pair = (vertex, v) if side == SIDE_G else (v, vertex)
+            if not extends_partial_isomorphism(state.g, state.h, state.pebbles, pair):
+                return -1
+            return s.survival(pairs | {pair}, side, alts, left - 1)
+
+        return max(range((state.h if side == SIDE_G else state.g).n), key=survival)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,9 @@ from typing import Optional, Sequence
 from fodef.graphs import BudgetExceeded, ColoredGraph, GraphError, flaps_of
 
 BRUTE_N_CAP = 24                 # largest order brute_min_separator takes
+EPSILON = Fraction(2, 3)         # class-O contract: flaps of at most EPSILON * n,
+MAX_SEPARATOR = 5                # separators of at most MAX_SEPARATOR vertices
+MAX_FLAPS = 7                    # that leave at most MAX_FLAPS flaps
 
 HOP = "HOP"
 EDHOP1 = "EDHOP1"
@@ -188,7 +191,7 @@ def tree_centroid_separator(g: ColoredGraph) -> SeparatorResult:
         raise SeparatorError("input is not a tree")
     n = g.n
     if n == 1:
-        return _make_result(g, [0], Fraction(2, 3), None, flaps_of(g, [0]))
+        return _make_result(g, [0], EPSILON, None, flaps_of(g, [0]))
     # subtree sizes from a DFS rooted at 0, then walk toward the heavy side
     order, parent = [], {0: None}
     stack = [0]
@@ -211,7 +214,7 @@ def tree_centroid_separator(g: ColoredGraph) -> SeparatorResult:
                    ) if v != 0 else max(size[u] for u in g.adj[v])
         if best_load is None or (load, v) < (best_load, best):
             best, best_load = v, load
-    return _make_result(g, [best], Fraction(2, 3), None, flaps_of(g, [best]))
+    return _make_result(g, [best], EPSILON, None, flaps_of(g, [best]))
 
 
 # -- HOP recognition -----------------------------------------------------------
@@ -469,12 +472,11 @@ def _find_split_pair(n: int, chords: list[tuple[int, int]]) -> tuple[int, int]:
 def _exhaustive_o_separator(g: ColoredGraph) -> SeparatorResult:
     """Subset search; class_o_separator calls it for n <= 6 only."""
     n = g.n
-    for k in range(1, min(5, n) + 1):
+    most = int(EPSILON * n)      # the largest flap order allowed
+    for k in range(1, min(MAX_SEPARATOR, n) + 1):
         for xs in combinations(range(n), k):
             flaps = flaps_of(g, xs)
-            if len(flaps) > 7:
-                continue
-            if any(3 * len(f) > 2 * n for f in flaps):
+            if len(flaps) > MAX_FLAPS or any(len(f) > most for f in flaps):
                 continue
             tags = []
             ok = True
@@ -486,8 +488,9 @@ def _exhaustive_o_separator(g: ColoredGraph) -> SeparatorResult:
                     break
                 tags.append(cls)
             if ok:
-                return _make_result(g, list(xs), Fraction(2, 3), tuple(tags), flaps)
-    raise SeparatorError("no size-5 separator with flaps in the class exists")
+                return _make_result(g, list(xs), EPSILON, tuple(tags), flaps)
+    raise SeparatorError(f"no separator of at most {MAX_SEPARATOR} vertices "
+                         "with flaps in the class exists")
 
 
 def class_o_separator(g: ColoredGraph,
@@ -501,8 +504,9 @@ def class_o_separator(g: ColoredGraph,
     or `classification`, which must certify g), with no fallback: the split
     pair (both arcs at most 2n/3, at most four flaps), each flap certified
     by its cycle blocks, and one _extend_split if a flap needs three
-    additions.  The one contract check raises SeparatorError, naming the
-    instance, only for a certificate that does not certify g.
+    additions.  A cycle that is no order of g's vertices raises
+    SeparatorError at once; the one contract check raises it, naming the
+    instance, for any other certificate that does not certify g.
     """
     n = g.n
     if n < 2:
@@ -514,6 +518,9 @@ def class_o_separator(g: ColoredGraph,
         return _exhaustive_o_separator(g)
 
     cycle = cls.witness_cycle
+    if sorted(cycle or ()) != list(range(n)):
+        raise SeparatorError("the certificate's cycle is not an order of the "
+                             f"{n} vertices")
     missing = {_norm(*e) for e in cls.missing_edges}
     pos = {v: i for i, v in enumerate(cycle)}
     i, j = _find_split_pair(n, _chords(g, pos))
@@ -524,10 +531,10 @@ def class_o_separator(g: ColoredGraph,
         x = _extend_split(g, flaps[tags.index(None)], cycle, pos, missing, x)
         flaps = flaps_of(g, x)
         tags = [_run_certificate(g, f, cycle, pos, missing) for f in flaps]
-    if len(x) > 5 or len(flaps) > 7 or None in tags \
-            or any(3 * len(f) > 2 * n for f in flaps):
+    if len(x) > MAX_SEPARATOR or len(flaps) > MAX_FLAPS or None in tags \
+            or any(len(f) > int(EPSILON * n) for f in flaps):
         raise _construction_error(g)
-    return _make_result(g, x, Fraction(2, 3), tuple(tags), flaps)
+    return _make_result(g, x, EPSILON, tuple(tags), flaps)
 
 
 def _instance_id(g: ColoredGraph) -> str:

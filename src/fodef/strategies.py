@@ -31,8 +31,8 @@ from fodef.graphs import (
     recolored_flap,
 )
 from fodef.separators import (
-    OClassification, brute_min_separator, class_o_separator, classify_o,
-    tree_centroid_separator,
+    EPSILON, MAX_FLAPS, MAX_SEPARATOR, OClassification, brute_min_separator,
+    class_o_separator, classify_o, tree_centroid_separator,
 )
 
 
@@ -136,9 +136,6 @@ BOUND_NAMES = ("lemma36", "lemma37", "thm41", "thm43", "lemma52", "lemma53",
 
 # -- configuration and traces ------------------------------------------------------
 
-EPSILON = Fraction(2, 3)       # flap size bound of every separator, as a share of n
-BRUTE_SIZE_CAP = 5             # largest separator brute_min tries
-
 
 @dataclass(frozen=True)
 class StrategyConfig:
@@ -148,8 +145,16 @@ class StrategyConfig:
         if self.provider == "tree_centroid":
             return 1
         if self.provider == "class_o":
-            return 5
-        return min(BRUTE_SIZE_CAP, n)
+            return MAX_SEPARATOR
+        return min(MAX_SEPARATOR, n)
+
+    def flap_bound(self, g: ColoredGraph, starred: bool = False) -> int:
+        """The flap bound m of g (s for the starred variant): the class-O
+        flap count, or the maximum degree for trees, brute_min and the
+        starred variant."""
+        if self.provider == "class_o" and not starred:
+            return MAX_FLAPS
+        return max(1, g.max_degree())
 
 
 @dataclass
@@ -296,14 +301,9 @@ class _Frame:
 
 
 def _auto_depth(g: ColoredGraph, cfg: StrategyConfig, starred: bool) -> int:
-    """Recursion depth from n and the flap bound: the class-O flap count, or
-    the maximum degree for trees, brute_min and the starred variant."""
-    n = max(1, g.n)
-    degree = max(1, g.max_degree())
-    if starred:
-        return choose_depth(n, degree, EPSILON, "S_star")
-    m = 7 if cfg.provider == "class_o" else degree
-    return choose_depth(n, m, EPSILON, "S")
+    """Recursion depth from n and the config's flap bound."""
+    return choose_depth(max(1, g.n), cfg.flap_bound(g, starred), EPSILON,
+                        "S_star" if starred else "S")
 
 
 @dataclass(eq=False, repr=False)
@@ -363,9 +363,9 @@ class StrategyMachine:
         elif provider == "class_o":
             res = class_o_separator(sub, classification=frame.cls)
         else:
-            res = brute_min_separator(sub, EPSILON, BRUTE_SIZE_CAP)
+            res = brute_min_separator(sub, EPSILON, MAX_SEPARATOR)
             if res is None:
-                raise StrategyError(f"no separator of at most {BRUTE_SIZE_CAP} vertices")
+                raise StrategyError(f"no separator of at most {MAX_SEPARATOR} vertices")
         flaps = [frozenset(back[i] for i in f) for f in res.flaps]
         return sorted(back[i] for i in res.x), flaps, res.tags
 

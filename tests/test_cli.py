@@ -157,6 +157,21 @@ class TestCli:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("claim,family", [("thm41", "hop"), ("thm43", "tree")])
+    def test_verify_claim_on_the_wrong_family(self, capsys, claim, family):
+        code, out, err = run(capsys, "verify", "--claim", claim, "--family",
+                             family, "--n", "16", "--seed", "1", "--trials", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: claim {claim} is not checked on the family '{family}'\n"
+
+    def test_verify_closed_form_missing_parameter(self, capsys):
+        code, out, err = run(capsys, "verify", "--claim", "lemma37",
+                             "--params", "n=100")
+        assert code == 1
+        assert out == ""
+        assert err == "error: claim lemma37 needs the parameter m\n"
+
     def test_verify_closed_form(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "thm55_all", "--params",
                            "n=100", "H=5", "Delta=4")
@@ -214,6 +229,7 @@ class TestCli:
         '{"n": 3, "edges": ["01"]}',
         '{"n": "3", "edges": [[0, 1]]}',
         '{"n": 3.5, "edges": []}',
+        '{"n": 2, "edges": [[0, 1]], "colors": [1, 2]}',
     ])
     def test_bad_graph_json_exit_code(self, tmp_path, capsys, text):
         p = tmp_path / "bad.json"

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fodef.families import complete, cycle, enumerate_graphs, path, star, triv, two_cycles
-from fodef.game import SIDE_H, SPOILER_WON, builtin_duplicator, run_match
+from fodef.game import (
+    DUPLICATOR_SURVIVED, SIDE_H, SPOILER_WON, builtin_duplicator, run_match,
+)
 from fodef.graphs import BudgetExceeded, ColoredGraph, automorphisms
 from fodef.oracle import (
-    OracleSpoiler, RankSearcher, _orbit_memo, defining_rank_lb, exact_rank,
-    survival_vs,
+    ExhaustiveDuplicator, OracleSpoiler, RankSearcher, _orbit_memo,
+    defining_rank_lb, exact_rank, survival_vs,
 )
 
 from helpers import brute_best_move, brute_rank
@@ -209,3 +211,20 @@ class TestOrbits:
         again = exact_rank(g, h)
         assert (again.value, again.best_first_move, again.nodes) == \
             (first.value, first.best_first_move, first.nodes)
+
+
+class TestExhaustiveDuplicator:
+    @pytest.mark.parametrize("k", [None, 0, 1])
+    @pytest.mark.parametrize("g,h", [(cycle(3), cycle(4)), (star(3), star(4)),
+                                     (path(4), path(5)), (path(3), path(4))],
+                             ids=["c3-c4", "s3-s4", "p4-p5", "p3-p4"])
+    def test_survives_exactly_below_the_rank(self, g, h, k):
+        # path(3)/path(4) has rank 2, but 3 with no side switch
+        r = brute_rank(g, h, 6, k)
+        assert r is not None and r >= 2
+        below = run_match(g, h, OracleSpoiler(g, h, k), ExhaustiveDuplicator(),
+                          r - 1, k)
+        assert below.status == DUPLICATOR_SURVIVED
+        at = run_match(g, h, OracleSpoiler(g, h, k), ExhaustiveDuplicator(), r, k)
+        assert (at.status, at.rounds_used) == (SPOILER_WON, r)
+        assert k is None or at.alternations <= k

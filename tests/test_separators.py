@@ -458,6 +458,18 @@ class TestClassOSeparator:
                            match=r"failed on n=15; instance [0-9a-f]{12}$"):
             class_o_separator(g, classification=cls)
 
+    def test_cycle_not_an_order_of_the_vertices(self):
+        cls = OClassification(HOP, (0, 1, 2))
+        with pytest.raises(SeparatorError, match="not an order of the 9 vertices"):
+            class_o_separator(path(9), classification=cls)
+
+    def test_order_that_is_no_cycle_of_g(self):
+        g = random_hop(12, 3)
+        cls = OClassification(HOP, tuple(range(0, 12, 2)) + tuple(range(1, 12, 2)))
+        assert not cls.certifies(g)
+        with pytest.raises(SeparatorError, match=r"failed on n=12; instance"):
+            class_o_separator(g, classification=cls)
+
 
 class TestBruteMin:
     def test_k4(self):
