@@ -53,6 +53,9 @@ is a name and a sha256 hex digest:
   k = None, 0 and 1 (k = 1 alone plays as k = None on this corpus).
 - csv.lemma: the CSVs and exit codes of `fodef verify --claim lemma36` and
   `--claim lemma52` on trees and on HOP graphs (LEMMA_CSVS).
+- separators.brute: x and flaps of brute_min_separator, size cap 5, on every
+  connected graph of order <= 7 (996 graphs) with epsilon 1/2 and 2/3, in
+  enumeration order; a graph with no such set is hashed as none.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ from fodef.oracle import (  # noqa: E402
     OracleSpoiler, RankSearcher, exact_rank, survival_vs,
 )
 from fodef.separators import (  # noqa: E402
-    EDHOP1, EDHOP2, HOP, OClassification, class_o_separator, classify_o,
+    EDHOP1, EDHOP2, HOP, OClassification, SeparatorError, brute_min_separator,
+    class_o_separator, classify_o,
 )
 from fodef.strategies import (  # noqa: E402
     StrategyConfig, StrategyError, bound, extract_formula, reply_tree, s_agent,
@@ -249,6 +253,22 @@ def class_o_hash() -> tuple[str, int]:
     return digest.hexdigest(), graphs
 
 
+def brute_hash() -> tuple[str, int]:
+    digest = hashlib.sha256()
+    runs = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n, connected_only=True):
+            for eps in (Fraction(1, 2), Fraction(2, 3)):
+                try:
+                    res = brute_min_separator(g, eps, 5)
+                except SeparatorError:
+                    res = None
+                digest.update(repr("none" if res is None
+                                   else (res.x, res.flaps)).encode())
+                runs += 1
+    return digest.hexdigest(), runs
+
+
 def orbits_hash() -> tuple[str, int]:
     digest = hashlib.sha256()
     sets = 0
@@ -375,6 +395,8 @@ def main() -> int:
         digest.update(csv_digest.encode())
         codes.append(code)
     print(f"csv.lemma {digest.hexdigest()}  (exits {codes})", flush=True)
+    digest, runs = brute_hash()
+    print(f"separators.brute {digest}  ({runs} runs)", flush=True)
     return 0
 
 

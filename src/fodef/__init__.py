@@ -3,15 +3,14 @@
 from fodef.graphs import (
     BudgetExceeded,
     ColoredGraph,
-    FlapDecomposition,
     GraphError,
     are_isomorphic,
     check_partial_isomorphism,
     distance,
     find_isomorphism,
-    flap_decompose,
+    flap_classes,
+    flaps_of,
     load_graph,
-    similar_flap_census,
 )
 from fodef.formulas import analyze, evaluate, parse_formula, print_formula
 from fodef.families import FamilySpec, enumerate_graphs, generate
@@ -53,16 +52,15 @@ from fodef.oracle import (
 )
 
 __all__ = [
-    "Agent", "BudgetExceeded", "ColoredGraph", "FamilySpec",
-    "FlapDecomposition", "GameState", "GraphError", "OClassification",
-    "OracleSpoiler", "RankResult", "SeparatorResult", "StrategyConfig",
-    "Transcript", "analyze", "are_isomorphic", "bound", "brute_min_separator",
-    "builtin_duplicator", "check_partial_isomorphism", "choose_depth",
-    "class_o_separator", "classify_o", "defining_rank_lb", "distance",
-    "enumerate_graphs", "evaluate", "exact_rank", "extract_formula",
-    "find_isomorphism", "flap_decompose", "generate", "halving_agent",
-    "load_graph", "new_game", "parse_formula", "print_formula", "reply_tree",
-    "run_match", "s_agent", "s_star_agent", "similar_flap_census", "step",
-    "survival_vs", "synthesize_distinguisher", "tree_centroid_separator",
-    "verify_separator",
+    "Agent", "BudgetExceeded", "ColoredGraph", "FamilySpec", "GameState",
+    "GraphError", "OClassification", "OracleSpoiler", "RankResult",
+    "SeparatorResult", "StrategyConfig", "Transcript", "analyze",
+    "are_isomorphic", "bound", "brute_min_separator", "builtin_duplicator",
+    "check_partial_isomorphism", "choose_depth", "class_o_separator",
+    "classify_o", "defining_rank_lb", "distance", "enumerate_graphs",
+    "evaluate", "exact_rank", "extract_formula", "find_isomorphism",
+    "flap_classes", "flaps_of", "generate", "halving_agent", "load_graph",
+    "new_game", "parse_formula", "print_formula", "reply_tree", "run_match",
+    "s_agent", "s_star_agent", "step", "survival_vs",
+    "synthesize_distinguisher", "tree_centroid_separator", "verify_separator",
 ]

@@ -324,9 +324,6 @@ def _cmd_separate(args) -> int:
         res = class_o_separator(g)
     else:
         res = brute_min_separator(g, args.epsilon, args.size_cap)
-        if res is None:
-            print("no separator within the size cap", file=sys.stderr)
-            return 1
     rep = verify_separator(g, res.x, res.epsilon, args.verify_m)
     out = res.to_json_dict()
     out["verified"] = bool(rep)
@@ -398,8 +395,14 @@ def _cmd_verify(args) -> int:
     else:
         params = {}
         for kv in args.params:
-            key, val = kv.split("=", 1)
-            params[key] = float(val)
+            key, _, val = kv.partition("=")
+            try:
+                params[key] = float(val)
+                if not key or not math.isfinite(params[key]):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"--params entry {kv!r} is not KEY=VALUE with "
+                                 "a finite number VALUE") from None
         try:
             val = bound(args.claim, **params)
         except KeyError as exc:

@@ -285,19 +285,29 @@ def parse_formula(text: str, strict: bool = False) -> Formula:
 
 
 def print_formula(f: Formula) -> str:
-    def step(node, a=None, b=None):
+    """The concrete syntax of f, emitted piece by piece in one pre-order pass
+    on an explicit stack (a string on it is a piece waiting its turn) and
+    joined once, so the time is linear in the text."""
+    pieces, stack = [], [f]
+    pop, push, emit = stack.pop, stack.extend, pieces.append
+    while stack:
+        node = pop()
         t = type(node)
-        if t is And or t is Or:
-            return f"({a} {'&' if t is And else '|'} {b})"
-        if t is Not:
-            return f"~{a}"
-        if t is Exists or t is Forall:
-            return f"{'ex' if t is Exists else 'all'} {node.var}. {a}"
-        if t is Col:
-            return f"col({node.color},{node.x})"
-        return f"{'adj' if t is Adj else 'eq'}({node.x},{node.y})"
-
-    return _fold(f, step)
+        if t is str:
+            emit(node)
+        elif t is And or t is Or:
+            push((")", node.right, " & " if t is And else " | ", node.left, "("))
+        elif t is Not:
+            push((node.body, "~"))
+        elif t is Exists or t is Forall:
+            push((node.body, f"{'ex' if t is Exists else 'all'} {node.var}. "))
+        elif t is Col:
+            emit(f"col({node.color},{node.x})")
+        elif t is Adj or t is Eq:
+            emit(f"{'adj' if t is Adj else 'eq'}({node.x},{node.y})")
+        else:
+            raise TypeError(node)
+    return "".join(pieces)
 
 
 # -- semantics ---------------------------------------------------------------

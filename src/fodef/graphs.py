@@ -284,27 +284,6 @@ def distances_within(g: ColoredGraph, source: int, allowed: frozenset[int]) -> d
 # -- flap decomposition ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlapDecomposition:
-    """X-flaps of a graph with the adjacency-to-X recoloring.
-
-    flaps[i] lists original vertex ids (sorted); recolored[i] is the induced
-    colored graph on flaps[i] (vertex j of recolored[i] is flaps[i][j]) with
-    fresh color fresh_colors[k] added to every vertex adjacent to x_order[k].
-    """
-    base: ColoredGraph
-    x_order: tuple[int, ...]
-    flaps: tuple[tuple[int, ...], ...]
-    recolored: tuple[ColoredGraph, ...]
-    fresh_colors: tuple[int, ...]
-
-    def flap_of(self, v: int) -> Optional[int]:
-        for i, f in enumerate(self.flaps):
-            if v in f:
-                return i
-        return None
-
-
 def flaps_of(g: ColoredGraph, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The X-flaps of g, the connected components of g - X, each sorted, in
     order of least vertex id."""
@@ -315,19 +294,6 @@ def flaps_of(g: ColoredGraph, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         if not (0 <= v < g.n):
             raise GraphError(f"vertex {v} out of range")
     return tuple(g.components(within=frozenset(range(g.n)) - xs))
-
-
-def flap_decompose(g: ColoredGraph, x: Sequence[int]) -> FlapDecomposition:
-    """Split g - X into its flaps and recolor them against X.
-
-    Flaps come in canonical order (least contained vertex id).  The fresh
-    colors A_1..A_k are consecutive ids above every color used in g.
-    """
-    xs = tuple(x)
-    fs = flaps_of(g, xs)
-    fresh = tuple(g.max_color() + 1 + i for i in range(len(xs)))
-    recolored = tuple(recolored_flap(g, f, xs, fresh) for f in fs)
-    return FlapDecomposition(g, xs, fs, recolored, fresh)
 
 
 def recolored_flap(g: ColoredGraph, flap: Iterable[int], sep: Sequence[int],
@@ -620,22 +586,31 @@ def group_by_isomorphism(graphs: Iterable[ColoredGraph]) -> list[list[int]]:
 # -- flap similarity ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlapSimilarity:
-    decomposition: FlapDecomposition
-    groups: tuple[tuple[int, ...], ...]
-    max_class_size: int
+def flap_classes(flaps: Sequence[tuple[ColoredGraph, Sequence[int], Sequence[int],
+                                       Optional[Mapping[int, Iterable[int]]]]],
+                 fresh: Sequence[int]) -> list[list[int]]:
+    """Partition the indices of `flaps` into similarity classes.
 
-
-def similar_flap_census(g: ColoredGraph, x: Sequence[int]) -> FlapSimilarity:
-    """Group X-flaps into similarity classes.
-
-    Two flaps are similar when the identity on X extends to an isomorphism of
-    the induced subgraphs on X plus each flap, which is equivalent to their
-    recolored versions being isomorphic as colored graphs.
+    Item i is (graph, flap, separator, base colors), separators paired in
+    order across graphs.  Two flaps are similar when some bijection between
+    them keeps colors plus base colors, edges inside the flap and adjacency
+    to the i-th separator vertex: when their `recolored_flap`s with the
+    `fresh` colors, used by no graph or base, are isomorphic.  Only flaps
+    that share an order are recolored and grouped by `group_by_isomorphism`.
+    Classes come in order of least index, each in ascending order, as one
+    grouping of every recolored flap would list them.
     """
-    dec = flap_decompose(g, x)
-    classes = group_by_isomorphism(dec.recolored)
-    groups = tuple(tuple(c) for c in classes)
-    max_size = max((len(c) for c in groups), default=0)
-    return FlapSimilarity(dec, groups, max_size)
+    by_order: dict[int, list[int]] = {}
+    for i, (_, f, _, _) in enumerate(flaps):
+        by_order.setdefault(len(f), []).append(i)
+    classes = []
+    for members in by_order.values():
+        if len(members) == 1:
+            classes.append(members)
+            continue
+        subs = (recolored_flap(gr, f, sep, fresh, base)
+                for gr, f, sep, base in (flaps[i] for i in members))
+        classes += [[members[j] for j in local]
+                    for local in group_by_isomorphism(subs)]
+    classes.sort(key=lambda c: c[0])
+    return classes

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from fodef.graphs import BudgetExceeded, ColoredGraph, GraphError, flaps_of
 
@@ -148,8 +148,6 @@ class SeparatorReport:
 class SeparatorResult:
     x: tuple[int, ...]
     epsilon: Fraction
-    flap_count: int
-    max_flap_fraction: Fraction
     flaps: tuple[tuple[int, ...], ...]
     tags: Optional[tuple[OClassification, ...]] = None  # in flap-local ids
 
@@ -160,13 +158,21 @@ class SeparatorResult:
         return out
 
 
-def _make_result(g: ColoredGraph, x: Sequence[int], epsilon: Fraction,
-                 tags: Optional[tuple[OClassification, ...]],
-                 flaps: tuple[tuple[int, ...], ...]) -> SeparatorResult:
-    """The result for separator x, whose flaps the caller has computed."""
-    biggest = max((len(f) for f in flaps), default=0)
-    frac = Fraction(biggest, g.n) if g.n else Fraction(0)
-    return SeparatorResult(tuple(x), epsilon, len(flaps), frac, flaps, tags)
+def _fits(flap: Sequence[int], n: int, epsilon: Fraction) -> bool:
+    """Does the flap have at most epsilon * n vertices?"""
+    return len(flap) * epsilon.denominator <= epsilon.numerator * n
+
+
+def _separators(g: ColoredGraph, epsilon: Fraction, size_cap: int
+                ) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]:
+    """(X, flaps) for every set X of at most size_cap vertices whose flaps
+    all have at most epsilon * n vertices, by size and then in lexicographic
+    order."""
+    for k in range(min(size_cap, g.n) + 1):
+        for xs in combinations(range(g.n), k):
+            flaps = flaps_of(g, xs)
+            if all(_fits(f, g.n, epsilon) for f in flaps):
+                yield xs, flaps
 
 
 def verify_separator(g: ColoredGraph, x: Sequence[int], epsilon: Fraction,
@@ -175,8 +181,7 @@ def verify_separator(g: ColoredGraph, x: Sequence[int], epsilon: Fraction,
     m_cap flaps; reports the violators."""
     eps = Fraction(epsilon)
     flaps = flaps_of(g, x)
-    oversize = tuple(i for i, f in enumerate(flaps)
-                     if len(f) * eps.denominator > eps.numerator * g.n)
+    oversize = tuple(i for i, f in enumerate(flaps) if not _fits(f, g.n, eps))
     too_many = len(flaps) > m_cap
     return SeparatorReport(not oversize and not too_many, len(flaps),
                            oversize, too_many)
@@ -191,7 +196,7 @@ def tree_centroid_separator(g: ColoredGraph) -> SeparatorResult:
         raise SeparatorError("input is not a tree")
     n = g.n
     if n == 1:
-        return _make_result(g, [0], EPSILON, None, flaps_of(g, [0]))
+        return SeparatorResult((0,), EPSILON, flaps_of(g, [0]))
     # subtree sizes from a DFS rooted at 0, then walk toward the heavy side
     order, parent = [], {0: None}
     stack = [0]
@@ -214,7 +219,7 @@ def tree_centroid_separator(g: ColoredGraph) -> SeparatorResult:
                    ) if v != 0 else max(size[u] for u in g.adj[v])
         if best_load is None or (load, v) < (best_load, best):
             best, best_load = v, load
-    return _make_result(g, [best], EPSILON, None, flaps_of(g, [best]))
+    return SeparatorResult((best,), EPSILON, flaps_of(g, [best]))
 
 
 # -- HOP recognition -----------------------------------------------------------
@@ -470,25 +475,19 @@ def _find_split_pair(n: int, chords: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _exhaustive_o_separator(g: ColoredGraph) -> SeparatorResult:
-    """Subset search; class_o_separator calls it for n <= 6 only."""
-    n = g.n
-    most = int(EPSILON * n)      # the largest flap order allowed
-    for k in range(1, min(MAX_SEPARATOR, n) + 1):
-        for xs in combinations(range(n), k):
-            flaps = flaps_of(g, xs)
-            if len(flaps) > MAX_FLAPS or any(len(f) > most for f in flaps):
-                continue
-            tags = []
-            ok = True
-            for f in flaps:
-                sub, _ = g.induced(f)
-                cls = classify_o(sub)
-                if not cls.in_class():
-                    ok = False
-                    break
-                tags.append(cls)
-            if ok:
-                return _make_result(g, list(xs), EPSILON, tuple(tags), flaps)
+    """The first separator of the subset search with at most MAX_FLAPS flaps,
+    each in the class; class_o_separator calls it for n <= 6 only."""
+    for xs, flaps in _separators(g, EPSILON, MAX_SEPARATOR):
+        if len(flaps) > MAX_FLAPS:
+            continue
+        tags = []
+        for f in flaps:
+            cls = classify_o(g.induced(f)[0])
+            if not cls.in_class():
+                break
+            tags.append(cls)
+        else:
+            return SeparatorResult(xs, EPSILON, flaps, tuple(tags))
     raise SeparatorError(f"no separator of at most {MAX_SEPARATOR} vertices "
                          "with flaps in the class exists")
 
@@ -532,9 +531,9 @@ def class_o_separator(g: ColoredGraph,
         flaps = flaps_of(g, x)
         tags = [_run_certificate(g, f, cycle, pos, missing) for f in flaps]
     if len(x) > MAX_SEPARATOR or len(flaps) > MAX_FLAPS or None in tags \
-            or any(len(f) > int(EPSILON * n) for f in flaps):
+            or not all(_fits(f, n, EPSILON) for f in flaps):
         raise _construction_error(g)
-    return _make_result(g, x, EPSILON, tuple(tags), flaps)
+    return SeparatorResult(tuple(x), EPSILON, flaps, tuple(tags))
 
 
 def _instance_id(g: ColoredGraph) -> str:
@@ -601,17 +600,16 @@ def _extend_split(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
 
 
 def brute_min_separator(g: ColoredGraph, epsilon: Fraction,
-                        size_cap: int) -> Optional[SeparatorResult]:
+                        size_cap: int) -> SeparatorResult:
     """Minimum-cardinality vertex set whose flaps all have at most epsilon*n
-    vertices; ties go to the lexicographically least set.  None on failure."""
+    vertices; ties go to the lexicographically least set.  SeparatorError
+    when no set of at most size_cap vertices has them."""
     eps = Fraction(epsilon)
     if not (0 < eps < 1):
         raise SeparatorError("epsilon must lie strictly between 0 and 1")
     if g.n > BRUTE_N_CAP:
         raise BudgetExceeded(f"brute_min_separator capped at n <= {BRUTE_N_CAP}")
-    for k in range(0, min(size_cap, g.n) + 1):
-        for xs in combinations(range(g.n), k):
-            flaps = flaps_of(g, xs)
-            if all(len(f) * eps.denominator <= eps.numerator * g.n for f in flaps):
-                return _make_result(g, list(xs), eps, None, flaps)
-    return None
+    for xs, flaps in _separators(g, eps, size_cap):
+        return SeparatorResult(xs, eps, flaps)
+    raise SeparatorError(f"no set of at most {size_cap} vertices leaves flaps "
+                         f"of at most {eps} * {g.n} vertices")

@@ -26,10 +26,7 @@ from fodef.game import (
     Agent, GameState, RUNNING, SIDE_G, SIDE_H, ReplyNode, ReplyTree,
     explore_replies,
 )
-from fodef.graphs import (
-    ColoredGraph, distances_within, flap_overlay, group_by_isomorphism,
-    recolored_flap,
-)
+from fodef.graphs import ColoredGraph, distances_within, flap_classes, flap_overlay
 from fodef.separators import (
     EPSILON, MAX_FLAPS, MAX_SEPARATOR, OClassification, brute_min_separator,
     class_o_separator, classify_o, tree_centroid_separator,
@@ -364,8 +361,6 @@ class StrategyMachine:
             res = class_o_separator(sub, classification=frame.cls)
         else:
             res = brute_min_separator(sub, EPSILON, MAX_SEPARATOR)
-            if res is None:
-                raise StrategyError(f"no separator of at most {MAX_SEPARATOR} vertices")
         flaps = [frozenset(back[i] for i in f) for f in res.flaps]
         return sorted(back[i] for i in res.x), flaps, res.tags
 
@@ -373,13 +368,7 @@ class StrategyMachine:
 
     def _decompose(self, frame: _Frame):
         """Split both domains along the separator pairing and bucket the
-        recolored flaps of both sides into isomorphism classes.
-
-        Isomorphic flaps have equal orders, so a flap alone in its order is
-        a class of its own and is neither recolored nor coded; the flaps
-        that share an order are grouped by `group_by_isomorphism`.  Classes
-        come in order of least index (G flaps first, then H flaps), as one
-        grouping of every recolored flap would list them."""
+        recolored flaps of both sides into `flap_classes`, G flaps first."""
         k = len(frame.x_order)
         fresh = [self.color_counter + i for i in range(k)]
         self.color_counter += k
@@ -389,19 +378,7 @@ class StrategyMachine:
 
         flaps = ([(self.g, f, frame.x_order, frame.overlay_g) for f in frame.flaps_g]
                  + [(self.h, f, frame.y_order, frame.overlay_h) for f in frame.flaps_h])
-        by_order: dict[int, list[int]] = {}
-        for i, (_, f, _, _) in enumerate(flaps):
-            by_order.setdefault(len(f), []).append(i)
-        classes = []
-        for members in by_order.values():
-            if len(members) == 1:
-                classes.append(members)
-                continue
-            subs = (recolored_flap(gr, f, sep, fresh, overlay)
-                    for gr, f, sep, overlay in (flaps[i] for i in members))
-            classes += [[members[j] for j in local]
-                        for local in group_by_isomorphism(subs)]
-        classes.sort(key=lambda c: c[0])
+        classes = flap_classes(flaps, fresh)
         class_of = [0] * len(flaps)
         for ci, members in enumerate(classes):
             for i in members:
@@ -599,10 +576,9 @@ class StrategyMachine:
             frame.local_pairs.append((frame.anchor[0], frame.anchor[1], ga, ha))
         surplus = [ci for ci in range(len(m)) if m[ci] > mp[ci]]
         if surplus:
-            order = {}
-            for i, ci in enumerate(frame.class_of_g):
-                order.setdefault(ci, i)
-            target = min(surplus, key=lambda ci: order[ci])
+            # classes are numbered by least flap, and a surplus class holds
+            # a G flap, so the least number is the one met first in G
+            target = min(surplus)
             frame.case = "CASE1"
             frame.target_class = target
             frame.probe_flaps = [i for i, c in enumerate(frame.class_of_g)
@@ -620,10 +596,7 @@ class StrategyMachine:
                 "an isomorphism")
         frame.case = "CASE2"
         if self.starred:
-            order_h = {}
-            for i, ci in enumerate(frame.class_of_h):
-                order_h.setdefault(ci, i)
-            target = min(deficit, key=lambda ci: (m[ci], order_h[ci]))
+            target = min(deficit, key=lambda ci: (m[ci], frame.class_of_h.index(ci)))
             frame.target_class = target
             frame.probe_flaps = [i for i, c in enumerate(frame.class_of_g)
                                  if c == target]

@@ -20,7 +20,7 @@ from fodef.families import (
 )
 from fodef.formulas import analyze, evaluate, parse_formula
 from fodef.game import builtin_duplicator, run_match
-from fodef.graphs import are_isomorphic, check_partial_isomorphism, flap_decompose
+from fodef.graphs import are_isomorphic, check_partial_isomorphism, flaps_of
 from fodef.oracle import OracleSpoiler, exact_rank, survival_vs
 from fodef.separators import class_o_separator, classify_o
 from fodef.strategies import (
@@ -116,22 +116,23 @@ class TestAcceptance:
         def positions(g, h, max_index):
             for j in range(0, max_index + 1):
                 for xs in permutations(range(g.n), j):
-                    decg = flap_decompose(g, xs)
+                    flaps_g = flaps_of(g, xs)
                     for ys in permutations(range(h.n), j):
-                        dech = flap_decompose(h, ys)
+                        flap_of_h = {v: i for i, f in enumerate(flaps_of(h, ys))
+                                     for v in f}
                         base = tuple(zip(xs, ys))
                         if base and not check_partial_isomorphism(g, h, base):
                             continue
-                        for flap in decg.flaps:
+                        for flap in flaps_g:
                             if len(flap) < 2:
                                 continue
                             for u1, u2 in combinations(flap, 2):
                                 for v1 in range(h.n):
-                                    f1 = dech.flap_of(v1)
+                                    f1 = flap_of_h.get(v1)
                                     if f1 is None:
                                         continue
                                     for v2 in range(h.n):
-                                        f2 = dech.flap_of(v2)
+                                        f2 = flap_of_h.get(v2)
                                         if f2 is None or f1 == f2:
                                             continue
                                         pairs = base + ((u1, v1), (u2, v2))
@@ -193,12 +194,12 @@ class TestAcceptance:
                         bad.append(("nontermination", g.to_json()))
                     continue
                 res = class_o_separator(cur, classification=cls)
-                ok = (len(res.x) <= 5 and res.flap_count <= 7
+                ok = (len(res.x) <= 5 and len(res.flaps) <= 7
                       and all(3 * len(f) <= 2 * cur.n for f in res.flaps))
                 if not ok:
                     bad.append(("contract", cur.to_json(), res.to_json_dict()))
                     return
-                for i in range(res.flap_count):
+                for i in range(len(res.flaps)):
                     sub, tag = cur.induced(res.flaps[i])[0], res.tags[i]
                     if tag is None or not tag.in_class() or not tag.certifies(sub):
                         bad.append(("flap-classification", cur.to_json(), i))

@@ -172,6 +172,15 @@ class TestCli:
         assert out == ""
         assert err == "error: claim lemma37 needs the parameter m\n"
 
+    @pytest.mark.parametrize("entry", ["n", "n=abc", "=3", "n=inf"])
+    def test_verify_malformed_params_entry(self, capsys, entry):
+        code, out, err = run(capsys, "verify", "--claim", "lemma37",
+                             "--params", entry)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: --params entry {entry!r} is not KEY=VALUE "
+                       "with a finite number VALUE\n")
+
     def test_verify_closed_form(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "thm55_all", "--params",
                            "n=100", "H=5", "Delta=4")
@@ -202,6 +211,16 @@ class TestCli:
                          "--highlight", "0,2", "--out", str(d))
         assert code == 0
         assert "tomato" in d.read_text()
+
+    def test_separate_brute_without_separator(self, tmp_path, capsys):
+        p = tmp_path / "c5.json"
+        run(capsys, "gen", "--family", "cycle", "--n", "5", "--out", str(p))
+        code, out, err = run(capsys, "separate", "--in", str(p), "--method",
+                             "brute", "--epsilon", "1/5", "--size-cap", "2")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: no set of at most 2 vertices leaves flaps of "
+                       "at most 1/5 * 5 vertices\n")
 
     def test_domain_error_exit_code(self, tmp_path, capsys):
         p = tmp_path / "c4.json"

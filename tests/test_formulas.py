@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -478,3 +479,17 @@ class TestDepth:
         nest = frozenset({"AE" * (DEPTH // 2)})
         self.check(f, "~ex x. " * DEPTH + "eq(x,x)", frozenset(),
                    F.FormulaProfile(DEPTH, DEPTH - 1, False, nest), nest)
+
+    def test_print_formula_is_linear(self):
+        # a quadruple-length conjunction prints in well under 16 times the
+        # time, as a printer that copies each child's string would take
+        def best_of_3(n):
+            f = conjunction([Adj("x", "y")] * n)
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                print_formula(f)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best_of_3(64000) < 8 * best_of_3(16000)

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -15,14 +16,14 @@ from fodef.graphs import (
     check_partial_isomorphism,
     distance,
     find_isomorphism,
-    flap_decompose,
+    flap_classes,
     flap_overlay,
     flaps_of,
     group_by_isomorphism,
     iso_invariant_key,
     recolored_flap,
-    similar_flap_census,
 )
+from fodef.strategies import StrategyConfig, StrategyMachine
 
 from helpers import brute_isomorphic, brute_similar
 
@@ -135,61 +136,71 @@ class TestConstruction:
                 path(3).induced(vs)
 
 
+def fresh_colors(g, x):
+    """One color per separator vertex, above every color of g."""
+    return [g.max_color() + 1 + i for i in range(len(x))]
+
+
 class TestFlapDecompose:
+    """The X-flaps of `flaps_of` and their `recolored_flap`s."""
+
     def test_c4_antipodal(self):
-        dec = flap_decompose(cycle(4), [0, 2])
-        assert dec.flaps == ((1,), (3,))
-        for rec in dec.recolored:
+        g, x = cycle(4), [0, 2]
+        assert flaps_of(g, x) == ((1,), (3,))
+        for flap in flaps_of(g, x):
             # single vertex adjacent to both separator vertices
-            assert rec.colors[0] == frozenset(dec.fresh_colors)
+            rec = recolored_flap(g, flap, x, fresh_colors(g, x))
+            assert rec.colors[0] == frozenset(fresh_colors(g, x))
 
     def test_p5_center(self):
-        dec = flap_decompose(path(5), [2])
-        assert dec.flaps == ((0, 1), (3, 4))
-        a1 = dec.fresh_colors[0]
-        left, right = dec.recolored
+        g, x = path(5), [2]
+        assert flaps_of(g, x) == ((0, 1), (3, 4))
+        a1 = fresh_colors(g, x)[0]
+        left, right = (recolored_flap(g, f, x, [a1]) for f in flaps_of(g, x))
         assert left.colors[1] == frozenset({a1})  # vertex 1 touches the separator
         assert left.colors[0] == frozenset()
         assert right.colors[0] == frozenset({a1})  # vertex 3
 
     def test_empty_separator(self):
-        dec = flap_decompose(complete(4), [])
-        assert dec.flaps == ((0, 1, 2, 3),)
-        assert are_isomorphic(dec.recolored[0], complete(4))
+        assert flaps_of(complete(4), []) == ((0, 1, 2, 3),)
+        assert are_isomorphic(recolored_flap(complete(4), (0, 1, 2, 3), [], []),
+                              complete(4))
 
     def test_out_of_range(self):
         with pytest.raises(GraphError):
-            flap_decompose(path(3), [7])
+            flaps_of(path(3), [7])
 
     @given(small_graphs(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_recolored_flap_matches_recoloring_g(self, g, data):
         # recoloring the flap's subgraph is recoloring g and then inducing
         sep = sorted(data.draw(st.sets(st.integers(0, g.n - 1), max_size=2)))
-        fresh = [g.max_color() + 1 + i for i in range(len(sep))]
+        fresh = fresh_colors(g, sep)
         base = {v: {9} for v in range(0, g.n, 2)}
         for flap in flaps_of(g, sep):
             whole = g.with_extra_colors(flap_overlay(g, flap, sep, fresh, base))
             assert recolored_flap(g, flap, sep, fresh, base) == whole.induced(flap)[0]
 
     def test_fresh_colors_distinct_from_base(self):
+        # the strategy draws each level's fresh colors above every color of
+        # both graphs, so they never meet a base color
         g = ColoredGraph.build(4, [(0, 1), (1, 2), (2, 3)], [[5], [], [3], []])
-        dec = flap_decompose(g, [1])
-        assert min(dec.fresh_colors) > 5
+        h = ColoredGraph.build(4, [(0, 1), (1, 2), (2, 3)], [[], [], [], [6]])
+        assert StrategyMachine.start(g, h, StrategyConfig()).color_counter > 6
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_flaps_partition_and_are_connected(self, g):
         x = [v for v in range(g.n) if v % 3 == 0][:2]
-        dec = flap_decompose(g, x)
-        covered = [v for f in dec.flaps for v in f]
+        flaps = flaps_of(g, x)
+        covered = [v for f in flaps for v in f]
         assert sorted(covered) == sorted(set(range(g.n)) - set(x))
-        for f in dec.flaps:
+        for f in flaps:
             sub, _ = g.induced(f)
             assert sub.is_connected()
         # no edge joins two distinct flaps
-        for i, f in enumerate(dec.flaps):
-            for j, f2 in enumerate(dec.flaps):
+        for i, f in enumerate(flaps):
+            for j, f2 in enumerate(flaps):
                 if i < j:
                     assert not any(g.has_edge(u, v) for u in f for v in f2)
 
@@ -399,26 +410,52 @@ class TestDistance:
                     assert duv <= distance(g, u, w) + distance(g, w, v)
 
 
+def census(g, x):
+    """The X-flaps of g and their `flap_classes`."""
+    flaps = flaps_of(g, x)
+    return flaps, flap_classes([(g, f, x, None) for f in flaps], fresh_colors(g, x))
+
+
+def brute_paired_similar(one, two):
+    """Is there a bijection between the flaps of two (graph, flap, separator,
+    base colors) items that keeps colors with the base colors added, edges
+    inside the flap, and adjacency to the i-th separator vertex?"""
+    (g, f1, x, base_g), (h, f2, y, base_h) = one, two
+    if len(f1) != len(f2):
+        return False
+
+    def colors(gr, base, v):
+        return gr.colors[v] | frozenset(base.get(v, ()))
+
+    for perm in permutations(f2):
+        m = dict(zip(f1, perm))
+        if all(colors(g, base_g, v) == colors(h, base_h, m[v]) for v in f1) and all(
+                g.has_edge(u, v) == h.has_edge(m[u], m[v]) for u in f1 for v in f1
+        ) and all(g.has_edge(v, a) == h.has_edge(m[v], b)
+                  for v in f1 for a, b in zip(x, y)):
+            return True
+    return False
+
+
 class TestSimilarFlaps:
     def test_star_center(self):
-        census = similar_flap_census(star(5), [0])
-        assert census.max_class_size == 4
-        assert len(census.groups) == 1
+        _, classes = census(star(5), [0])
+        assert max(map(len, classes)) == 4
+        assert len(classes) == 1
 
     def test_p5_mirror(self):
-        census = similar_flap_census(path(5), [2])
-        assert census.max_class_size == 2
+        _, classes = census(path(5), [2])
+        assert max(map(len, classes)) == 2
 
     @given(small_graphs(max_n=6, colored=False))
     @settings(max_examples=40, deadline=None)
     def test_census_matches_identity_extension_oracle(self, g):
         x = [v for v in range(g.n) if v % 2 == 0][:2]
-        census = similar_flap_census(g, x)
-        dec = census.decomposition
-        groups = {i: gi for gi, grp in enumerate(census.groups) for i in grp}
-        for i in range(len(dec.flaps)):
-            for j in range(i + 1, len(dec.flaps)):
-                same = brute_similar(g, x, dec.flaps[i], dec.flaps[j])
+        flaps, classes = census(g, x)
+        groups = {i: gi for gi, grp in enumerate(classes) for i in grp}
+        for i in range(len(flaps)):
+            for j in range(i + 1, len(flaps)):
+                same = brute_similar(g, x, flaps[i], flaps[j])
                 assert same == (groups[i] == groups[j])
 
     @given(small_graphs(max_n=7, colored=False), st.integers(0, 3))
@@ -427,5 +464,41 @@ class TestSimilarFlaps:
         if not g.is_connected() or g.n < 2:
             return
         x = sorted({(v * 5 + 1) % g.n for v in range(k)})
-        census = similar_flap_census(g, x)
-        assert census.max_class_size <= max(1, g.max_degree())
+        _, classes = census(g, x)
+        assert max(map(len, classes), default=0) <= max(1, g.max_degree())
+
+    @given(small_graphs(max_n=6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_two_graph_classes_match_brute_force(self, g, data):
+        # X and Y are paired in order, and both sides carry base colors 3
+        # and 4 above the graphs' colors 0..2; H, Y and H's base colors are
+        # drawn freely, or as G's relabelled, so that classes span both
+        k = data.draw(st.integers(0, min(2, g.n)))
+        x = data.draw(st.lists(st.integers(0, g.n - 1), min_size=k, max_size=k,
+                               unique=True))
+
+        def base_colors(gr):
+            return data.draw(st.dictionaries(st.integers(0, gr.n - 1),
+                                             st.sets(st.integers(3, 4), max_size=1)))
+
+        base_g = base_colors(g)
+        if data.draw(st.booleans()):
+            perm = data.draw(st.permutations(range(g.n)))
+            h, y = relabel(g, perm), [perm[v] for v in x]
+            base_h = {perm[v]: cs for v, cs in base_g.items()}
+        else:
+            h = data.draw(small_graphs(max_n=6).filter(lambda gr: gr.n >= k))
+            y = data.draw(st.lists(st.integers(0, h.n - 1), min_size=k,
+                                   max_size=k, unique=True))
+            base_h = base_colors(h)
+        items = ([(g, f, x, base_g) for f in flaps_of(g, x)]
+                 + [(h, f, y, base_h) for f in flaps_of(h, y)])
+        classes = flap_classes(items, [5, 6])
+        assert sorted(i for c in classes for i in c) == list(range(len(items)))
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        assert all(c == sorted(c) for c in classes)
+        group = {i: ci for ci, c in enumerate(classes) for i in c}
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                same = brute_paired_similar(items[i], items[j])
+                assert same == (group[i] == group[j])

@@ -15,11 +15,13 @@ the formula inputs below keep those operands small, and the separator gate
 sees the Python-level work around its `sorted` and set calls only.
 """
 
+import random
 import sys
 
 import pytest
 
-from fodef.families import random_hop
+from fodef.cli import perturb_hop
+from fodef.families import random_bounded_tree, random_hop
 from fodef.formulas import Adj, Eq, Exists, Not, analyze, conjunction, free_variables
 from fodef.graphs import ColoredGraph
 from fodef.separators import EDHOP2, HOP, OClassification, class_o_separator
@@ -95,3 +97,21 @@ def test_class_o_separator_is_linear(edhop2, seed):
     allowance = int(RATIO * base)
     assert opcodes(lambda: class_o_separator(large, large_cls),
                    limit=allowance) <= allowance
+
+
+def tree_sample(n: int):
+    return lambda: random_bounded_tree(n, 3, 1)
+
+
+def hop_perturbation(n: int):
+    g = random_hop(n, 1)
+    return lambda: perturb_hop(g, random.Random(5))
+
+
+@pytest.mark.parametrize("call_at", [tree_sample, hop_perturbation],
+                         ids=["random_bounded_tree", "perturb_hop"])
+def test_random_graphs_are_linear(call_at):
+    small, large = call_at(512), call_at(1024)
+    base = opcodes(small)
+    allowance = int(RATIO * base)
+    assert opcodes(large, limit=allowance) <= allowance

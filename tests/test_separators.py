@@ -11,7 +11,7 @@ from fodef.families import (
     cycle, complete, enumerate_graphs, enumerate_hop_graphs, path,
     random_bounded_tree, random_hop, star, _random_triangulation_chords,
 )
-from fodef.graphs import BudgetExceeded, ColoredGraph, are_isomorphic, flap_decompose
+from fodef.graphs import BudgetExceeded, ColoredGraph, are_isomorphic, flaps_of
 from fodef.separators import (
     EDHOP1, EDHOP2, HOP, NOT_IN_O,
     OClassification, SeparatorError,
@@ -117,9 +117,9 @@ def hop_less_edges(n):
 
 def assert_contract(g, res):
     """|X| <= 5, at most 7 flaps of at most 2n/3 vertices, each certified."""
-    assert len(res.x) <= 5 and res.flap_count <= 7
+    assert len(res.x) <= 5 and len(res.flaps) <= 7
     assert all(3 * len(f) <= 2 * g.n for f in res.flaps)
-    for i in range(res.flap_count):
+    for i in range(len(res.flaps)):
         sub, tag = flap_subproblem(g, res, i)
         assert tag.in_class() and tag.certifies(sub)
 
@@ -152,7 +152,7 @@ class TestTreeCentroid:
     def test_star6(self):
         res = tree_centroid_separator(star(6))
         assert res.x == (0,)
-        assert res.flap_count == 5
+        assert len(res.flaps) == 5
         assert all(len(f) == 1 for f in res.flaps)
 
     def test_full_binary(self):
@@ -170,7 +170,7 @@ class TestTreeCentroid:
             g = random_bounded_tree(25, 4, seed)
             res = tree_centroid_separator(g)
             assert verify_separator(g, res.x, Fraction(2, 3), g.max_degree()).ok
-            assert res.max_flap_fraction <= Fraction(1, 2)
+            assert all(2 * len(f) <= g.n for f in res.flaps)
 
 
 class TestClassify:
@@ -327,7 +327,7 @@ class TestClassOSeparator:
         g = cycle(9)
         res = class_o_separator(g)
         assert len(res.x) == 2
-        assert res.flap_count == 2
+        assert len(res.flaps) == 2
         assert all(3 * len(f) <= 2 * 9 for f in res.flaps)
         assert all(t.tag == EDHOP1 for t in res.tags)
         assert verify_separator(g, res.x, Fraction(2, 3), 7).ok
@@ -337,7 +337,7 @@ class TestClassOSeparator:
         res = class_o_separator(g)
         assert len(res.x) <= 5
         assert verify_separator(g, res.x, Fraction(2, 3), 7).ok
-        for i in range(res.flap_count):
+        for i in range(len(res.flaps)):
             sub, tag = flap_subproblem(g, res, i)
             assert tag.in_class()
             assert tag.certifies(sub)
@@ -364,7 +364,7 @@ class TestClassOSeparator:
                     if cur.n < 2:
                         continue
                     res = class_o_separator(cur, classification=ann)
-                    for i in range(res.flap_count):
+                    for i in range(len(res.flaps)):
                         stack.append(flap_subproblem(cur, res, i))
 
     def test_constructive_tags_cross_checked_small(self):
@@ -373,7 +373,7 @@ class TestClassOSeparator:
         for seed in range(6):
             g = random_hop(9, seed)
             res = class_o_separator(g)
-            for i in range(res.flap_count):
+            for i in range(len(res.flaps)):
                 sub, tag = flap_subproblem(g, res, i)
                 exact = classify_o(sub)
                 assert exact.in_class()
@@ -414,7 +414,7 @@ class TestClassOSeparator:
             if cur.n >= 2:
                 res = class_o_separator(cur, classification=ann)
                 stack.extend(flap_subproblem(cur, res, i)
-                             for i in range(res.flap_count))
+                             for i in range(len(res.flaps)))
 
     def test_random_hop_medium(self):
         for seed in range(8):
@@ -482,14 +482,14 @@ class TestBruteMin:
         assert len(res.x) == 1
 
     def test_c5_failure(self):
-        assert brute_min_separator(cycle(5), Fraction(1, 5), 2) is None
+        with pytest.raises(SeparatorError, match="no set of at most 2 vertices"):
+            brute_min_separator(cycle(5), Fraction(1, 5), 2)
 
     def test_never_larger_than_constructive(self):
         for n in (7, 8, 9):
             for g in enumerate_hop_graphs(n)[:10]:
                 c = class_o_separator(g)
                 b = brute_min_separator(g, Fraction(2, 3), 5)
-                assert b is not None
                 assert len(b.x) <= len(c.x)
 
     def test_cap_exceeded(self):
@@ -513,27 +513,28 @@ class TestVerify:
 
 
 class TestFlapsAgree:
-    """Every separator reports the flaps that flap_decompose finds."""
+    """Every separator reports the flaps that flaps_of finds."""
 
     @settings(max_examples=150, deadline=None)
     @given(connected_with_subset(), st.sampled_from([Fraction(1, 2), Fraction(2, 3)]))
-    def test_separators_match_flap_decompose(self, gx, eps):
+    def test_separators_match_flaps_of(self, gx, eps):
         g, x = gx
-        flaps = flap_decompose(g, x).flaps
+        flaps = flaps_of(g, x)
         rep = verify_separator(g, x, eps, 3)
         assert rep.flap_count == len(flaps)
         assert rep.oversize_flaps == tuple(i for i, f in enumerate(flaps)
                                            if len(f) > eps * g.n)
         assert rep.too_many_flaps == (len(flaps) > 3)
-        res = brute_min_separator(g, eps, 5)
-        if res is not None:
-            assert res.flaps == flap_decompose(g, res.x).flaps
-            assert res.flap_count == len(res.flaps)
+        try:
+            res = brute_min_separator(g, eps, 5)
+        except SeparatorError:
+            pass
+        else:
+            assert res.flaps == flaps_of(g, res.x)
         if g.is_tree():
             res = tree_centroid_separator(g)
-            assert res.flaps == flap_decompose(g, res.x).flaps
-            assert res.flap_count == len(res.flaps)
+            assert res.flaps == flaps_of(g, res.x)
         if g.n >= 2 and classify_o(g).in_class():
             res = class_o_separator(g)
-            assert res.flaps == flap_decompose(g, res.x).flaps
-            assert res.flap_count == len(res.flaps) == len(res.tags)
+            assert res.flaps == flaps_of(g, res.x)
+            assert len(res.flaps) == len(res.tags)
