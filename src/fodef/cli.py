@@ -22,7 +22,7 @@ from fodef.graphs import (
     BudgetExceeded, ColoredGraph, GraphError, load_graph,
     are_isomorphic,
 )
-from fodef.oracle import OracleSpoiler, defining_rank_lb, exact_rank
+from fodef.oracle import DEFAULT_R_MAX, OracleSpoiler, defining_rank_lb, exact_rank
 from fodef.separators import (
     EPSILON, MAX_FLAPS, MAX_SEPARATOR, SeparatorError, brute_min_separator,
     class_o_separator, classify_o, inner_faces, tree_centroid_separator,
@@ -251,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
     p.add_argument("--k", type=int)
-    p.add_argument("--rmax", type=int, default=8)
+    p.add_argument("--rmax", type=int, default=DEFAULT_R_MAX)
     p.add_argument("--budget", type=int)
 
     p = sub.add_parser("define-lb", help="lower bound on the defining count")
@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a distinguishing formula")
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
-    p.add_argument("--rmax", type=int, default=8)
+    p.add_argument("--rmax", type=int, default=DEFAULT_R_MAX)
     p.add_argument("--spoiler", default="oracle", choices=["oracle", "s"])
     p.add_argument("--provider", default="tree_centroid",
                    choices=["tree_centroid", "class_o", "brute_min"])
@@ -403,10 +403,7 @@ def _cmd_verify(args) -> int:
             except ValueError:
                 raise ValueError(f"--params entry {kv!r} is not KEY=VALUE with "
                                  "a finite number VALUE") from None
-        try:
-            val = bound(args.claim, **params)
-        except KeyError as exc:
-            raise ValueError(f"claim {args.claim} needs the parameter {exc.args[0]}") from None
+        val = bound(args.claim, **params)
         rows = [CampaignRow(args.claim, int(params.get("n", 0)), 0, 0, 0, val, True)]
     buf = io.StringIO()
     write_rows(rows, buf)

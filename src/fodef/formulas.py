@@ -10,17 +10,18 @@ quantifiers extend maximally to the right):
 Identifiers match [a-z][a-z0-9_]* and may not be the reserved words
 ex, all, adj, eq, col.
 
-Every traversal but `evaluate` is iterative, so a formula thousands of levels
-deep (`conjunction` builds left-deep chains) can be parsed, printed, compared,
-hashed and analyzed.  The walks dispatch on the exact node type: any object
-that is not one of the eight node classes, a subclass included, raises
-TypeError.  `evaluate` stays recursive because it short-circuits and binds
-variables on the way down; an explicit-stack version ran slower.
+Nodes are hash-consed, so equality and hash are identity.  Every traversal but
+`evaluate` is iterative, so a formula thousands of levels deep (`conjunction`
+builds left-deep chains) can be parsed, printed and analyzed.  The walks
+dispatch on the exact node type: any object that is not one of the eight node
+classes, a subclass included, raises TypeError.  `evaluate` stays recursive:
+it short-circuits and binds variables on the way down (a stack ran slower).
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Optional, Union
@@ -36,61 +37,77 @@ class UnboundVariableError(FormulaError):
     pass
 
 
+_TABLE = weakref.WeakValueDictionary()    # (type, *fields) -> the live node
+
+
 class _Node:
-    """Equality and hashing of the compound nodes below, by `_key`.  Atoms keep
-    the generated dataclass methods: they cannot recurse and are faster."""
+    """Hash-consing (Filliâtre & Conchon, 2006): one node per type and fields."""
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or _key(self) == _key(other)
+    def __new__(cls, *args, **kwargs):
+        names = cls.__match_args__
+        if kwargs:
+            args += tuple(kwargs.pop(n) for n in names[len(args):] if n in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(names)}")
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            node = _TABLE[key] = object.__new__(cls)
+            node.__dict__.update(zip(names, args))
+        return node
 
-    def __hash__(self):
-        return hash(_key(self))
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self):
+        return f"parse_formula({print_formula(self)!r})"
 
 
-@dataclass(frozen=True)
-class Adj:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Adj(_Node):
     x: str
     y: str
 
 
-@dataclass(frozen=True)
-class Eq:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Eq(_Node):
     x: str
     y: str
 
 
-@dataclass(frozen=True)
-class Col:
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class Col(_Node):
     color: int
     x: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Exists(_Node):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Forall(_Node):
     var: str
     body: "Formula"
@@ -131,7 +148,7 @@ def _postorder(f: Formula) -> list:
         elif t is Not or t is Exists or t is Forall:
             push(node.body)
         elif t is not Adj and t is not Eq and t is not Col:
-            raise TypeError(node)
+            raise TypeError(type(node))
     order.reverse()
     return order
 
@@ -150,23 +167,6 @@ def _fold(f: Formula, step):
         else:
             values.append(step(node))
     return values[0]
-
-
-def _key(f: Formula) -> tuple:
-    """f as the post-order sequence of its nodes' exact types and scalar
-    fields; with fixed arities the sequence determines the tree."""
-    key: list = []
-    emit = key.append
-    for node in _postorder(f):
-        t = type(node)
-        emit(t)
-        if t is Exists or t is Forall:
-            emit(node.var)
-        elif t is Col:
-            key += (node.color, node.x)
-        elif t is Adj or t is Eq:
-            key += (node.x, node.y)
-    return tuple(key)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -306,7 +306,7 @@ def print_formula(f: Formula) -> str:
         elif t is Adj or t is Eq:
             emit(f"{'adj' if t is Adj else 'eq'}({node.x},{node.y})")
         else:
-            raise TypeError(node)
+            raise TypeError(type(node))
     return "".join(pieces)
 
 

@@ -64,9 +64,6 @@ class ColoredGraph:
 
     # -- basic queries ----------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 

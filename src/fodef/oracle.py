@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from fodef.families import enumerate_graphs
+from fodef.families import ENUM_CAP, enumerate_graphs
 from fodef.game import (
     Agent, AgentError, GameState, IllegalMove, SIDE_G, SIDE_H,
     alternations_after, explore_replies,
@@ -129,6 +129,8 @@ class RankSearcher:
     """Shared search state for one (g, h) pair and one alternation budget."""
 
     def __init__(self, g: ColoredGraph, h: ColoredGraph, k: Optional[int] = None):
+        if k is not None and k < 0:
+            raise IllegalMove("alternation budget must be non-negative")
         self.g = g
         self.h = h
         self.k = k
@@ -150,7 +152,7 @@ class RankSearcher:
         i = 0 if side == SIDE_G else 1
         return memo.orbits(frozenset(p[i] for p in pairs))[0]
 
-    def _key(self, pairs, last_side, alts):
+    def _memo_key(self, pairs, last_side, alts):
         if self.k is None:
             return pairs
         return (pairs, last_side, alts)
@@ -162,7 +164,7 @@ class RankSearcher:
         """Can Spoiler break the configuration within r further rounds?"""
         if r <= 0:
             return False
-        key = self._key(pairs, last_side, alts)
+        key = self._memo_key(pairs, last_side, alts)
         lo = self.win_lo.get(key)
         if lo is not None and r >= lo[0]:
             self.memo_hits += 1
@@ -214,7 +216,7 @@ class RankSearcher:
         """Lexicographically least move that wins within the least winning
         round count, as stored by the search; None before `min_win_rounds`
         has found that count here."""
-        entry = self.win_lo.get(self._key(pairs, last_side, alts))
+        entry = self.win_lo.get(self._memo_key(pairs, last_side, alts))
         return None if entry is None else entry[1]
 
 
@@ -330,8 +332,8 @@ def defining_rank_lb(g: ColoredGraph, order_max: int, k: Optional[int] = None,
     """Max of the pair rank over every non-isomorphic graph of order at most
     order_max, with the maximizing witness.  A lower bound on the defining
     round count, whose true max ranges over all graphs."""
-    if order_max > 8:
-        raise BudgetExceeded("enumeration capped at order 8")
+    if order_max > ENUM_CAP:
+        raise BudgetExceeded(f"enumeration capped at order {ENUM_CAP}")
     depth = r_max if r_max is not None else g.n + 2
     best: Optional[tuple[int, ColoredGraph]] = None
     for m in range(1, order_max + 1):

@@ -79,8 +79,39 @@ def _k_sum(k, n: int, epsilon: Fraction, t: int) -> float:
     return k * t
 
 
+# the parameters each closed-form bound reads; lemma36 and lemma52 also take t
+_BOUND_PARAMS = {
+    "lemma36": ("n", "m", "epsilon", "k"),
+    "lemma37": ("n", "m", "epsilon", "k"),
+    "thm41": ("n", "d"),
+    "thm43": ("n",),
+    "lemma52": ("n", "s", "epsilon", "k"),
+    "lemma53": ("n", "s", "epsilon", "c", "delta"),
+    "thm55_all": ("n", "H", "Delta"),
+    "thm55_planar": ("n", "Delta"),
+    "thm55_genus": ("n", "Delta", "g", "c"),
+}
+BOUND_NAMES = tuple(_BOUND_PARAMS)
+
+
 def bound(name: str, **params) -> float:
-    """Closed-form round bounds by name (see BOUND_NAMES)."""
+    """Closed-form round bounds by name (see BOUND_NAMES).  A parameter that
+    is missing or unknown, n < 1 or epsilon outside (0, 1) raises ValueError."""
+    if name not in _BOUND_PARAMS:
+        raise ValueError(f"unknown bound {name!r}")
+    needed = _BOUND_PARAMS[name]
+    optional = ("t",) if name in ("lemma36", "lemma52") else ()
+    for key in needed:
+        if key not in params:
+            raise ValueError(f"claim {name} needs the parameter {key}")
+    for key in params:
+        if key not in needed and key not in optional:
+            raise ValueError(f"claim {name} takes no parameter {key}")
+    if params["n"] < 1:
+        raise ValueError(f"claim {name} needs n >= 1, got n={params['n']}")
+    if "epsilon" in params and not 0 < params["epsilon"] < 1:
+        raise ValueError(f"claim {name} needs 0 < epsilon < 1, "
+                         f"got epsilon={params['epsilon']}")
     log2 = math.log2
     if name == "lemma36":
         n, m, eps = params["n"], params["m"], Fraction(params["epsilon"])
@@ -120,15 +151,10 @@ def bound(name: str, **params) -> float:
         n, dd = params["n"], params["Delta"]
         return ((4.5 * math.sqrt(2) + 3 * math.sqrt(3)) * math.sqrt(n)
                 + ((dd + 1) / log2(1.5) + 1) * log2(n) + dd + 3)
-    if name == "thm55_genus":
-        n, dd, gg, c = params["n"], params["Delta"], params["g"], params["c"]
-        return (c * math.sqrt(gg) * math.sqrt(n)
-                + ((dd + 1) / log2(1.5) + 1) * log2(n) + dd + 3)
-    raise ValueError(f"unknown bound {name!r}")
-
-
-BOUND_NAMES = ("lemma36", "lemma37", "thm41", "thm43", "lemma52", "lemma53",
-               "thm55_all", "thm55_planar", "thm55_genus")
+    # thm55_genus
+    n, dd, gg, c = params["n"], params["Delta"], params["g"], params["c"]
+    return (c * math.sqrt(gg) * math.sqrt(n)
+            + ((dd + 1) / log2(1.5) + 1) * log2(n) + dd + 3)
 
 
 # -- configuration and traces ------------------------------------------------------
@@ -137,6 +163,10 @@ BOUND_NAMES = ("lemma36", "lemma37", "thm41", "thm43", "lemma52", "lemma53",
 @dataclass(frozen=True)
 class StrategyConfig:
     provider: str = "tree_centroid"       # tree_centroid | class_o | brute_min
+
+    def __post_init__(self):
+        if self.provider not in ("tree_centroid", "class_o", "brute_min"):
+            raise ValueError(f"unknown separator provider {self.provider!r}")
 
     def k_of(self, n: int) -> int:
         if self.provider == "tree_centroid":

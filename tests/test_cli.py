@@ -59,6 +59,16 @@ class TestCli:
         row = json.loads(out.splitlines()[-1])
         assert row["rank"] == 3
 
+    def test_rank_rejects_negative_alternation_budget(self, tmp_path, capsys):
+        a = tmp_path / "s3.json"
+        b = tmp_path / "s4.json"
+        run(capsys, "gen", "--family", "star", "--n", "3", "--out", str(a))
+        run(capsys, "gen", "--family", "star", "--n", "4", "--out", str(b))
+        code, out, err = run(capsys, "rank", "--g", str(a), "--h", str(b), "--k", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: alternation budget must be non-negative\n"
+
     def test_separate_class_o(self, tmp_path, capsys):
         p = tmp_path / "c9.json"
         main(["gen", "--family", "cycle", "--n", "9", "--out", str(p)])
@@ -171,6 +181,19 @@ class TestCli:
         assert code == 1
         assert out == ""
         assert err == "error: claim lemma37 needs the parameter m\n"
+
+    @pytest.mark.parametrize("claim,params,name", [
+        ("thm55_planar", ["n=0", "Delta=3"], "n"),
+        ("thm55_all", ["n=100", "H=5", "Delta=4", "Deltaa=9"], "Deltaa"),
+        ("lemma37", ["n=100", "m=3", "epsilon=1", "k=1"], "epsilon"),
+        ("lemma53", ["n=100", "s=4", "epsilon=1", "c=2", "delta=0.5"], "epsilon"),
+    ])
+    def test_verify_closed_form_bad_parameter(self, capsys, claim, params, name):
+        code, out, err = run(capsys, "verify", "--claim", claim, "--params", *params)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: claim {claim} ") and err.count("\n") == 1
+        assert f" {name}" in err
 
     @pytest.mark.parametrize("entry", ["n", "n=abc", "=3", "n=inf"])
     def test_verify_malformed_params_entry(self, capsys, entry):

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import re
 import time
 
@@ -320,12 +323,29 @@ class TestParser:
         depth = 1500
         text = "(" * depth + "adj(x,y)" + " & eq(x,y))" * depth
         f, g = parse_formula(text), parse_formula(text)
-        assert f is not g
+        assert f is g
         assert f == g and not f != g
         assert hash(f) == hash(g)
         other = parse_formula(text.replace("adj(x,y)", "adj(y,x)", 1))
         assert f != other and not f == other
         assert len({f, g, other}) == 2
+
+
+class TestInterning:
+    def test_equal_construction_returns_the_live_node(self):
+        live = Col(3, "x")
+        assert Col(3.0, "x") is live
+        assert print_formula(live) == "col(3,x)"
+        assert Col(color=3, x="x") is live and Col(3, x="x") is live
+        f = parse_formula("ex x. (col(3,x) & ~adj(x,y))")
+        assert Exists(var="x", body=f.body) is f
+        assert dataclasses.replace(f, var="x") is f
+        assert copy.copy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        with pytest.raises(TypeError):
+            Adj("x")
+        with pytest.raises(TypeError):
+            Adj("x", x="y")
 
 
 class TestEvaluate:
@@ -435,7 +455,7 @@ class TestAnalyze:
 
         f = Exists("x", And(Eq("x", "x"), Negation(Adj("x", "x"))))
         for walk in (print_formula, F.free_variables, quantifier_rank,
-                     alternation_number, analyze, hash):
+                     alternation_number, analyze):
             with pytest.raises(TypeError):
                 walk(f)
         with pytest.raises(TypeError):
@@ -447,7 +467,8 @@ DEPTH = 3000
 
 class TestDepth:
     """Each traversal but evaluate runs without recursion: a formula
-    DEPTH levels deep is printed, parsed back, compared and analyzed."""
+    DEPTH levels deep is printed, parsed back, compared, copied, shown by
+    repr and analyzed."""
 
     def check(self, f, text, free, profile, nest):
         assert print_formula(f) == text
@@ -460,6 +481,8 @@ class TestDepth:
             profile.is_nnf, nest)
         back = parse_formula(text)
         assert back == f and hash(back) == hash(f)
+        assert back is f and copy.deepcopy(f) is f
+        assert text in repr(f)
 
     def test_long_conjunction(self):
         parts = [Adj("x", "y") if i % 2 else Not(Eq("x", "z"))

@@ -22,7 +22,10 @@ import pytest
 
 from fodef.cli import perturb_hop
 from fodef.families import random_bounded_tree, random_hop
-from fodef.formulas import Adj, Eq, Exists, Not, analyze, conjunction, free_variables
+from fodef.formulas import (
+    Adj, Eq, Exists, Not, analyze, conjunction, free_variables, parse_formula,
+    print_formula,
+)
 from fodef.graphs import ColoredGraph
 from fodef.separators import EDHOP2, HOP, OClassification, class_o_separator
 
@@ -75,6 +78,17 @@ def test_formula_walks_are_linear(walk):
     base = opcodes(lambda: walk(small))
     allowance = int(RATIO * base)
     assert opcodes(lambda: walk(large), limit=allowance) <= allowance
+
+
+def test_formula_equality_and_hash_do_not_walk():
+    # equal formulas are one object, so == and hash cost the same at any size
+    counts = []
+    for n in (1000, 2000):
+        f = formula(n)
+        g = parse_formula(print_formula(f))
+        counts.append((opcodes(lambda: hash(f)), opcodes(lambda: f == g)))
+    (hash_small, eq_small), (hash_large, eq_large) = counts
+    assert hash_large <= hash_small and eq_large <= eq_small
 
 
 def hop_case(n: int, seed: int, edhop2: bool):

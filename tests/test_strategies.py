@@ -218,6 +218,10 @@ class TestSAgent:
         with pytest.raises(StrategyError):
             s_agent(cycle(4), path(4), StrategyConfig(provider="tree_centroid"))
 
+    def test_rejects_unknown_provider(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            s_agent(path(8), path(9), StrategyConfig(provider="bogus"))
+
     def test_immediate_loss_rule_fires(self):
         # every recorded closing move coincides with the final round on wins
         g = random_bounded_tree(9, 3, 1)
