@@ -10,9 +10,10 @@ quantifiers extend maximally to the right):
 Identifiers match [a-z][a-z0-9_]* and may not be the reserved words
 ex, all, adj, eq, col.
 
-Nodes are hash-consed, so equality and hash are identity.  Every traversal but
-`evaluate` is iterative, so a formula thousands of levels deep (`conjunction`
-builds left-deep chains) can be parsed, printed and analyzed.  The walks
+Nodes are hash-consed, so equality and hash are identity.  The intern table
+takes no lock: fodef runs one thread.  Every traversal but `evaluate` is
+iterative, so a formula thousands of levels deep (`conjunction` builds
+left-deep chains) can be parsed, printed, pickled and analyzed.  The walks
 dispatch on the exact node type: any object that is not one of the eight node
 classes, a subclass included, raises TypeError.  `evaluate` stays recursive:
 it short-circuits and binds variables on the way down (a stack ran slower).
@@ -57,7 +58,8 @@ class _Node:
         return node
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+        # the printed text, so that neither pickling nor unpickling recurses
+        return parse_formula, (print_formula(self),)
 
     def __deepcopy__(self, memo):
         return self

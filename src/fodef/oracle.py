@@ -8,13 +8,22 @@ vertices.  The orbits are exact and no automorphism group is listed: a
 refinement with the pebbled vertices individualized bounds them, and each
 automorphism a search finds is kept and merged into a union-find (McKay &
 Piperno, "Practical graph isomorphism, II", 2014).  Found automorphisms and
-orbits are memoized per graph and shared by every search on an equal graph;
-the game memo stays with each search.
+orbits are memoized per graph, for as long as the graph lives, and shared by
+every search on an equal graph.
+
+The game memo stays with each search.  `exact_rank` starts a fresh search and
+leaves it in a one-search slot; `OracleSpoiler` and `ExhaustiveDuplicator`
+continue the search in the slot when it is on their pair and alternation
+budget, and otherwise start one there.  The memo holds only proven round
+bounds and the least move that wins within the least round count, so a
+continued search plays as a fresh one would.
+
+The orbit memo and the search slot take no lock: fodef runs one thread.
 """
 
 from __future__ import annotations
 
-import functools
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,7 +41,6 @@ DEFAULT_SIZE_BUDGET = 16    # combined order, unless size_budget (CLI --budget) 
 DEFAULT_R_MAX = 8
 ORBIT_DEPTH = 2             # pebbled pairs up to which moves are orbit-pruned
 ORBIT_MAX_ORDER = 24        # graphs above this order are not orbit-pruned
-ORBIT_GRAPHS = 8            # graphs whose orbit memo is kept
 
 
 @dataclass(frozen=True)
@@ -54,31 +62,34 @@ class RankResult:
 
 
 class _OrbitMemo:
-    """Found automorphisms of one graph and the stabilizer orbits they give."""
+    """Found automorphisms of one graph and the stabilizer orbits they give.
+    It does not hold the graph, so that its entry in `_orbit_memos` dies
+    with the graph; every call passes the graph (or an equal one) in."""
 
-    def __init__(self, g: ColoredGraph):
-        self.g = g
+    def __init__(self):
         self.pool: list[tuple[int, ...]] = []  # found automorphisms as images
-        self.found: dict[frozenset[int], tuple[tuple[int, ...], list[int]]] = {}
+        self.found: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def orbits(self, pebbled: frozenset[int]) -> tuple[tuple[int, ...], list[int]]:
-        """The least vertex of each orbit of the stabilizer of `pebbled`,
-        ascending, and per vertex the least vertex of its orbit."""
+    def orbits(self, g: ColoredGraph, pebbled: tuple[int, ...]
+               ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The least vertex of each orbit of the stabilizer of the vertices
+        `pebbled` (ascending) in g, ascending, and per vertex the least
+        vertex of its orbit."""
         found = self.found.get(pebbled)
         if found is None:
-            found = self.found[pebbled] = self._search(pebbled)
+            found = self.found[pebbled] = self._search(g, pebbled)
         return found
 
-    def _search(self, pebbled: frozenset[int]) -> tuple[tuple[int, ...], list[int]]:
+    def _search(self, g: ColoredGraph, pebbled: tuple[int, ...]
+                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # The orbits of the stabilizer of `pebbled` split those of the
         # stabilizer of a subset and the cells of a refinement with `pebbled`
         # individualized.  Found automorphisms that fix `pebbled` join orbits;
         # a vertex left alone joins an earlier representative v only through
         # an automorphism, searched for, that fixes `pebbled` and maps v to it.
-        g = self.g
-        base = self.orbits(pebbled - {max(pebbled)})[1] if pebbled else [0] * g.n
+        base = self.orbits(g, pebbled[:-1])[1] if pebbled else (0,) * g.n
         fresh = g.max_color() + 1
-        xs = {x: (fresh + i,) for i, x in enumerate(sorted(pebbled))}
+        xs = {x: (fresh + i,) for i, x in enumerate(pebbled)}
         mark = fresh + len(xs)
         cell = None
         parent = list(range(g.n))
@@ -117,12 +128,18 @@ class _OrbitMemo:
                     break
             else:
                 reps.append(w)
-        return tuple(reps), [find(v) for v in range(g.n)]
+        return tuple(reps), tuple(map(find, range(g.n)))
 
 
-@functools.lru_cache(maxsize=ORBIT_GRAPHS)
+_orbit_memos = weakref.WeakKeyDictionary()    # graph -> its _OrbitMemo
+
+
 def _orbit_memo(g: ColoredGraph) -> _OrbitMemo:
-    return _OrbitMemo(g)
+    """The orbit memo of g, shared with every live graph equal to it."""
+    memo = _orbit_memos.get(g)
+    if memo is None:
+        memo = _orbit_memos[g] = _OrbitMemo()
+    return memo
 
 
 class RankSearcher:
@@ -147,10 +164,11 @@ class RankSearcher:
         """The least vertex of each orbit of the stabilizer of the pebbled
         vertices on `side`, ascending; every vertex beyond ORBIT_DEPTH."""
         memo = self._orbits[side]
+        x = self.g if side == SIDE_G else self.h
         if memo is None or len(pairs) > ORBIT_DEPTH:
-            return range((self.g if side == SIDE_G else self.h).n)
+            return range(x.n)
         i = 0 if side == SIDE_G else 1
-        return memo.orbits(frozenset(p[i] for p in pairs))[0]
+        return memo.orbits(x, tuple(sorted([p[i] for p in pairs])))[0]
 
     def _memo_key(self, pairs, last_side, alts):
         if self.k is None:
@@ -227,13 +245,27 @@ def _guard_size(g: ColoredGraph, h: ColoredGraph, size_budget: Optional[int]):
             f"combined order {g.n + h.n} exceeds search budget {budget}")
 
 
+_last_search: Optional[RankSearcher] = None    # the search slot
+
+
+def _searcher(g: ColoredGraph, h: ColoredGraph, k: Optional[int]) -> RankSearcher:
+    """The search in the slot when it is on (g, h, k), else a new one, which
+    takes the slot."""
+    global _last_search
+    s = _last_search
+    if s is None or (s.g, s.h, s.k) != (g, h, k):
+        s = _last_search = RankSearcher(g, h, k)
+    return s
+
+
 def exact_rank(g: ColoredGraph, h: ColoredGraph, k: Optional[int] = None,
                r_max: int = DEFAULT_R_MAX,
                size_budget: Optional[int] = None) -> RankResult:
     """Minimum r such that Spoiler wins the r-round game (with at most k side
     switches when k is given); None-valued result when r_max does not suffice."""
+    global _last_search
     _guard_size(g, h, size_budget)
-    s = RankSearcher(g, h, k)
+    s = _last_search = RankSearcher(g, h, k)
     value = s.min_win_rounds(frozenset(), None, 0, r_max)
     return RankResult(value, r_max, k, s.nodes, s.memo_hits,
                       s.best_move(frozenset(), None, 0))
@@ -247,7 +279,8 @@ def _position(state: GameState) -> tuple[frozenset, Optional[str], int, int]:
 
 
 class OracleSpoiler(Agent):
-    """Plays a minimum-round winning strategy computed by full search."""
+    """Plays a minimum-round winning strategy computed by full search,
+    continuing the last search when it was on the same pair and budget."""
     role = "spoiler"
     label = "oracle"
 
@@ -255,7 +288,7 @@ class OracleSpoiler(Agent):
                  k: Optional[int] = None,
                  size_budget: Optional[int] = None):
         _guard_size(g, h, size_budget)
-        self.searcher = RankSearcher(g, h, k)
+        self.searcher = _searcher(g, h, k)
 
     def fork(self) -> "OracleSpoiler":
         return self  # stateless between calls; memo sharing is sound
@@ -270,24 +303,19 @@ class OracleSpoiler(Agent):
 
 class ExhaustiveDuplicator(Agent):
     """Optimal replies from full game-tree search, on pairs within the
-    combined order `size_budget` (None: DEFAULT_SIZE_BUDGET).  The searcher
-    is kept while the pair and the alternation budget stay the same."""
+    combined order `size_budget` (None: DEFAULT_SIZE_BUDGET).  Each reply
+    continues the last search when it was on the same pair and budget."""
     label = "exhaustive"
 
     def __init__(self, size_budget: Optional[int] = None):
         self.size_budget = size_budget
-        self._searcher = None
 
     def respond(self, state, side, vertex):
         budget = DEFAULT_SIZE_BUDGET if self.size_budget is None else self.size_budget
         if state.g.n + state.h.n > budget:
             raise AgentError("exhaustive duplicator refuses instances over "
                              f"{budget} vertices")
-        s = self._searcher
-        if s is None or (s.g, s.h, s.k) != (state.g, state.h,
-                                            state.alternation_budget):
-            s = self._searcher = RankSearcher(state.g, state.h,
-                                              state.alternation_budget)
+        s = _searcher(state.g, state.h, state.alternation_budget)
         pairs, last, alts, left = _position(state)
         alts = alternations_after(last, alts, side, s.k)
         if alts is None:

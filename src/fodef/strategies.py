@@ -93,10 +93,27 @@ _BOUND_PARAMS = {
 }
 BOUND_NAMES = tuple(_BOUND_PARAMS)
 
+# the domain of each parameter, as text and as a test; k may also be a
+# function of the order (see _k_sum)
+_PARAM_DOMAINS = {
+    "n": ("n >= 1", lambda x: x >= 1),
+    "m": ("m >= 1", lambda x: x >= 1),
+    "s": ("s >= 1", lambda x: x >= 1),
+    "t": ("t >= 0", lambda x: x >= 0),
+    "k": ("k >= 0", lambda x: callable(x) or x >= 0),
+    "epsilon": ("0 < epsilon < 1", lambda x: 0 < x < 1),
+    "d": ("d >= 0", lambda x: x >= 0),
+    "c": ("c > 0", lambda x: x > 0),
+    "delta": ("0 < delta < 1", lambda x: 0 < x < 1),
+    "H": ("H >= 1", lambda x: x >= 1),
+    "Delta": ("Delta >= 0", lambda x: x >= 0),
+    "g": ("g >= 0", lambda x: x >= 0),
+}
+
 
 def bound(name: str, **params) -> float:
     """Closed-form round bounds by name (see BOUND_NAMES).  A parameter that
-    is missing or unknown, n < 1 or epsilon outside (0, 1) raises ValueError."""
+    is missing, unknown or outside its domain raises ValueError."""
     if name not in _BOUND_PARAMS:
         raise ValueError(f"unknown bound {name!r}")
     needed = _BOUND_PARAMS[name]
@@ -104,14 +121,12 @@ def bound(name: str, **params) -> float:
     for key in needed:
         if key not in params:
             raise ValueError(f"claim {name} needs the parameter {key}")
-    for key in params:
+    for key, value in params.items():
         if key not in needed and key not in optional:
             raise ValueError(f"claim {name} takes no parameter {key}")
-    if params["n"] < 1:
-        raise ValueError(f"claim {name} needs n >= 1, got n={params['n']}")
-    if "epsilon" in params and not 0 < params["epsilon"] < 1:
-        raise ValueError(f"claim {name} needs 0 < epsilon < 1, "
-                         f"got epsilon={params['epsilon']}")
+        text, within = _PARAM_DOMAINS[key]
+        if not within(value):
+            raise ValueError(f"claim {name} needs {text}, got {key}={value}")
     log2 = math.log2
     if name == "lemma36":
         n, m, eps = params["n"], params["m"], Fraction(params["epsilon"])

@@ -187,6 +187,8 @@ class TestCli:
         ("thm55_all", ["n=100", "H=5", "Delta=4", "Deltaa=9"], "Deltaa"),
         ("lemma37", ["n=100", "m=3", "epsilon=1", "k=1"], "epsilon"),
         ("lemma53", ["n=100", "s=4", "epsilon=1", "c=2", "delta=0.5"], "epsilon"),
+        ("lemma53", ["n=100", "s=4", "epsilon=0.5", "c=2", "delta=0"], "delta"),
+        ("thm55_genus", ["n=100", "Delta=3", "g=-1", "c=1"], "g"),
     ])
     def test_verify_closed_form_bad_parameter(self, capsys, claim, params, name):
         code, out, err = run(capsys, "verify", "--claim", claim, "--params", *params)

@@ -467,8 +467,8 @@ DEPTH = 3000
 
 class TestDepth:
     """Each traversal but evaluate runs without recursion: a formula
-    DEPTH levels deep is printed, parsed back, compared, copied, shown by
-    repr and analyzed."""
+    DEPTH levels deep is printed, parsed back, compared, copied, pickled,
+    shown by repr and analyzed."""
 
     def check(self, f, text, free, profile, nest):
         assert print_formula(f) == text
@@ -482,6 +482,7 @@ class TestDepth:
         back = parse_formula(text)
         assert back == f and hash(back) == hash(f)
         assert back is f and copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
         assert text in repr(f)
 
     def test_long_conjunction(self):

@@ -1,16 +1,20 @@
+import gc
 import itertools
 import math
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fodef import oracle
 from fodef.families import complete, cycle, enumerate_graphs, path, star, triv, two_cycles
 from fodef.game import (
     DUPLICATOR_SURVIVED, SIDE_H, SPOILER_WON, builtin_duplicator, run_match,
 )
 from fodef.graphs import BudgetExceeded, ColoredGraph, automorphisms
 from fodef.oracle import (
-    ExhaustiveDuplicator, OracleSpoiler, RankSearcher, _orbit_memo,
+    ExhaustiveDuplicator, OracleSpoiler, RankSearcher, _OrbitMemo, _orbit_memo,
     defining_rank_lb, exact_rank, survival_vs,
 )
 
@@ -135,7 +139,26 @@ class TestDefiningRankLB:
 
 def orbit_reps(g, pebbled):
     """The orbit representatives the rank search prunes to."""
-    return _orbit_memo(g).orbits(frozenset(pebbled))[0]
+    return _orbit_memo(g).orbits(g, tuple(sorted(pebbled)))[0]
+
+
+def forget_searches():
+    """Empty the orbit memos and the search slot."""
+    oracle._orbit_memos.clear()
+    oracle._last_search = None
+
+
+def rank_table_pairs():
+    """The pairs of scripts/rank_table.py with its r_max and size budget."""
+    pairs = [(star(n), star(n + 1), n, 2 * n + 1) for n in (2, 3, 4, 5)]
+    for n in range(3, 7):
+        for m in range(n + 1, 8):
+            pairs += [(path(n), path(m), 7, 15), (cycle(n), cycle(m), 7, 15)]
+    pairs += [(triv(m, 2 * m), triv(m - 1, 2 * m + 2), 2 * m + 2, 8 * m)
+              for m in (1, 2)]
+    pairs += [(two_cycles(n), cycle(n), math.floor(math.log2(n - 1)), 3 * n)
+              for n in (4, 5)]
+    return pairs
 
 
 def listed_orbit_reps(g, pebbled):
@@ -183,10 +206,45 @@ class TestOrbits:
         assert twin == g and twin is not g
         sets = [xs for size in range(3) for xs in itertools.combinations(range(5), size)]
         shared = [orbit_reps(g, xs) for xs in sets]
-        assert _orbit_memo(twin) is _orbit_memo(g)
+        memo = _orbit_memo(g)
+        assert _orbit_memo(twin) is memo
         assert [orbit_reps(twin, xs) for xs in sets] == shared
-        _orbit_memo.cache_clear()
+        # the memo's entry dies with g, though its twin lives on
+        del g
+        gc.collect()
+        assert _orbit_memo(twin) is not memo
         assert [orbit_reps(twin, xs) for xs in sets] == shared
+
+    def test_memo_dies_with_its_graph(self):
+        # neither the memo nor a finished search keeps the graphs alive
+        g, h = cycle(4), path(4)
+        exact_rank(g, h)
+        OracleSpoiler(g, h)
+        memos = [weakref.ref(_orbit_memo(x)) for x in (g, h)]
+        exact_rank(star(2), star(3))
+        del g, h
+        gc.collect()
+        assert [m() for m in memos] == [None, None]
+
+    def test_one_orbit_search_per_graph_and_set(self, monkeypatch):
+        # a defining_rank_lb-style sweep of the order-3 bases searches the
+        # orbits of each graph and pebbled set once
+        calls = Counter()
+        search = _OrbitMemo._search
+
+        def counted(memo, g, pebbled):
+            calls[g, pebbled] += 1
+            return search(memo, g, pebbled)
+
+        monkeypatch.setattr(_OrbitMemo, "_search", counted)
+        forget_searches()
+        every = [h for n in range(1, 6) for h in enumerate_graphs(n)]
+        for g in enumerate_graphs(3):
+            for h in every:
+                if h is not g:
+                    exact_rank(g, h, r_max=g.n + 2)
+        assert len(calls) > len(every)
+        assert max(calls.values()) == 1
 
     def test_one_duplicator_across_pairs(self):
         # one exhaustive Duplicator on star(3)/star(4) and then on
@@ -200,8 +258,20 @@ class TestOrbits:
 
         shared = play()
         assert (shared[0].status, shared[0].rounds_used) == (SPOILER_WON, 3)
-        _orbit_memo.cache_clear()
+        forget_searches()
         assert play() == shared
+
+    def test_spoiler_continues_exact_rank(self):
+        # on every rank_table pair, an oracle Spoiler that continues
+        # exact_rank's search plays as one started cold
+        for g, h, r_max, budget in rank_table_pairs():
+            r = exact_rank(g, h, r_max=r_max, size_budget=budget).value or r_max
+            warm = OracleSpoiler(g, h, size_budget=budget)
+            assert warm.searcher is oracle._last_search
+            played = run_match(g, h, warm, ExhaustiveDuplicator(budget), r)
+            forget_searches()
+            cold = OracleSpoiler(g, h, size_budget=budget)
+            assert run_match(g, h, cold, ExhaustiveDuplicator(budget), r) == played
 
     def test_game_memo_is_per_search(self):
         # a second search on the same pair finds the orbits memoized but

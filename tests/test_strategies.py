@@ -22,7 +22,7 @@ from fodef.graphs import (
 from fodef.oracle import OracleSpoiler, exact_rank, survival_vs
 from fodef.separators import classify_o
 from fodef.strategies import (
-    BOUND_NAMES, HypothesisError, StrategyConfig, StrategyError,
+    BOUND_NAMES, _BOUND_PARAMS, HypothesisError, StrategyConfig, StrategyError,
     StrategyMachine, StrategySpoiler, bound, choose_depth, extract_formula,
     halving_agent, reply_tree, s_agent, s_star_agent, synthesize_distinguisher,
 )
@@ -107,6 +107,22 @@ class TestBounds:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             bound("lemma99", n=4)
+
+    def test_parameter_outside_its_domain(self):
+        # each parameter of each bound, set just outside its domain while the
+        # others stay inside, raises ValueError naming it
+        inside = {"n": 100, "m": 3, "s": 4, "t": 2, "k": 1, "epsilon": 0.5,
+                  "d": 3, "c": 2, "delta": 0.5, "H": 5, "Delta": 4, "g": 1}
+        outside = {"n": 0.5, "m": 0, "s": 0.5, "t": -1, "k": -1, "epsilon": 1,
+                   "d": -1, "c": 0, "delta": 1, "H": 0, "Delta": -1, "g": -0.5}
+        for name in BOUND_NAMES:
+            params = {key: inside[key] for key in _BOUND_PARAMS[name]}
+            if name in ("lemma36", "lemma52"):
+                params["t"] = inside["t"]
+            assert math.isfinite(bound(name, **params))
+            for key in params:
+                with pytest.raises(ValueError, match=f"got {key}="):
+                    bound(name, **{**params, key: outside[key]})
 
 
 def p7_vs_split():
