@@ -46,6 +46,9 @@ is a name and a sha256 hex digest:
   class_o, r_max the thm41 or thm43 bound + 1) against the greedy and the
   random Duplicator (seed ^ 0x5f5f) on each opponents pair, 60 matches; a
   match that raises StrategyError is hashed by its message.
+- traces: the strategy trace of each transcripts match, as
+  json.dumps(trace.to_json_dict(), sort_keys=True) (the trace that `fodef
+  play` writes); a match that raises is hashed by its message.
 - exhaustive_duplicator: the moves and status of OracleSpoiler against the
   exhaustive Duplicator, one Duplicator for every match, on every ordered
   pair of non-isomorphic graphs of order 2 to 4 and on the named pairs of
@@ -64,6 +67,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import math
 import os
 import random
@@ -315,10 +319,11 @@ def opponents_hash() -> tuple[str, int]:
     return digest.hexdigest(), pairs
 
 
-def transcripts_hash() -> tuple[str, int]:
+def transcripts_hash() -> tuple[str, str, int]:
     """s_agent against the greedy and the random Duplicator on every
-    opponents pair, as the campaign plays them."""
-    digest = hashlib.sha256()
+    opponents pair, as the campaign plays them: the transcripts' digest and
+    the strategy traces' digest."""
+    digest, traces = hashlib.sha256(), hashlib.sha256()
     matches = 0
     for family, n, seed, g, h in opponent_pairs():
         if family == "tree":
@@ -327,14 +332,18 @@ def transcripts_hash() -> tuple[str, int]:
             cfg, cap = StrategyConfig("class_o"), bound("thm43", n=n)
         for name in ("greedy", "random"):
             dup = builtin_duplicator(name, seed=seed ^ 0x5f5f)
+            agent = s_agent(g, h, cfg)
             try:
-                t = run_match(g, h, s_agent(g, h, cfg), dup, int(cap) + 1)
+                t = run_match(g, h, agent, dup, int(cap) + 1)
                 outcome = (t.moves, t.status)
+                trace = json.dumps(agent.trace.to_json_dict(), sort_keys=True)
             except StrategyError as exc:
                 outcome = ("StrategyError", str(exc))
+                trace = str(exc)
             digest.update(repr((family, n, seed, name, outcome)).encode())
+            traces.update(trace.encode())
             matches += 1
-    return digest.hexdigest(), matches
+    return digest.hexdigest(), traces.hexdigest(), matches
 
 
 EXHAUSTIVE_PAIRS = ((path(5), path(6)), (cycle(5), cycle(6)), (star(4), star(5)),
@@ -385,8 +394,9 @@ def main() -> int:
     print(f"orbits {digest}  ({sets} sets)", flush=True)
     digest, pairs = opponents_hash()
     print(f"opponents {digest}  ({pairs} pairs)", flush=True)
-    digest, matches = transcripts_hash()
+    digest, traces, matches = transcripts_hash()
     print(f"transcripts {digest}  ({matches} matches)", flush=True)
+    print(f"traces {traces}", flush=True)
     digest, matches = exhaustive_duplicator_hash()
     print(f"exhaustive_duplicator {digest}  ({matches} matches)", flush=True)
     digest, codes = hashlib.sha256(), []

@@ -43,6 +43,8 @@ CSV_HEADER = ["family", "n", "seed", "rounds", "alternations", "bound", "pass"]
 def perturb_tree(g: ColoredGraph, rng: random.Random) -> ColoredGraph:
     """Leaf move or subtree swap: cut one edge, reconnect the two pieces."""
     edges = list(g.edges())
+    if not edges:
+        raise GraphError("a tree with no edge has no perturbation")
     if rng.random() < 0.5:
         leaves = [v for v in range(g.n) if g.degree(v) == 1]
         leaf = rng.choice(leaves)
@@ -210,12 +212,13 @@ def write_rows(rows: list[CampaignRow], out) -> None:
 def _parse_sizes(text: str) -> list[int]:
     """'16..128' doubles from 16 to 128; '4,5,6' is a plain list."""
     if ".." in text:
-        lo, hi = text.split("..")
+        lo, hi = (int(x) for x in text.split(".."))
+        if not 1 <= lo <= hi:
+            raise ValueError(f"--n range {text!r} needs 1 <= a <= b in a..b")
         out = []
-        n = int(lo)
-        while n <= int(hi):
-            out.append(n)
-            n *= 2
+        while lo <= hi:
+            out.append(lo)
+            lo *= 2
         return out
     return [int(x) for x in text.split(",") if x]
 

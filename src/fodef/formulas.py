@@ -53,6 +53,7 @@ class _Node:
         key = (cls, *args)
         node = _TABLE.get(key)
         if node is None:
+            _check_atoms(cls, args)
             node = _TABLE[key] = object.__new__(cls)
             node.__dict__.update(zip(names, args))
         return node
@@ -118,6 +119,25 @@ class Forall(_Node):
 Formula = Union[Adj, Eq, Col, Not, And, Or, Exists, Forall]
 
 _RESERVED = {"ex", "all", "adj", "eq", "col"}
+_IDENT = re.compile(r"[a-z][a-z0-9_]*")
+
+
+def _check_atoms(cls: type, args: tuple) -> None:
+    """Reject a variable name outside the grammar and a color that is not a
+    non-negative int, so that every node prints to text that parses back."""
+    if cls is Col:
+        color, *names = args
+        if type(color) is not int or color < 0:
+            raise FormulaError(f"a color must be a non-negative int, got {color!r}")
+    elif cls is Adj or cls is Eq:
+        names = args
+    elif cls is Exists or cls is Forall:
+        names = args[:1]
+    else:
+        return
+    for name in names:
+        if type(name) is not str or not _IDENT.fullmatch(name) or name in _RESERVED:
+            raise FormulaError(f"{name!r} is not a variable name")
 
 
 def conjunction(parts: list[Formula]) -> Formula:
@@ -173,7 +193,7 @@ def _fold(f: Formula, step):
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([a-z][a-z0-9_]*|[0-9]+|[().,&|~])")
+_TOKEN = re.compile(rf"\s*({_IDENT.pattern}|[0-9]+|[().,&|~])")
 
 
 def _tokenize(text: str) -> list[str]:

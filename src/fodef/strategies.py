@@ -201,27 +201,21 @@ class StrategyConfig:
 
 @dataclass
 class StrategyTrace:
-    records: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-    sep_sizes: list = field(default_factory=list)
+    records: tuple = ()
+    events: tuple = ()
+    sep_sizes: tuple = ()
     max_flaps: int = 0
     max_similar: int = 0
 
     def record(self, **kw):
-        self.records.append(kw)
+        self.records += (kw,)
 
     def cases(self) -> list[str]:
         return [r["case"] for r in self.records]
 
-    def fork(self) -> "StrategyTrace":
-        """Copy with its own lists; the records, never changed once
-        appended, are shared."""
-        return StrategyTrace(list(self.records), list(self.events),
-                             list(self.sep_sizes), self.max_flaps, self.max_similar)
-
     def to_json_dict(self) -> dict:
-        return {"records": self.records, "events": self.events,
-                "sep_sizes": self.sep_sizes, "max_flaps": self.max_flaps,
+        return {"records": list(self.records), "events": list(self.events),
+                "sep_sizes": list(self.sep_sizes), "max_flaps": self.max_flaps,
                 "max_similar": self.max_similar}
 
 
@@ -232,42 +226,45 @@ class _Bisection:
     """Shrinks the distance between two same-side pebbles whose partners lie
     in different components of the other graph minus its blocked set.
 
-    anchors are ((p1_play, p1_other), (p2_play, p2_other)); play vertices
-    must share the component `region` of the play graph minus blocked_play.
+    anchors are two pebble pairs and blocked_g, blocked_h the blocked sets,
+    all in (G, H) order whatever the play side; the play-side vertices must
+    share the component `region` of the play graph minus its blocked set.
     The only state that changes is the anchor pair, and observe() rebinds
     it, so a shallow copy is a fork.
     """
 
     def __init__(self, g: ColoredGraph, h: ColoredGraph, play_side: str,
-                 region: frozenset[int], anchors, blocked_play: frozenset[int],
-                 blocked_other: frozenset[int]):
+                 region: frozenset[int], anchors, blocked_g: frozenset[int],
+                 blocked_h: frozenset[int]):
         self.side = play_side
+        self.p = p = 0 if play_side == SIDE_G else 1   # play index in a pair
         self.region = frozenset(region)
-        self.blocked_other = frozenset(blocked_other)
-        (u1, o1), (u2, o2) = anchors
-        self.us = (u1, u2)
-        self.os = (o1, o2)
-        self.play_graph = g if play_side == SIDE_G else h
-        self.other_graph = h if play_side == SIDE_G else g
+        self.anchors = tuple(anchors)
+        self.play_graph, other = (g, h)[p], (g, h)[1 - p]
+        blocked = (blocked_g, blocked_h)
+        # the component of each unblocked vertex of the other graph
+        allowed = frozenset(range(other.n)).difference(blocked[1 - p])
+        self.component = {v: i for i, c in enumerate(other.components(allowed))
+                          for v in c}
+        (u1, o1), (u2, o2) = ((a[p], a[1 - p]) for a in self.anchors)
         if u1 not in self.region or u2 not in self.region:
             raise HypothesisError("anchors must lie inside the play-side flap")
-        if self.region & frozenset(blocked_play):
+        if not self.region.isdisjoint(blocked[p]):
             raise HypothesisError("flap and blocked set overlap")
-        if o1 in self.blocked_other or o2 in self.blocked_other:
+        if o1 not in self.component or o2 not in self.component:
             raise HypothesisError("partner pebbles must lie inside flaps")
         if self._same_component(o1, o2):
             raise HypothesisError("partners must lie in different flaps")
 
     def _same_component(self, a: int, b: int) -> bool:
-        if a in self.blocked_other or b in self.blocked_other:
-            return False
-        allowed = frozenset(range(self.other_graph.n)) - self.blocked_other
-        return b in distances_within(self.other_graph, a, allowed)
+        c = self.component.get(a)
+        return c is not None and c == self.component.get(b)
 
     def next_move(self) -> tuple[str, int]:
-        d1 = distances_within(self.play_graph, self.us[0], self.region)
-        d2 = distances_within(self.play_graph, self.us[1], self.region)
-        gap = d1.get(self.us[1])
+        u1, u2 = (a[self.p] for a in self.anchors)
+        d1 = distances_within(self.play_graph, u1, self.region)
+        d2 = distances_within(self.play_graph, u2, self.region)
+        gap = d1.get(u2)
         if gap is None or gap == 0:
             raise StrategyError("anchors must be distinct and connected in the flap")
         best = None
@@ -281,18 +278,13 @@ class _Bisection:
         return (self.side, best[1])
 
     def observe(self, pair: tuple[int, int]):
-        u = pair[0] if self.side == SIDE_G else pair[1]
-        v = pair[1] if self.side == SIDE_G else pair[0]
-        for m in (0, 1):
-            if not self._same_component(v, self.os[m]):
-                self.us = (u, self.us[m])
-                self.os = (v, self.os[m])
+        o = 1 - self.p
+        for anchor in self.anchors:
+            if not self._same_component(pair[o], anchor[o]):
+                self.anchors = (pair, anchor)
                 return
         raise StrategyError("reply reunited both partners; the pairing "
                             "should already have broken")
-
-    def fork(self) -> "_Bisection":
-        return copy.copy(self)
 
 
 # -- the strategy machine ----------------------------------------------------------
@@ -311,9 +303,9 @@ class _Frame:
     cls: Optional[OClassification] = None      # membership certificate for dom_g
     phase: str = "init"
     case: str = ""
-    queue: list = field(default_factory=list)
-    x_order: list = field(default_factory=list)
-    y_order: list = field(default_factory=list)
+    queue: tuple = ()
+    x_order: tuple = ()
+    y_order: tuple = ()
     flaps_g: list = field(default_factory=list)
     flaps_h: list = field(default_factory=list)
     class_of_g: list = field(default_factory=list)
@@ -324,22 +316,15 @@ class _Frame:
     target_class: Optional[int] = None
     probe_flaps: list = field(default_factory=list)
     probe_idx: int = 0
-    local_pairs: list = field(default_factory=list)   # (u, v, gflap, hflap)
-    visited_h: set = field(default_factory=set)
+    local_pairs: tuple = ()                    # (u, v, gflap, hflap)
+    visited_h: frozenset = frozenset()
     final_hflap: Optional[int] = None
-    s0_dup_picks: list = field(default_factory=list)
+    s0_dup_picks: tuple = ()
 
-    def fork(self) -> "_Frame":
-        """Copy that owns the containers the machine changes in place; the
-        domains, flaps, class tables, overlays and certificate are shared."""
-        twin = copy.copy(self)
-        twin.queue = list(self.queue)
-        twin.x_order = list(self.x_order)
-        twin.y_order = list(self.y_order)
-        twin.local_pairs = list(self.local_pairs)
-        twin.visited_h = set(self.visited_h)
-        twin.s0_dup_picks = list(self.s0_dup_picks)
-        return twin
+    def inner_blocked(self) -> tuple[frozenset[int], frozenset[int]]:
+        """The blocked sets inside a flap of this frame: the enclosing
+        separators and this frame's own, G side first."""
+        return self.enc_x | frozenset(self.x_order), self.enc_y | frozenset(self.y_order)
 
 
 def _auto_depth(g: ColoredGraph, cfg: StrategyConfig, starred: bool) -> int:
@@ -352,15 +337,18 @@ def _auto_depth(g: ColoredGraph, cfg: StrategyConfig, starred: bool) -> int:
 class StrategyMachine:
     """Deterministic move generator advanced by observing each played pair.
 
-    The fields are its whole state, and fork() passes each one on.  Planning
-    and observing change only the top frame, and a frame never changes again
-    once another is pushed above it, so fork() copies the top frame alone
-    and shares the rest.
+    The fields are its whole state, and fork() passes each one on.  The one
+    rule of forking: a container that changes after a fork point (the frame
+    stack, a frame's queue, orders, pairs and visited set, the trace's lists)
+    is immutable and is rebound, never changed in place.  Beyond the fields,
+    planning and observing rebind only attributes of the top frame, the
+    bisection and the trace, so fork() shallow-copies those three and shares
+    everything else, the frames below the top included.
     """
     g: ColoredGraph
     h: ColoredGraph
     config: StrategyConfig
-    frames: list[_Frame]                       # the stack, top last
+    frames: tuple[_Frame, ...]                 # the stack, top last
     bisection: Optional[_Bisection] = None
     seen_rounds: int = 0                       # -1: adopt a pre-placed position
     pending_move: Optional[tuple[str, int]] = None
@@ -385,13 +373,13 @@ class StrategyMachine:
         top = _Frame(frozenset(range(g.n)), frozenset(range(h.n)),
                      _auto_depth(g, config, starred), None, frozenset(),
                      frozenset(), {}, {}, classification)
-        return cls(g, h, config, [top],
+        return cls(g, h, config, (top,),
                    color_counter=max(g.max_color(), h.max_color()) + 1,
                    starred=starred)
 
     # -- separator providers -------------------------------------------------
 
-    def _separate(self, frame: _Frame) -> tuple[list[int], list, Optional[tuple]]:
+    def _separate(self, frame: _Frame) -> tuple[tuple[int, ...], list, Optional[tuple]]:
         """Separator of the current G-side region and its flaps in original
         ids, plus per-flap membership annotations when the provider computes
         them.  induced() reindexes monotonically, so the flaps come out as
@@ -407,7 +395,7 @@ class StrategyMachine:
         else:
             res = brute_min_separator(sub, EPSILON, MAX_SEPARATOR)
         flaps = [frozenset(back[i] for i in f) for f in res.flaps]
-        return sorted(back[i] for i in res.x), flaps, res.tags
+        return tuple(sorted(back[i] for i in res.x)), flaps, res.tags
 
     # -- recoloring and flap classification -----------------------------------
 
@@ -436,13 +424,16 @@ class StrategyMachine:
     # -- public interface -------------------------------------------------------
 
     def fork(self) -> "StrategyMachine":
-        frames = self.frames[:-1] + [self.frames[-1].fork()] if self.frames else []
-        bisection = self.bisection.fork() if self.bisection is not None else None
-        return StrategyMachine(self.g, self.h, self.config, frames, bisection,
+        frames = self.frames[:-1] + (copy.copy(self.frames[-1]),) if self.frames else ()
+        t = self.trace
+        return StrategyMachine(self.g, self.h, self.config, frames,
+                               copy.copy(self.bisection),
                                seen_rounds=self.seen_rounds,
                                pending_move=self.pending_move,
                                color_counter=self.color_counter,
-                               trace=self.trace.fork(), starred=self.starred)
+                               trace=StrategyTrace(t.records, t.events, t.sep_sizes,
+                                                   t.max_flaps, t.max_similar),
+                               starred=self.starred)
 
     def next_move(self, state: GameState) -> tuple[str, int]:
         self._sync(state)
@@ -474,13 +465,13 @@ class StrategyMachine:
         self.pending_move = None
         if state.status != RUNNING and self.seen_rounds + 1 >= len(state.pebbles):
             if side == SIDE_H:
-                self.trace.events.append(("OUT_LEMMA", self.seen_rounds + 1))
+                self.trace.events += (("OUT_LEMMA", self.seen_rounds + 1),)
             return
         frame = self.frames[-1]
         if side == SIDE_G:
             v = pair[1]
             if v not in frame.dom_h and frame.anchor is not None:
-                self.trace.events.append(("ESCAPE", self.seen_rounds + 1))
+                self.trace.events += (("ESCAPE", self.seen_rounds + 1),)
                 self.bisection = _Bisection(self.g, self.h, SIDE_G, frame.dom_g,
                                             (pair, frame.anchor),
                                             frame.enc_x, frame.enc_y)
@@ -527,22 +518,22 @@ class StrategyMachine:
         if frame.anchor is None and not self.h.is_connected():
             first, second = self.h.components()[:2]
             frame.phase = "shortcut"
-            frame.queue = [first[0], second[0]]
+            frame.queue = (first[0], second[0])
             self.trace.record(depth=frame.depth, case="HALVING", x=[],
                               note="disconnected_other_side")
             return
         if frame.depth <= 0 or self.config.k_of(n_dom) >= n_dom:
             frame.phase = "s0"
             pebbled = {u for u, _ in state.pebbles}
-            frame.queue = [v for v in sorted(frame.dom_g) if v not in pebbled]
+            frame.queue = tuple(v for v in sorted(frame.dom_g) if v not in pebbled)
             if frame.anchor is not None and frame.anchor[1] in frame.dom_h:
-                frame.s0_dup_picks.append(frame.anchor[1])
+                frame.s0_dup_picks = (frame.anchor[1],)
             self.trace.record(depth=frame.depth, case="S0", x=[], n=n_dom)
             return
         x, frame.flaps_g, frame.provider_tags = self._separate(frame)
         frame.phase = "sep"
         frame.queue = x
-        self.trace.sep_sizes.append(len(x))
+        self.trace.sep_sizes += (len(x),)
 
     # -- reply handling ---------------------------------------------------------------
 
@@ -550,15 +541,15 @@ class StrategyMachine:
         u, v = pair
         if frame.phase == "sep":
             assert frame.queue and frame.queue[0] == u
-            frame.queue.pop(0)
-            frame.x_order.append(u)
-            frame.y_order.append(v)
+            frame.queue = frame.queue[1:]
+            frame.x_order += (u,)
+            frame.y_order += (v,)
             return
         if frame.phase == "s0":
             assert frame.queue and frame.queue[0] == u
-            frame.queue.pop(0)
+            frame.queue = frame.queue[1:]
             if v in frame.dom_h:
-                frame.s0_dup_picks.append(v)
+                frame.s0_dup_picks += (v,)
             return
         if frame.phase == "probe":
             self._classify_probe_reply(frame, pair)
@@ -568,8 +559,8 @@ class StrategyMachine:
     def _advance_h_phase(self, frame: _Frame, pair, state: GameState):
         u, v = pair  # u: Duplicator's G-side vertex, v: our move
         if frame.phase == "shortcut":
-            frame.queue.pop(0)
-            frame.local_pairs.append((u, v, None, None))
+            frame.queue = frame.queue[1:]
+            frame.local_pairs += ((u, v, None, None),)
             if not frame.queue:
                 (u1, v1, _, _), (u2, v2, _, _) = frame.local_pairs[-2:]
                 self.bisection = _Bisection(self.g, self.h, SIDE_G, frame.dom_g,
@@ -577,7 +568,7 @@ class StrategyMachine:
                                             frame.enc_x, frame.enc_y)
             return
         if frame.phase == "s0_final":
-            self.trace.events.append(("OUT_LEMMA", self.seen_rounds + 1))
+            self.trace.events += (("OUT_LEMMA", self.seen_rounds + 1),)
             raise StrategyError("the closing move did not end the game")
         if frame.phase == "case2_final":
             self._after_case2_reply(frame, pair, state)
@@ -587,28 +578,21 @@ class StrategyMachine:
     # -- S0 ----------------------------------------------------------------------
 
     def _s0_final_vertex(self, frame: _Frame, state: GameState) -> int:
+        """The least free vertex of the H domain next to a Duplicator pick,
+        else the least free one of the domain, else of H, else 0."""
         pebbled_h = {v for _, v in state.pebbles}
-        pool = sorted(frame.dom_h)
-        adjacent = [w for w in pool if w not in pebbled_h
-                    and any(self.h.has_edge(w, y) for y in frame.s0_dup_picks)]
-        if adjacent:
-            return adjacent[0]
-        spare = [w for w in pool if w not in pebbled_h]
-        if spare:
-            return spare[0]
-        spare_all = [w for w in range(self.h.n) if w not in pebbled_h]
-        return spare_all[0] if spare_all else 0
+        free = [w for w in sorted(frame.dom_h) if w not in pebbled_h]
+        adjacent = [w for w in free
+                    if any(self.h.has_edge(w, y) for y in frame.s0_dup_picks)]
+        return (adjacent or free or [w for w in range(self.h.n) if w not in pebbled_h]
+                or [0])[0]
 
     # -- separator placed: pick the case --------------------------------------------
 
     def _after_separator(self, frame: _Frame):
         self._decompose(frame)
-        m = [0] * frame.nclasses
-        mp = [0] * frame.nclasses
-        for c in frame.class_of_g:
-            m[c] += 1
-        for c in frame.class_of_h:
-            mp[c] += 1
+        m = [frame.class_of_g.count(ci) for ci in range(frame.nclasses)]
+        mp = [frame.class_of_h.count(ci) for ci in range(frame.nclasses)]
         table = [{"class": ci, "m": m[ci], "m_prime": mp[ci]}
                  for ci in range(len(m)) if m[ci] or mp[ci]]
         self.trace.max_flaps = max(self.trace.max_flaps, len(frame.flaps_g),
@@ -618,7 +602,7 @@ class StrategyMachine:
                        if frame.anchor[0] in f), None)
             ha = next((i for i, f in enumerate(frame.flaps_h)
                        if frame.anchor[1] in f), None)
-            frame.local_pairs.append((frame.anchor[0], frame.anchor[1], ga, ha))
+            frame.local_pairs += ((frame.anchor[0], frame.anchor[1], ga, ha),)
         surplus = [ci for ci in range(len(m)) if m[ci] > mp[ci]]
         if surplus:
             # classes are numbered by least flap, and a surplus class holds
@@ -628,7 +612,6 @@ class StrategyMachine:
             frame.target_class = target
             frame.probe_flaps = [i for i, c in enumerate(frame.class_of_g)
                                  if c == target]
-            frame.probe_idx = 0
             frame.phase = "probe"
             self.trace.record(depth=frame.depth, case="CASE1",
                               x=list(frame.x_order), m_table=table,
@@ -649,7 +632,6 @@ class StrategyMachine:
         else:
             frame.target_class = None
             frame.probe_flaps = list(range(len(frame.flaps_g)))
-        frame.probe_idx = 0
         frame.phase = "probe"
         self.trace.record(depth=frame.depth, case="CASE2",
                           x=list(frame.x_order), m_table=table,
@@ -661,12 +643,9 @@ class StrategyMachine:
     def _probe_vertex(self, frame: _Frame, state: GameState) -> int:
         flap = frame.flaps_g[frame.probe_flaps[frame.probe_idx]]
         pebbled = {u for u, _ in state.pebbles}
-        free = sorted(v for v in flap if v not in pebbled)
-        if free:
-            return free[0]
-        # fully pebbled flap (the anchor alone): re-pebbling is legal and the
-        # only consistent reply is the mirrored partner
-        return min(flap)
+        # the least free vertex; in a fully pebbled flap (the anchor alone)
+        # re-pebbling is legal and the only consistent reply is the mirror
+        return min((v for v in flap if v not in pebbled), default=min(flap))
 
     def _classify_probe_reply(self, frame: _Frame, pair):
         u, v = pair
@@ -677,16 +656,14 @@ class StrategyMachine:
             raise StrategyError("probe reply in no flap while the game is running")
         collide = next(((pu, pv, pg, ph) for (pu, pv, pg, ph) in frame.local_pairs
                         if ph == hflap and pg is not None and pg != gflap), None)
-        frame.local_pairs.append((u, v, gflap, hflap))
+        frame.local_pairs += ((u, v, gflap, hflap),)
         if collide is not None:
             pu, pv, pg, ph = collide
-            self.trace.events.append(("COLLIDE", self.seen_rounds + 1))
-            self.bisection = _Bisection(
-                self.g, self.h, SIDE_H, frame.flaps_h[hflap], ((pv, pu), (v, u)),
-                frame.enc_y | frozenset(frame.y_order),
-                frame.enc_x | frozenset(frame.x_order))
+            self.trace.events += (("COLLIDE", self.seen_rounds + 1),)
+            self.bisection = _Bisection(self.g, self.h, SIDE_H, frame.flaps_h[hflap],
+                                        ((pu, pv), pair), *frame.inner_blocked())
             return
-        frame.visited_h.add(hflap)
+        frame.visited_h |= {hflap}
         if frame.case == "CASE1" and frame.class_of_h[hflap] != frame.target_class:
             self._recurse(frame, gflap, hflap, (u, v))
 
@@ -709,7 +686,7 @@ class StrategyMachine:
     def _after_case2_reply(self, frame: _Frame, pair, state: GameState):
         u, v = pair  # u: Duplicator's G-side pick
         if u not in frame.dom_g:
-            self.trace.events.append(("OUT_LEMMA", self.seen_rounds + 1))
+            self.trace.events += (("OUT_LEMMA", self.seen_rounds + 1),)
             raise StrategyError("reply escaped the position but play continues")
         gflap = next((i for i, f in enumerate(frame.flaps_g) if u in f), None)
         if gflap is None:
@@ -718,10 +695,8 @@ class StrategyMachine:
                      if pg == gflap and ph != frame.final_hflap), None)
         if mate is not None:
             pu, pv, _, _ = mate
-            self.bisection = _Bisection(
-                self.g, self.h, SIDE_G, frame.flaps_g[gflap], ((pu, pv), (u, v)),
-                frame.enc_x | frozenset(frame.x_order),
-                frame.enc_y | frozenset(frame.y_order))
+            self.bisection = _Bisection(self.g, self.h, SIDE_G, frame.flaps_g[gflap],
+                                        ((pu, pv), pair), *frame.inner_blocked())
             return
         if frame.target_class is None:
             raise StrategyError("an unprobed reply flap cannot exist after "
@@ -737,10 +712,8 @@ class StrategyMachine:
         over_h = flap_overlay(self.h, flap_h, frame.y_order, frame.fresh, frame.overlay_h)
         cls = frame.provider_tags[gflap] if frame.provider_tags else None
         sub = _Frame(flap_g, flap_h, frame.depth - 1, tuple(anchor),
-                     frame.enc_x | frozenset(frame.x_order),
-                     frame.enc_y | frozenset(frame.y_order),
-                     over_g, over_h, cls)
-        self.frames.append(sub)
+                     *frame.inner_blocked(), over_g, over_h, cls)
+        self.frames += (sub,)
 
 
 class StrategySpoiler(Agent):
@@ -790,7 +763,7 @@ def halving_agent(g: ColoredGraph, h: ColoredGraph, flap: Sequence[int],
     """
     bisection = _Bisection(g, h, SIDE_G, frozenset(flap), anchors,
                            frozenset(x_set), frozenset(y_set))
-    machine = StrategyMachine(g, h, StrategyConfig(), [], bisection, seen_rounds=-1)
+    machine = StrategyMachine(g, h, StrategyConfig(), (), bisection, seen_rounds=-1)
     return StrategySpoiler(machine, "halving")
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fodef.cli import main, perturb_hop, perturb_tree, _addable_chords, _parse_sizes
 from fodef.families import random_bounded_tree, random_hop
-from fodef.graphs import ColoredGraph
+from fodef.graphs import ColoredGraph, GraphError
 from fodef.separators import classify_o
 
 
@@ -206,6 +207,25 @@ class TestCli:
         assert err == (f"error: --params entry {entry!r} is not KEY=VALUE "
                        "with a finite number VALUE\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["--claim", "thm41", "--n", "1"],
+        ["--claim", "lemma36", "--family", "tree", "--n", "1"],
+        ["--claim", "lemma52", "--family", "tree", "--n", "1"],
+    ])
+    def test_verify_one_vertex_tree(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: a tree with no edge has no perturbation\n"
+
+    @pytest.mark.parametrize("sizes", ["0..8", "8..4"])
+    def test_verify_bad_size_range(self, capsys, sizes):
+        code, out, err = run(capsys, "verify", "--claim", "thm41", "--n", sizes,
+                             "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --n range '{sizes}' needs 1 <= a <= b in a..b\n"
+
     def test_verify_closed_form(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "thm55_all", "--params",
                            "n=100", "H=5", "Delta=4")
@@ -292,7 +312,18 @@ class TestCli:
 class TestCampaignHelpers:
     def test_parse_sizes(self):
         assert _parse_sizes("16..128") == [16, 32, 64, 128]
+        assert _parse_sizes("1..4") == [1, 2, 4]
+        assert _parse_sizes("5..5") == [5]
         assert _parse_sizes("4,5,6") == [4, 5, 6]
+        # a start below 1 never doubled past the end, and an empty range
+        # fell back to the default sizes
+        for text in ("0..8", "-2..8", "8..4"):
+            with pytest.raises(ValueError, match=re.escape(repr(text))):
+                _parse_sizes(text)
+
+    def test_perturb_tree_without_edge(self):
+        with pytest.raises(GraphError, match="no edge"):
+            perturb_tree(ColoredGraph.build(1, []), random.Random(1))
 
     def test_perturb_tree_stays_tree(self):
         import random

@@ -347,6 +347,30 @@ class TestInterning:
         with pytest.raises(TypeError):
             Adj("x", x="y")
 
+    @pytest.mark.parametrize("make", [
+        lambda: Exists("ex", Eq("x", "y")),
+        lambda: Eq("0", "y"),
+        lambda: Adj("x", "Y"),
+        lambda: Forall("v-1", Adj("x", "y")),
+        lambda: Col(7, "col"),
+        lambda: Col(-1, "x"),
+        lambda: Col(2.5, "x"),
+        lambda: Col("3", "x"),
+        lambda: Eq("x", 3),
+    ], ids=["reserved-var", "digit", "upper", "dash", "reserved-atom",
+            "negative-color", "float-color", "text-color", "int-name"])
+    def test_names_outside_the_grammar_raise(self, make):
+        # such a node would print to text that does not parse, so neither
+        # its repr nor a pickle round trip would work
+        with pytest.raises(FormulaError):
+            make()
+
+    def test_grammar_names_round_trip(self):
+        f = Exists("v1", Forall("y_2", And(Col(0, "v1"), Not(Eq("v1", "y_2")))))
+        assert parse_formula(print_formula(f)) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert eval(repr(f), {"parse_formula": parse_formula}) is f
+
 
 class TestEvaluate:
     def test_nonadjacent_pair_exists(self):

@@ -464,6 +464,42 @@ def check_sibling_forks(agent, state):
     return checked
 
 
+def check_fork_shares(agent, state):
+    """Along the greedy line from `state`, fork the agent at every position:
+    the fork must share every frame below the top, and copy the top frame,
+    the bisection and the trace shallowly, sharing every value in them.
+    Returns the positions with a frame below the top."""
+    deep = 0
+    while state.status == RUNNING:
+        move = agent.choose(state)
+        m, twin = agent.machine, agent.fork().machine
+        assert all(a is b for a, b in zip(twin.frames[:-1], m.frames[:-1]))
+        copies = [(m.trace, twin.trace)]
+        if m.frames:
+            copies.append((m.frames[-1], twin.frames[-1]))
+        if m.bisection is not None:
+            copies.append((m.bisection, twin.bisection))
+        for obj, copied in copies:
+            assert copied is not obj
+            assert vars(copied).keys() == vars(obj).keys()
+            for name, value in vars(obj).items():
+                assert getattr(copied, name) is value, name
+        deep += len(m.frames) > 1
+        state = greedy_step(agent, state)
+    return deep
+
+
+def c8_halving():
+    """A halving agent for C8 against two 8-cycles, and the position with
+    its two anchor pairs placed."""
+    c8, cc8 = cycle(8), two_cycles(8)
+    anchors = ((0, 0), (4, 8))
+    state = new_game(c8, cc8, 8)
+    for pair in anchors:
+        state = step(state, (SIDE_G, pair[0]), pair[1])
+    return halving_agent(c8, cc8, range(8), anchors, [], []), state
+
+
 class TestFork:
     def test_matches_deepcopy_fork(self):
         # the copy-on-fork machine against the deep-copy fork it replaced
@@ -495,14 +531,18 @@ class TestFork:
         m = agent.machine
         assert check_sibling_forks(agent, new_game(m.g, m.h, 40)) >= 2
 
+    def test_fork_shares_state(self):
+        # along every criterion-09 greedy line of order <= 5, and a halving
+        # line for the bisection
+        deep = 0
+        for g, h, cfg, r_max, cls in criterion09_pairs(5):
+            agent = s_agent(g, h, cfg, classification=cls)
+            deep += check_fork_shares(agent, new_game(g, h, r_max))
+        assert deep > 100
+        check_fork_shares(*c8_halving())
+
     def test_halving_sibling_forks_independent(self):
-        c8, cc8 = cycle(8), two_cycles(8)
-        anchors = ((0, 0), (4, 8))
-        state = new_game(c8, cc8, 8)
-        for pair in anchors:
-            state = step(state, (SIDE_G, pair[0]), pair[1])
-        agent = halving_agent(c8, cc8, range(8), anchors, [], [])
-        assert check_sibling_forks(agent, state) >= 1
+        assert check_sibling_forks(*c8_halving()) >= 1
 
     def test_trace_reports_max_similar(self):
         # a deficit-class probe in the starred variant meets one similar flap
