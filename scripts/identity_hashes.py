@@ -59,6 +59,12 @@ is a name and a sha256 hex digest:
 - separators.brute: x and flaps of brute_min_separator, size cap 5, on every
   connected graph of order <= 7 (996 graphs) with epsilon 1/2 and 2/3, in
   enumeration order; a graph with no such set is hashed as none.
+- escapes: (always_wins, deepest_total_rounds) of survival_vs for s_agent
+  (provider class_o, r_max the thm43 bound + 1) on random_hop(11, seed), for
+  the seeds of ESCAPE_SEEDS, against each non-isomorphic graph that toggles
+  one chord (drops one, or adds one that crosses none): 111 pairs on which
+  Duplicator can leave the flap pair after an H-side move.  A pair that
+  raises StrategyError is hashed by its message.
 """
 
 from __future__ import annotations
@@ -366,6 +372,33 @@ def exhaustive_duplicator_hash() -> tuple[str, int]:
     return digest.hexdigest(), matches
 
 
+ESCAPE_SEEDS = (8, 25, 47, 57, 80)
+
+
+def escapes_hash() -> tuple[str, int]:
+    digest = hashlib.sha256()
+    pairs = 0
+    n = 11
+    cap = bound("thm43", n=n)
+    for seed in ESCAPE_SEEDS:
+        g = random_hop(n, seed)
+        chords = [(a, b) for a, b in g.edges() if b - a not in (1, n - 1)]
+        for chord in chords + cli._addable_chords(n, chords):
+            h = (ColoredGraph.build(n, [e for e in g.edges() if e != chord])
+                 if chord in chords else g.with_edges_added([chord]))
+            if are_isomorphic(g, h):
+                continue
+            try:
+                rep = survival_vs(s_agent(g, h, StrategyConfig("class_o")), g, h,
+                                  int(cap) + 1, size_budget=2 * n)
+                outcome = (rep.always_wins, rep.deepest_total_rounds)
+            except StrategyError as exc:
+                outcome = str(exc)
+            digest.update(repr((seed, chord, outcome)).encode())
+            pairs += 1
+    return digest.hexdigest(), pairs
+
+
 LEMMA_CSVS = tuple(
     ["verify", "--claim", claim, "--family", family, "--n", sizes,
      "--trials", "3", "--seed", "11"]
@@ -407,6 +440,8 @@ def main() -> int:
     print(f"csv.lemma {digest.hexdigest()}  (exits {codes})", flush=True)
     digest, runs = brute_hash()
     print(f"separators.brute {digest}  ({runs} runs)", flush=True)
+    digest, pairs = escapes_hash()
+    print(f"escapes {digest}  ({pairs} pairs)", flush=True)
     return 0
 
 

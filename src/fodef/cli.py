@@ -145,7 +145,7 @@ def campaign_rows(claim: str, family: str, sizes: Sequence[int], d: int,
                 dup = builtin_duplicator(dup_name, seed=seed ^ 0x5f5f)
                 agent = (s_star_agent if starred else s_agent)(g, h, cfg)
                 t = run_match(g, h, agent, dup, int(cap) + 1)
-                alt_cap = 2 * agent.machine.frames[0].depth + 1 if starred else 2
+                alt_cap = 2 * agent.frames[0].depth + 1 if starred else 2
                 ok = (t.status == SPOILER_WON and t.rounds_used <= cap
                       and t.alternations <= alt_cap)
                 rows.append(CampaignRow(f"{family}-{dup_name}", n, seed,

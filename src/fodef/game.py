@@ -122,8 +122,6 @@ def step(state: GameState, spoiler_move: tuple[str, int],
 
 class Agent:
     """Base agent; spoilers implement choose(), duplicators respond()."""
-    role = "duplicator"
-    label = "agent"
 
     def choose(self, state: GameState) -> tuple[str, int]:
         raise NotImplementedError
@@ -136,8 +134,6 @@ class Agent:
 
 
 class RandomDuplicator(Agent):
-    label = "random"
-
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
 
@@ -181,7 +177,6 @@ class GreedyDuplicator(Agent):
     to a pebble only by a neighbour of that pebble's partner.  Any other
     vertex is answered, if at all, by a vertex of its colors outside the
     partners and their neighbourhoods."""
-    label = "greedy"
 
     def respond(self, state, side, vertex):
         own, other = (state.g, state.h) if side == SIDE_G else (state.h, state.g)
@@ -214,7 +209,6 @@ class GreedyDuplicator(Agent):
 
 class HumanDuplicator(Agent):
     """Line-oriented terminal player."""
-    label = "human"
 
     def __init__(self, input_fn: Callable[[str], str] = input,
                  output_fn: Callable[[str], None] = print):

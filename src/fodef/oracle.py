@@ -281,8 +281,6 @@ def _position(state: GameState) -> tuple[frozenset, Optional[str], int, int]:
 class OracleSpoiler(Agent):
     """Plays a minimum-round winning strategy computed by full search,
     continuing the last search when it was on the same pair and budget."""
-    role = "spoiler"
-    label = "oracle"
 
     def __init__(self, g: ColoredGraph, h: ColoredGraph,
                  k: Optional[int] = None,
@@ -305,7 +303,6 @@ class ExhaustiveDuplicator(Agent):
     """Optimal replies from full game-tree search, on pairs within the
     combined order `size_budget` (None: DEFAULT_SIZE_BUDGET).  Each reply
     continues the last search when it was on the same pair and budget."""
-    label = "exhaustive"
 
     def __init__(self, size_budget: Optional[int] = None):
         self.size_budget = size_budget

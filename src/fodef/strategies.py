@@ -23,7 +23,7 @@ from fodef.formulas import (
     conjunction, disjunction,
 )
 from fodef.game import (
-    Agent, GameState, RUNNING, SIDE_G, SIDE_H, ReplyNode, ReplyTree,
+    Agent, GameState, SIDE_G, SIDE_H, ReplyNode, ReplyTree,
     explore_replies,
 )
 from fodef.graphs import ColoredGraph, distances_within, flap_classes, flap_overlay
@@ -334,8 +334,28 @@ def _auto_depth(g: ColoredGraph, cfg: StrategyConfig, starred: bool) -> int:
 
 
 @dataclass(eq=False, repr=False)
-class StrategyMachine:
-    """Deterministic move generator advanced by observing each played pair.
+class StrategyMachine(Agent):
+    """The separator-driven Spoiler: a deterministic move generator advanced
+    by observing each played pair.
+
+    The escape rule.  Below the root, a frame plays inside one flap pair
+    (dom_g, dom_h): a component of G minus the enclosing separators enc_x
+    and one of H minus their images enc_y, and its anchor pebble lies in
+    both.  Spoiler's moves lie in the domain of the side it plays.  A running
+    reply outside the domain on the answering side lies in another component
+    there (on enc_x or enc_y it would repeat a pebble), so Spoiler's move
+    and the anchor are two pebbles of Spoiler's domain whose partners lie in
+    different components.  Whatever the phase, on either side, Spoiler then
+    bisects between them inside its domain, and the game ends.
+
+    Why this stays within thm43.  The bisection halves the distance between
+    its two pebbles each round and wins once they are adjacent, so it takes
+    at most ceil(log2 n) rounds.  It starts only in place of the rest of a
+    frame's play, and every line starts at most one bisection.  The rounds
+    before it are separator, probing and S0 moves that Lemma 3.6 charges to
+    its k and m terms, and the bisection fits its log2 n + 2 end-game term.
+    With k = 5, m = 7 and epsilon = 2/3 that bound is at most Lemma 3.7's
+    closed form, which is thm43.
 
     The fields are its whole state, and fork() passes each one on.  The one
     rule of forking: a container that changes after a fork point (the frame
@@ -435,7 +455,12 @@ class StrategyMachine:
                                                    t.max_flaps, t.max_similar),
                                starred=self.starred)
 
+    def choose(self, state: GameState) -> tuple[str, int]:
+        return self.next_move(state)
+
     def next_move(self, state: GameState) -> tuple[str, int]:
+        """The move for a running state; the pairs played since the last
+        call are observed first."""
         self._sync(state)
         if self.bisection is not None:
             move = self.bisection.next_move()
@@ -451,34 +476,28 @@ class StrategyMachine:
             self.seen_rounds = len(state.pebbles)
             return
         for pair in state.pebbles[self.seen_rounds:]:
-            self._observe(pair, state)
+            self._observe(pair)
             self.seen_rounds += 1
 
-    def _observe(self, pair: tuple[int, int], state: GameState):
+    def _observe(self, pair: tuple[int, int]):
+        """Take in one running round: the escape rule first, else the reply
+        advances the top frame's phase."""
         if self.bisection is not None:
-            if state.status == RUNNING or self.seen_rounds + 1 < len(state.pebbles):
-                self.bisection.observe(pair)
+            self.bisection.observe(pair)
             return
         if self.pending_move is None:
             raise StrategyError("observed a round this agent did not plan")
-        side, _ = self.pending_move
+        side = self.pending_move[0]
         self.pending_move = None
-        if state.status != RUNNING and self.seen_rounds + 1 >= len(state.pebbles):
-            if side == SIDE_H:
-                self.trace.events += (("OUT_LEMMA", self.seen_rounds + 1),)
-            return
         frame = self.frames[-1]
-        if side == SIDE_G:
-            v = pair[1]
-            if v not in frame.dom_h and frame.anchor is not None:
-                self.trace.events += (("ESCAPE", self.seen_rounds + 1),)
-                self.bisection = _Bisection(self.g, self.h, SIDE_G, frame.dom_g,
-                                            (pair, frame.anchor),
-                                            frame.enc_x, frame.enc_y)
-                return
-            self._advance_g_phase(frame, pair)
-        else:
-            self._advance_h_phase(frame, pair, state)
+        p = 0 if side == SIDE_G else 1   # Spoiler's index in a pair
+        doms = (frame.dom_g, frame.dom_h)
+        if frame.anchor is not None and pair[1 - p] not in doms[1 - p]:
+            self.trace.events += (("ESCAPE", self.seen_rounds + 1),)
+            self.bisection = _Bisection(self.g, self.h, side, doms[p],
+                                        (pair, frame.anchor), frame.enc_x, frame.enc_y)
+            return
+        self._advance(frame, pair)
 
     # -- planning -----------------------------------------------------------------
 
@@ -526,7 +545,7 @@ class StrategyMachine:
             frame.phase = "s0"
             pebbled = {u for u, _ in state.pebbles}
             frame.queue = tuple(v for v in sorted(frame.dom_g) if v not in pebbled)
-            if frame.anchor is not None and frame.anchor[1] in frame.dom_h:
+            if frame.anchor is not None:
                 frame.s0_dup_picks = (frame.anchor[1],)
             self.trace.record(depth=frame.depth, case="S0", x=[], n=n_dom)
             return
@@ -537,28 +556,24 @@ class StrategyMachine:
 
     # -- reply handling ---------------------------------------------------------------
 
-    def _advance_g_phase(self, frame: _Frame, pair):
+    def _advance(self, frame: _Frame, pair):
+        """Advance the phase that planned the move past a reply inside the
+        flap pair; the phase fixes the side Spoiler played."""
         u, v = pair
-        if frame.phase == "sep":
+        phase = frame.phase
+        if phase in ("sep", "s0"):
             assert frame.queue and frame.queue[0] == u
             frame.queue = frame.queue[1:]
-            frame.x_order += (u,)
-            frame.y_order += (v,)
-            return
-        if frame.phase == "s0":
-            assert frame.queue and frame.queue[0] == u
-            frame.queue = frame.queue[1:]
-            if v in frame.dom_h:
+            if phase == "sep":
+                frame.x_order += (u,)
+                frame.y_order += (v,)
+            else:
                 frame.s0_dup_picks += (v,)
-            return
-        if frame.phase == "probe":
+        elif phase == "probe":
             self._classify_probe_reply(frame, pair)
-            return
-        raise StrategyError(f"unexpected G-side reply in phase {frame.phase!r}")
-
-    def _advance_h_phase(self, frame: _Frame, pair, state: GameState):
-        u, v = pair  # u: Duplicator's G-side vertex, v: our move
-        if frame.phase == "shortcut":
+        elif phase == "case2_final":
+            self._after_case2_reply(frame, pair)
+        elif phase == "shortcut":
             frame.queue = frame.queue[1:]
             frame.local_pairs += ((u, v, None, None),)
             if not frame.queue:
@@ -566,14 +581,11 @@ class StrategyMachine:
                 self.bisection = _Bisection(self.g, self.h, SIDE_G, frame.dom_g,
                                             ((u1, v1), (u2, v2)),
                                             frame.enc_x, frame.enc_y)
-            return
-        if frame.phase == "s0_final":
-            self.trace.events += (("OUT_LEMMA", self.seen_rounds + 1),)
-            raise StrategyError("the closing move did not end the game")
-        if frame.phase == "case2_final":
-            self._after_case2_reply(frame, pair, state)
-            return
-        raise StrategyError(f"unexpected H-side reply in phase {frame.phase!r}")
+        else:
+            # s0_final: every vertex of dom_g is pebbled, so the reply
+            # repeats a pebble, which cannot keep the game running
+            raise StrategyError("a reply to the closing move repeated a pebble "
+                                "while running")
 
     # -- S0 ----------------------------------------------------------------------
 
@@ -683,11 +695,8 @@ class StrategyMachine:
         frame.final_hflap = pool[0]
         return cands[0]
 
-    def _after_case2_reply(self, frame: _Frame, pair, state: GameState):
+    def _after_case2_reply(self, frame: _Frame, pair):
         u, v = pair  # u: Duplicator's G-side pick
-        if u not in frame.dom_g:
-            self.trace.events += (("OUT_LEMMA", self.seen_rounds + 1),)
-            raise StrategyError("reply escaped the position but play continues")
         gflap = next((i for i, f in enumerate(frame.flaps_g) if u in f), None)
         if gflap is None:
             raise StrategyError("reply on the pebbled separator while running")
@@ -716,45 +725,24 @@ class StrategyMachine:
         self.frames += (sub,)
 
 
-class StrategySpoiler(Agent):
-    role = "spoiler"
-
-    def __init__(self, machine: StrategyMachine, label: str):
-        self.machine = machine
-        self.label = label
-
-    @property
-    def trace(self) -> StrategyTrace:
-        return self.machine.trace
-
-    def choose(self, state: GameState) -> tuple[str, int]:
-        return self.machine.next_move(state)
-
-    def fork(self) -> "StrategySpoiler":
-        return StrategySpoiler(self.machine.fork(), self.label)
-
-
 def s_agent(g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
-            classification: Optional[OClassification] = None) -> StrategySpoiler:
+            classification: Optional[OClassification] = None) -> StrategyMachine:
     """Separator-recursion Spoiler for a connected structured g versus an
     arbitrary non-isomorphic h; switches sides at most twice."""
-    return StrategySpoiler(StrategyMachine.start(g, h, config, classification),
-                           "s_agent")
+    return StrategyMachine.start(g, h, config, classification)
 
 
 def s_star_agent(g: ColoredGraph, h: ColoredGraph, config: StrategyConfig,
-                 classification: Optional[OClassification] = None) -> StrategySpoiler:
+                 classification: Optional[OClassification] = None) -> StrategyMachine:
     """Variant that probes a deficit class: each level spends at most
     similar-flap-count + 1 probing moves, at the price of one extra
     alternation per recursion level."""
-    return StrategySpoiler(StrategyMachine.start(g, h, config, classification,
-                                                 starred=True),
-                           "s_star_agent")
+    return StrategyMachine.start(g, h, config, classification, starred=True)
 
 
 def halving_agent(g: ColoredGraph, h: ColoredGraph, flap: Sequence[int],
                   anchors: tuple[tuple[int, int], tuple[int, int]],
-                  x_set: Sequence[int], y_set: Sequence[int]) -> StrategySpoiler:
+                  x_set: Sequence[int], y_set: Sequence[int]) -> StrategyMachine:
     """Bisection Spoiler for a position where two paired pebbles share the
     X-flap `flap` of g while their partners lie in different Y-flaps of h;
     wins within ceil(log2(|flap|)) further rounds, playing only in g.
@@ -763,8 +751,7 @@ def halving_agent(g: ColoredGraph, h: ColoredGraph, flap: Sequence[int],
     """
     bisection = _Bisection(g, h, SIDE_G, frozenset(flap), anchors,
                            frozenset(x_set), frozenset(y_set))
-    machine = StrategyMachine(g, h, StrategyConfig(), (), bisection, seen_rounds=-1)
-    return StrategySpoiler(machine, "halving")
+    return StrategyMachine(g, h, StrategyConfig(), (), bisection, seen_rounds=-1)
 
 
 # -- formula synthesis ---------------------------------------------------------------

@@ -162,6 +162,18 @@ class TestCli:
         assert len(body) == 1 + 2 * 2
         assert all(ln.endswith("true") for ln in body[1:])
 
+    def test_verify_hop_escape_after_closing_move(self, capsys):
+        # the greedy reply to an S0 closing move leaves the flap pair, and
+        # the escape bisection wins (trial seed 775792918)
+        code, out, err = run(capsys, "verify", "--claim", "thm43", "--n", "64",
+                             "--trials", "1", "--seed", "775792854",
+                             "--duplicators", "greedy")
+        assert (code, err) == (0, "")
+        rows = out.strip().splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith("hop-greedy,64,775792918,")
+        assert rows[1].endswith(",true")
+
     def test_verify_campaign_requires_seed(self, capsys):
         code, _, err = run(capsys, "verify", "--claim", "thm41",
                            "--family", "tree", "--n", "16")

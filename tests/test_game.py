@@ -45,8 +45,6 @@ def pairs_and_moves(draw):
 
 
 class ScriptedSpoiler(Agent):
-    role = "spoiler"
-
     def __init__(self, moves):
         self.moves = list(moves)
         self.i = 0
@@ -64,7 +62,6 @@ class ScriptedSpoiler(Agent):
 
 class MirrorDuplicator(Agent):
     """Plays the image of Spoiler's vertex along a fixed isomorphism."""
-    label = "mirror"
 
     def __init__(self, mapping: dict[int, int]):
         self.fwd = dict(mapping)
@@ -251,8 +248,6 @@ class TestDuplicators:
         import random
 
         class RandomSpoiler(Agent):
-            role = "spoiler"
-
             def __init__(self, seed):
                 self.rng = random.Random(seed)
 

@@ -23,7 +23,7 @@ from fodef.oracle import OracleSpoiler, exact_rank, survival_vs
 from fodef.separators import classify_o
 from fodef.strategies import (
     BOUND_NAMES, _BOUND_PARAMS, HypothesisError, StrategyConfig, StrategyError,
-    StrategyMachine, StrategySpoiler, bound, choose_depth, extract_formula,
+    StrategyMachine, bound, choose_depth, extract_formula,
     halving_agent, reply_tree, s_agent, s_star_agent, synthesize_distinguisher,
 )
 
@@ -186,6 +186,28 @@ class TestHalvingAgent:
                         assert rep.deepest_total_rounds - 2 <= 3
 
 
+# The order-11 one-chord HOP pairs, by seed of random_hop(11, seed) and the
+# chord toggled in it, on which some reply leaves the flap pair after an
+# H-side move.
+ESCAPE_PAIRS = {
+    8: [(0, 2), (2, 4), (0, 4), (0, 6), (2, 6), (2, 10), (4, 10), (6, 8), (6, 9),
+        (7, 9), (7, 10), (8, 10)],
+    25: [(1, 5), (1, 6), (1, 7), (3, 6), (3, 7), (7, 9), (8, 10)],
+    47: [(0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (1, 3), (1, 5), (1, 7), (1, 8),
+         (1, 9), (1, 10), (4, 7), (4, 8), (4, 9), (4, 10), (5, 8), (5, 9), (5, 10),
+         (6, 10), (7, 9), (8, 10)],
+    57: [(3, 5), (0, 6), (0, 7), (2, 5), (2, 7), (5, 7), (7, 9)],
+    80: [(0, 2), (0, 3), (0, 4), (0, 5), (2, 4)],
+}
+
+
+def toggled(g, chord):
+    """g less the edge `chord`, or g plus it when it is no edge."""
+    if g.has_edge(*chord):
+        return ColoredGraph.build(g.n, [e for e in g.edges() if e != chord])
+    return g.with_edges_added([chord])
+
+
 class TestSAgent:
     def test_tree_vs_perturbed_within_bound(self):
         g = random_bounded_tree(15, 3, 7)
@@ -238,18 +260,18 @@ class TestSAgent:
         with pytest.raises(ValueError, match="'bogus'"):
             s_agent(path(8), path(9), StrategyConfig(provider="bogus"))
 
-    def test_immediate_loss_rule_fires(self):
-        # every recorded closing move coincides with the final round on wins
-        g = random_bounded_tree(9, 3, 1)
-        h = random_bounded_tree(9, 3, 4)
-        if are_isomorphic(g, h):
-            pytest.skip("seeds collide")
-        ag = s_agent(g, h, StrategyConfig(provider="tree_centroid"))
-        t = run_match(g, h, ag, builtin_duplicator("random", seed=3), 40)
-        assert t.status == SPOILER_WON
-        for name, rnd in ag.trace.events:
-            if name == "OUT_LEMMA":
-                assert rnd == t.rounds_used
+    def test_h_side_escapes_bisect(self):
+        # a reply that leaves the flap pair after the S0 closing move, an
+        # H-side move, starts the escape bisection on the H side
+        cap = bound("thm43", n=11)
+        for seed, chords in ESCAPE_PAIRS.items():
+            g = random_hop(11, seed)
+            for chord in chords:
+                h = toggled(g, chord)
+                ag = s_agent(g, h, StrategyConfig(provider="class_o"))
+                rep = survival_vs(ag, g, h, r_max=int(cap) + 1, size_budget=22)
+                assert rep.always_wins, (seed, chord)
+                assert rep.deepest_total_rounds <= cap, (seed, chord)
 
     def test_small_pairs_vs_all_replies(self):
         # a slice of the full order-<=5 sweep exercised in the acceptance suite
@@ -298,7 +320,7 @@ class TestSStarAgent:
             if are_isomorphic(g, h):
                 continue
             ag = s_star_agent(g, h, StrategyConfig(provider="brute_min"))
-            depth = ag.machine.frames[0].depth
+            depth = ag.frames[0].depth
             t = run_match(g, h, ag, builtin_duplicator("greedy"), 40)
             assert t.status == SPOILER_WON
             assert t.alternations <= 2 * depth + 1
@@ -378,8 +400,6 @@ class TestExtraction:
         from fodef.game import Agent
 
         class Lazy(Agent):
-            role = "spoiler"
-
             def choose(self, state):
                 return (SIDE_G, 0)
 
@@ -387,14 +407,17 @@ class TestExtraction:
             reply_tree(cycle(3), cycle(4), Lazy(), r_max=3)
 
 
-class DeepcopySpoiler(StrategySpoiler):
+class DeepcopySpoiler(StrategyMachine):
     """Reference fork: a deep copy of the whole machine, sharing nothing but
     the graphs and the configuration."""
 
+    @classmethod
+    def of(cls, m: StrategyMachine) -> "DeepcopySpoiler":
+        return cls(**{f.name: getattr(m, f.name) for f in dataclasses.fields(m)})
+
     def fork(self):
-        m = self.machine
-        memo = {id(m.g): m.g, id(m.h): m.h, id(m.config): m.config}
-        return DeepcopySpoiler(copy.deepcopy(m, memo), self.label)
+        memo = {id(self.g): self.g, id(self.h): self.h, id(self.config): self.config}
+        return copy.deepcopy(self, memo)
 
 
 def criterion09_pairs(order_max):
@@ -450,15 +473,15 @@ def check_sibling_forks(agent, state):
                    if c.status == RUNNING]
         if len(running) >= 2:
             a, b = agent.fork(), agent.fork()
-            assert machine_state(a.machine) == machine_state(agent.machine)
-            ref = copy.deepcopy(b.machine)
+            assert machine_state(a) == machine_state(agent)
+            ref = copy.deepcopy(b)
             before = json.dumps(b.trace.to_json_dict())
             played = running[0]
             while played.status == RUNNING:
                 played = greedy_step(a, played)
             assert json.dumps(b.trace.to_json_dict()) == before
             assert b.choose(running[-1]) == ref.next_move(running[-1])
-            assert machine_state(b.machine) == machine_state(ref)
+            assert machine_state(b) == machine_state(ref)
             checked += 1
         state = greedy_step(agent, state)
     return checked
@@ -472,7 +495,7 @@ def check_fork_shares(agent, state):
     deep = 0
     while state.status == RUNNING:
         move = agent.choose(state)
-        m, twin = agent.machine, agent.fork().machine
+        m, twin = agent, agent.fork()
         assert all(a is b for a, b in zip(twin.frames[:-1], m.frames[:-1]))
         copies = [(m.trace, twin.trace)]
         if m.frames:
@@ -502,21 +525,22 @@ def c8_halving():
 
 class TestFork:
     def test_matches_deepcopy_fork(self):
-        # the copy-on-fork machine against the deep-copy fork it replaced
-        pairs = 0
-        for g, h, cfg, r_max, cls in criterion09_pairs(4):
-            def agent(spoiler_class):
-                sp = s_agent(g, h, cfg, classification=cls)
-                return spoiler_class(sp.machine, sp.label)
-
-            fast = survival_vs(agent(StrategySpoiler), g, h, r_max, size_budget=12)
-            slow = survival_vs(agent(DeepcopySpoiler), g, h, r_max, size_budget=12)
-            assert fast == slow
-            fast_f = extract_formula(reply_tree(g, h, agent(StrategySpoiler), r_max))
-            slow_f = extract_formula(reply_tree(g, h, agent(DeepcopySpoiler), r_max))
-            assert print_formula(fast_f) == print_formula(slow_f)
-            pairs += 1
-        assert pairs > 50
+        # the copy-on-fork machine against the deep-copy fork it replaced, on
+        # the criterion-09 pairs of order <= 4 and on an order-11 HOP pair
+        # whose lines start the escape bisection after an H-side move
+        cases = list(criterion09_pairs(4))
+        assert len(cases) > 50
+        g = random_hop(11, 8)
+        cases.append((g, toggled(g, (0, 2)), StrategyConfig(provider="class_o"),
+                      int(bound("thm43", n=11)) + 1, None))
+        for g, h, cfg, r_max, cls in cases:
+            fast = s_agent(g, h, cfg, classification=cls)
+            slow = DeepcopySpoiler.of(s_agent(g, h, cfg, classification=cls))
+            assert (survival_vs(fast, g, h, r_max, size_budget=g.n + h.n)
+                    == survival_vs(slow, g, h, r_max, size_budget=g.n + h.n))
+            fast_f, slow_f = (print_formula(extract_formula(reply_tree(g, h, a, r_max)))
+                              for a in (fast, slow))
+            assert fast_f == slow_f
 
     @pytest.mark.parametrize("make", [
         lambda: s_agent(random_bounded_tree(8, 3, 2), random_bounded_tree(8, 3, 3),
@@ -528,8 +552,7 @@ class TestFork:
     ], ids=["s_agent-tree", "s_star_agent-brute", "s_agent-class_o"])
     def test_sibling_forks_independent(self, make):
         agent = make()
-        m = agent.machine
-        assert check_sibling_forks(agent, new_game(m.g, m.h, 40)) >= 2
+        assert check_sibling_forks(agent, new_game(agent.g, agent.h, 40)) >= 2
 
     def test_fork_shares_state(self):
         # along every criterion-09 greedy line of order <= 5, and a halving
@@ -557,7 +580,6 @@ class TestFork:
 
 class _Stubborn(Agent):
     """Never wins: pebbles vertex 0 of G every round."""
-    role = "spoiler"
 
     def choose(self, state):
         return (SIDE_G, 0)
@@ -566,7 +588,6 @@ class _Stubborn(Agent):
 class _Switcher(Agent):
     """Pebbles vertex 0, on G in even rounds and on G' in odd ones, so it
     overspends an alternation budget of 0 in its second round."""
-    role = "spoiler"
 
     def choose(self, state):
         return (SIDE_H if state.round % 2 else SIDE_G, 0)
@@ -618,16 +639,16 @@ class TestReplyWalk:
     ], ids=["s_agent-tree", "s_agent-class_o", "halving"])
     def test_caller_agent_not_advanced(self, make):
         agent, r_max, anchors = make()
-        g, h = agent.machine.g, agent.machine.h
-        before = copy.deepcopy(machine_state(agent.machine))
+        g, h = agent.g, agent.h
+        before = copy.deepcopy(machine_state(agent))
         reports = [survival_vs(agent, g, h, r_max, initial_pairs=anchors,
                                size_budget=g.n + h.n) for _ in range(2)]
-        assert machine_state(agent.machine) == before
+        assert machine_state(agent) == before
         assert reports[0] == reports[1] and reports[0].always_wins
         if anchors:
             return
         trees = [reply_tree(g, h, agent, r_max) for _ in range(2)]
-        assert machine_state(agent.machine) == before
+        assert machine_state(agent) == before
         first, second = [(t.depth, t.branches, print_formula(extract_formula(t)))
                          for t in trees]
         assert first == second
