@@ -65,6 +65,9 @@ is a name and a sha256 hex digest:
   one chord (drops one, or adds one that crosses none): 111 pairs on which
   Duplicator can leave the flap pair after an H-side move.  A pair that
   raises StrategyError is hashed by its message.
+- enumeration: the edge lists of every enumerate_graphs(n) representative
+  for n <= 7 and of every enumerate_hop_graphs(n) graph for n <= 9, in
+  order.
 """
 
 from __future__ import annotations
@@ -279,6 +282,15 @@ def brute_hash() -> tuple[str, int]:
     return digest.hexdigest(), runs
 
 
+def enumeration_hash() -> tuple[str, int]:
+    digest = hashlib.sha256()
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    graphs += [g for n in range(1, 10) for g in enumerate_hop_graphs(n)]
+    for g in graphs:
+        digest.update(repr(list(g.edges())).encode())
+    return digest.hexdigest(), len(graphs)
+
+
 def orbits_hash() -> tuple[str, int]:
     digest = hashlib.sha256()
     sets = 0
@@ -442,6 +454,8 @@ def main() -> int:
     print(f"separators.brute {digest}  ({runs} runs)", flush=True)
     digest, pairs = escapes_hash()
     print(f"escapes {digest}  ({pairs} pairs)", flush=True)
+    digest, graphs = enumeration_hash()
+    print(f"enumeration {digest}  ({graphs} graphs)", flush=True)
     return 0
 
 

@@ -8,7 +8,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from fodef.graphs import ColoredGraph, GraphError, group_by_isomorphism
+from fodef.graphs import (
+    ColoredGraph, GraphError, _canonical, _orbit_roots, group_by_isomorphism,
+)
 from fodef.separators import chords_cross
 
 ENUM_CAP = 8
@@ -169,10 +171,22 @@ def generate(spec: FamilySpec) -> ColoredGraph:
 _enum_cache: dict[int, list[ColoredGraph]] = {}
 
 
+def _least_masks(p: ColoredGraph) -> list[int]:
+    """The least of each orbit of p's automorphisms on the vertex subsets of
+    p, as bit masks, ascending."""
+    size = 1 << p.n
+    images = [[sum(1 << a[j] for j in range(p.n) if m >> j & 1) for m in range(size)]
+              for a in _canonical(p)[2]]
+    roots = _orbit_roots(size, images)
+    return [m for m in range(size) if roots[m] == m]
+
+
 def _enumerate_level(n: int) -> list[ColoredGraph]:
     """One graph per isomorphism class of order n: the first of its class
     among the order-(n-1) representatives extended by every neighborhood of
-    a new vertex n-1, sorted by edge count and edge list."""
+    a new vertex n-1, sorted by edge count and edge list.  Neighborhoods in
+    one orbit of the parent's automorphisms give isomorphic graphs, so only
+    the least of each orbit, which holds the first of its class, is tried."""
     if n in _enum_cache:
         return _enum_cache[n]
     if n == 1:
@@ -185,9 +199,9 @@ def _enumerate_level(n: int) -> list[ColoredGraph]:
             extra = [(j, n - 1) for j in range(n - 1) if mask >> j & 1]
             return ColoredGraph.build(n, list(p.edges()) + extra)
 
-        count = len(parents) << (n - 1)
-        classes = group_by_isomorphism(candidate(i) for i in range(count))
-        reps = [candidate(members[0]) for members in classes]
+        tried = [i << (n - 1) | m for i, p in enumerate(parents) for m in _least_masks(p)]
+        classes = group_by_isomorphism(candidate(i) for i in tried)
+        reps = [candidate(tried[members[0]]) for members in classes]
         reps.sort(key=lambda g: (g.edge_count(), sorted(g.edges())))
     _enum_cache[n] = reps
     return reps
@@ -210,8 +224,8 @@ def enumerate_hop_graphs(n: int) -> list[ColoredGraph]:
     """All Hamiltonian outerplanar graphs of order n, one per isomorphism class.
 
     Every such graph is the n-cycle plus a set of pairwise non-crossing
-    chords, and isomorphism between them is a dihedral symmetry of the cycle,
-    so chord sets are deduplicated under the 2n cycle symmetries.
+    chords; the graph of the first chord set of each isomorphism class is
+    kept.
     """
     if n in _hop_cache:
         return _hop_cache[n]
@@ -235,28 +249,8 @@ def enumerate_hop_graphs(n: int) -> list[ColoredGraph]:
 
         extend([], all_chords)
 
-        def canon(chords: tuple[tuple[int, int], ...]) -> tuple:
-            best = None
-            for refl in (False, True):
-                for rot in range(n):
-                    moved = []
-                    for (a, b) in chords:
-                        if refl:
-                            a, b = (n - a) % n, (n - b) % n
-                        a, b = (a + rot) % n, (b + rot) % n
-                        moved.append((min(a, b), max(a, b)))
-                    key = tuple(sorted(moved))
-                    if best is None or key < best:
-                        best = key
-            return best
-
-        seen = set()
-        out = []
         cycle_edges = [(i, (i + 1) % n) for i in range(n)]
-        for cs in chord_sets:
-            key = canon(cs)
-            if key not in seen:
-                seen.add(key)
-                out.append(ColoredGraph.build(n, cycle_edges + list(cs)))
+        graphs = [ColoredGraph.build(n, cycle_edges + list(cs)) for cs in chord_sets]
+        out = [graphs[members[0]] for members in group_by_isomorphism(graphs)]
     _hop_cache[n] = out
     return out

@@ -86,6 +86,13 @@ class Col(_Node):
     color: int
     x: str
 
+    def __new__(cls, *args, **kwargs):
+        # checked before the intern lookup, which takes 3.0 and True for 3 and 1
+        color = args[0] if args else kwargs.get("color", 0)
+        if type(color) is not int or color < 0:
+            raise FormulaError(f"a color must be a non-negative int, got {color!r}")
+        return _Node.__new__(cls, *args, **kwargs)
+
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class Not(_Node):
@@ -123,12 +130,10 @@ _IDENT = re.compile(r"[a-z][a-z0-9_]*")
 
 
 def _check_atoms(cls: type, args: tuple) -> None:
-    """Reject a variable name outside the grammar and a color that is not a
-    non-negative int, so that every node prints to text that parses back."""
+    """Reject a variable name outside the grammar, so that every node prints
+    to text that parses back."""
     if cls is Col:
-        color, *names = args
-        if type(color) is not int or color < 0:
-            raise FormulaError(f"a color must be a non-negative int, got {color!r}")
+        names = args[1:]  # the color is checked by Col.__new__
     elif cls is Adj or cls is Eq:
         names = args
     elif cls is Exists or cls is Forall:

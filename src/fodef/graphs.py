@@ -3,11 +3,14 @@
 A colored graph is a finite simple graph (irreflexive, symmetric adjacency)
 whose vertices carry finite sets of integer color ids.  Everything here is
 immutable; operations return fresh objects.
+
+Isomorphism is decided one way: forests by their AHU codes, every other
+graph by one individualization-refinement search, which gives a complete
+canonical code, its labelling and generators of the automorphism group.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import Counter
@@ -359,30 +362,160 @@ def check_partial_isomorphism(g: ColoredGraph, h: ColoredGraph,
 # -- isomorphism -------------------------------------------------------------
 
 
-def _refine(g: ColoredGraph, h: Optional[ColoredGraph] = None
-            ) -> Optional[tuple[list[int], list[int]]]:
-    """Color refinement of g, jointly with h when given: the stable labels of
-    g and of h (of g twice when h is None), or None when the refined
-    histograms differ."""
-    pair = (g,) if h is None else (g, h)
+def _equitable(adj: tuple[frozenset[int], ...], part: tuple[list[int], ...],
+               work: list[int]) -> None:
+    """Refine the ordered partition `part` in place until it is equitable:
+    every vertex of a cell has as many neighbors in each cell as any other.
+    `part` is four lists: the vertices in cell order, the position of each
+    vertex, the cell of each vertex (the position where it starts) and, at
+    each cell start, the position where the cell ends.
 
-    def differ(labels):
-        return len(labels) == 2 and sorted(labels[0]) != sorted(labels[1])
+    `work` is a stack of the starts of the cells to split by.  A cell
+    splits by its vertices' neighbor counts in the splitter, fragments in
+    ascending count, so the cell order is isomorphism-invariant.  Every
+    fragment but the first largest is pushed, unless the cell was on the
+    stack (the smaller-half rule), and a split moves only the vertices it
+    touches, so each vertex is in O(log n) splitters.  Refinement stops
+    once every cell is a single vertex.
+    """
+    elems, pos, cell, end = part
+    queued, cells = set(work), len(set(cell))
+    while work and cells < len(elems):
+        s = work.pop()
+        queued.discard(s)
+        count: dict[int, int] = {}
+        hit: dict[int, list[int]] = {}
+        for u in elems[s:end[s]]:
+            for w in adj[u]:
+                if w in count:
+                    count[w] += 1
+                elif end[cell[w]] - cell[w] > 1:  # a cell of one vertex stays
+                    count[w] = 1
+                    hit.setdefault(cell[w], []).append(w)
+        for c in sorted(hit):
+            ws, e = sorted(hit[c], key=count.__getitem__), end[c]
+            if len(ws) == e - c and count[ws[0]] == count[ws[-1]]:
+                continue
+            tail = e - len(ws)
+            starts = [c] if tail > c else []
+            for i, w in enumerate(ws, tail):  # the touched vertices go last
+                x = elems[i]
+                elems[pos[w]], pos[x] = x, pos[w]
+                elems[i], pos[w] = w, i
+                if i == tail or count[w] != count[elems[i - 1]]:
+                    starts.append(i)
+                cell[w] = starts[-1]
+            sizes = [b - a for a, b in zip(starts, starts[1:] + [e])]
+            for a, size in zip(starts, sizes):
+                end[a] = a + size
+            cells += len(starts) - 1
+            starts.pop(0 if c in queued else sizes.index(max(sizes)))
+            queued.update(starts)
+            work += starts
 
-    table: dict = {}
-    labels = [[table.setdefault((tuple(sorted(gr.colors[v])), len(gr.adj[v])), len(table))
-               for v in range(gr.n)] for gr in pair]
-    while True:
-        if differ(labels):
-            return None
-        table = {}
-        new = [[table.setdefault((la[v], tuple(sorted(la[u] for u in gr.adj[v]))), len(table))
-                for v in range(gr.n)] for gr, la in zip(pair, labels)]
-        if len(set(new[0])) == len(set(labels[0])):
-            if differ(new):
-                return None
-            return new[0], new[-1]
-        labels = new
+
+def _root(g: ColoredGraph) -> tuple[list[int], ...]:
+    """The equitable refinement of g's partition by color set, color sets in
+    ascending order."""
+    keys = [tuple(sorted(cs)) for cs in g.colors]
+    elems = sorted(range(g.n), key=keys.__getitem__)
+    pos, cell, end = [0] * g.n, [0] * g.n, [0] * g.n
+    for i, v in enumerate(elems):
+        pos[v] = i
+        cell[v] = i if not i or keys[v] != keys[elems[i - 1]] else cell[elems[i - 1]]
+        end[cell[v]] = i + 1
+    part = (elems, pos, cell, end)
+    _equitable(g.adj, part, sorted(set(cell)))
+    return part
+
+
+def _orbit_roots(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
+    """Per point the least point of its orbit under the permutations `gens`
+    of range(n), each given as the tuple of images."""
+    root = [-1] * n
+    for v in range(n):
+        if root[v] < 0:
+            root[v] = v
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for a in gens:
+                    if root[a[u]] < 0:
+                        root[a[u]] = v
+                        stack.append(a[u])
+    return root
+
+
+def _canonical(g: ColoredGraph, part: Optional[tuple[list[int], ...]] = None
+               ) -> tuple[tuple, list[int], list[tuple[int, ...]]]:
+    """Individualization-refinement search (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014) of g from its root partition `part`
+    (computed when None): the canonical code, the labelling that
+    reaches it (the vertices in label order) and the automorphisms found,
+    as tuples of images, which generate the automorphism group of g.
+
+    A tree node individualizes each vertex of its first cell of more than
+    one vertex in turn, least first, and refines; a child in the orbit of an
+    explored one under the found automorphisms that fix the node's
+    individualized vertices is pruned.  A leaf's code is its labelled edge
+    set, and the canonical code the least one with the color sets in label
+    order.  Every leaf is compared with the first leaf and the best: an
+    equal code gives an automorphism, and the search goes back to where the
+    two paths part, the rest of that subtree being an image of one searched.
+    """
+    adj, n = g.adj, g.n
+    gens: list[tuple[int, ...]] = []
+    leaves: list[tuple] = []  # the first leaf and the best: code, labelling, path
+    # per tree node on the current path: partition, individualized vertices,
+    # children left (descending) and explored, orbit roots and from how many
+    # automorphisms they were taken
+    frames: list[list] = []
+    node: Optional[tuple] = (part or _root(g), ())
+    while node:
+        part, path = node
+        elems, pos, _, end = part
+        c = next((p for p in range(n) if end[p] - p > 1), None)
+        if c is not None:
+            frames.append([part, path, sorted(elems[c:end[c]], reverse=True), [],
+                           range(n), 0])
+        else:
+            code = tuple(sorted([pos[u] * n + pos[w] for u in range(n)
+                                 for w in adj[u] if pos[w] < pos[u]]))
+            back = len(path) - 1
+            for known, lab, other in leaves:
+                if code == known:
+                    gens.append(tuple(y for _, y in sorted(zip(lab, elems))))
+                    back = next(i for i, (x, y) in enumerate(zip(path, other)) if x != y)
+                    break
+            else:
+                leaves = leaves or [(code, elems, path)] * 2
+                if code < leaves[1][0]:
+                    leaves[1] = (code, elems, path)
+            del frames[back + 1:]
+        node = None
+        while frames and not node:
+            frame = frames[-1]
+            part, path, todo, explored, roots, known = frame
+            if not todo:
+                frames.pop()
+                continue
+            w = todo.pop()
+            if explored and len(gens) > known:
+                roots = _orbit_roots(n, [a for a in gens if all(a[x] == x for x in path)])
+                frame[4:] = roots, len(gens)
+            if all(roots[w] != roots[x] for x in explored):
+                explored.append(w)
+                elems, pos, cell, end = (list(x) for x in part)
+                c = cell[w]
+                last = end[c] - 1
+                x = elems[last]
+                elems[pos[w]], pos[x] = x, pos[w]  # w is split off its cell, last
+                elems[last], pos[w] = w, last
+                end[last], end[c], cell[w] = end[c], last, last
+                node = ((elems, pos, cell, end), path + (w,))
+                _equitable(adj, node[0], [last])
+    code, lab, _ = leaves[1]
+    return (tuple(g.colors[v] for v in lab), code), lab, gens
 
 
 def _forest_code(g: ColoredGraph) -> Optional[tuple]:
@@ -450,81 +583,21 @@ def _forest_code(g: ColoredGraph) -> Optional[tuple]:
     return tuple(levels), tuple(sorted(roots))
 
 
-def _match_backtrack(g: ColoredGraph, h: ColoredGraph,
-                     la: list[int], lb: list[int],
-                     collect_all: bool = False,
-                     limit: int = 1 << 30) -> list[dict[int, int]]:
-    """Label-guided backtracking search for isomorphisms g -> h."""
-    n = g.n
-    if not n:
-        return [{}]
-    by_label: dict[int, list[int]] = {}
-    for v in range(h.n):
-        by_label.setdefault(lb[v], []).append(v)
-    # order vertices to keep the frontier connected where possible: next is
-    # the least (label class size, id) among unplaced vertices with a placed
-    # neighbor, else among all unplaced ones
-    label_size = {lab: len(vs) for lab, vs in by_label.items()}
-    heap = sorted((1, label_size[la[v]], v) for v in range(n))  # a sorted list is a heap
-    order: list[int] = []
-    placed = [False] * n
-    while heap:
-        _, _, v = heapq.heappop(heap)
-        if not placed[v]:
-            order.append(v)
-            placed[v] = True
-            for u in g.adj[v]:
-                if not placed[u]:
-                    heapq.heappush(heap, (0, label_size[la[u]], u))
-
-    results: list[dict[int, int]] = []
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-    # one frame per vertex being mapped: the vertex, its untried candidates
-    # and the images of its mapped neighbors, which must be exactly the
-    # mapped neighbors of its image
-    stack: list[tuple[int, Iterator[int], set[int]]] = []
-    while True:
-        if len(stack) == len(mapping):
-            v = order[len(mapping)]
-            stack.append((v, iter(by_label[la[v]]),
-                          {mapping[u] for u in g.adj[v] if u in mapping}))
-        v, cands, images = stack[-1]
-        for w in cands:
-            if w not in used and h.adj[w] & used == images:
-                break
-        else:
-            stack.pop()
-            if not stack:
-                return results
-            used.discard(mapping.pop(stack[-1][0]))
-            continue
-        mapping[v] = w
-        used.add(w)
-        if len(mapping) == n:
-            results.append(dict(mapping))
-            if not collect_all or len(results) >= limit:
-                return results
-            del mapping[v]
-            used.discard(w)
-
-
 def find_isomorphism(g: ColoredGraph, h: ColoredGraph) -> Optional[dict[int, int]]:
-    """A color- and adjacency-preserving bijection g -> h, or None."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
+    """A color- and adjacency-preserving bijection g -> h, or None.  Graphs
+    whose root partitions differ are rejected after one refinement each;
+    otherwise the two canonical labellings, composed, give the map."""
+    if g.n != h.n or sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
         return None
-    if sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
+    pg, ph = _root(g), _root(h)
+    if [(g.colors[v], pg[2][v]) for v in pg[0]] != [(h.colors[v], ph[2][v]) for v in ph[0]]:
         return None
-    refined = _refine(g, h)
-    if refined is None:
-        return None
-    res = _match_backtrack(g, h, refined[0], refined[1])
-    return res[0] if res else None
+    (code_g, lab_g, _), (code_h, lab_h, _) = _canonical(g, pg), _canonical(h, ph)
+    return dict(zip(lab_g, lab_h)) if code_g == code_h else None
 
 
 def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
-    """Forests by their AHU codes, other graphs by `find_isomorphism`, whose
-    joint refinement stops at the first histogram that differs."""
+    """Forests by their AHU codes, other graphs by `find_isomorphism`."""
     if g.n != h.n or g.edge_count() != h.edge_count():
         return False
     code = _forest_code(g)
@@ -534,50 +607,34 @@ def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
 
 
 def automorphisms(g: ColoredGraph, limit: int = 50000) -> list[dict[int, int]]:
-    """All automorphisms of g, up to `limit` of them."""
-    la, _ = _refine(g)
-    return _match_backtrack(g, g, la, la, collect_all=True, limit=limit)
+    """All automorphisms of g, up to `limit` of them: the closure of the
+    automorphisms that the canonical search finds."""
+    gens, group = _canonical(g)[2], [tuple(range(g.n))]
+    seen = set(group)
+    for a in group:
+        for ab in (tuple(b[x] for x in a) for b in gens):
+            if ab not in seen and len(group) < limit:
+                seen.add(ab)
+                group.append(ab)
+    return [dict(enumerate(a)) for a in group]
 
 
 def iso_invariant_key(g: ColoredGraph) -> tuple:
-    """Isomorphism-invariant key: isomorphic graphs get equal keys.
-
-    For a forest it is the tagged AHU code, which is complete: equal keys
-    mean isomorphic forests.  For any other graph it is a color-refinement
-    summary, which is not complete.
-    """
+    """A complete isomorphism invariant: equal keys exactly for isomorphic
+    graphs.  For a forest it is the tagged AHU code, for any other graph
+    the tagged canonical code."""
     code = _forest_code(g)
-    if code is not None:
-        return ("forest", code)
-    la, _ = _refine(g)
-    hist = tuple(sorted(Counter(la).values()))
-    degs = tuple(sorted(len(a) for a in g.adj))
-    cols = tuple(sorted(tuple(sorted(c)) for c in g.colors))
-    return ("refined", g.n, g.edge_count(), degs, cols, hist)
+    return ("forest", code) if code is not None else ("graph", _canonical(g)[0])
 
 
 def group_by_isomorphism(graphs: Iterable[ColoredGraph]) -> list[list[int]]:
-    """Partition the indices of `graphs` into isomorphism classes.
-
-    Classes come in order of least index, each listing its members in
-    ascending order.  Graphs are bucketed by `iso_invariant_key`, and only
-    a bucket of non-forests is split further by `find_isomorphism`.  Any
-    iterable will do: one graph per class is kept.
-    """
-    buckets: dict[tuple, list[tuple[ColoredGraph, list[int]]]] = {}
-    classes: list[list[int]] = []
+    """Partition the indices of `graphs` into isomorphism classes by
+    `iso_invariant_key`, in order of least index, each in ascending order.
+    Any iterable will do: only the keys are kept."""
+    classes: dict[tuple, list[int]] = {}
     for i, gr in enumerate(graphs):
-        key = iso_invariant_key(gr)
-        bucket = buckets.setdefault(key, [])
-        for rep, members in bucket:
-            if key[0] == "forest" or find_isomorphism(gr, rep) is not None:
-                members.append(i)
-                break
-        else:
-            members = [i]
-            bucket.append((gr, members))
-            classes.append(members)
-    return classes
+        classes.setdefault(iso_invariant_key(gr), []).append(i)
+    return list(classes.values())
 
 
 # -- flap similarity ---------------------------------------------------------
@@ -593,21 +650,13 @@ def flap_classes(flaps: Sequence[tuple[ColoredGraph, Sequence[int], Sequence[int
     them keeps colors plus base colors, edges inside the flap and adjacency
     to the i-th separator vertex: when their `recolored_flap`s with the
     `fresh` colors, used by no graph or base, are isomorphic.  Only flaps
-    that share an order are recolored and grouped by `group_by_isomorphism`.
-    Classes come in order of least index, each in ascending order, as one
-    grouping of every recolored flap would list them.
+    that share an order are recolored and keyed by `iso_invariant_key`.
+    Classes come in order of least index, each in ascending order.
     """
-    by_order: dict[int, list[int]] = {}
-    for i, (_, f, _, _) in enumerate(flaps):
-        by_order.setdefault(len(f), []).append(i)
-    classes = []
-    for members in by_order.values():
-        if len(members) == 1:
-            classes.append(members)
-            continue
-        subs = (recolored_flap(gr, f, sep, fresh, base)
-                for gr, f, sep, base in (flaps[i] for i in members))
-        classes += [[members[j] for j in local]
-                    for local in group_by_isomorphism(subs)]
-    classes.sort(key=lambda c: c[0])
-    return classes
+    orders = Counter(len(f) for _, f, _, _ in flaps)
+    classes: dict[tuple, list[int]] = {}
+    for i, (gr, f, sep, base) in enumerate(flaps):
+        alone = orders[len(f)] == 1
+        key = (len(f),) if alone else iso_invariant_key(recolored_flap(gr, f, sep, fresh, base))
+        classes.setdefault(key, []).append(i)
+    return list(classes.values())

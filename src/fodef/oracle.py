@@ -4,12 +4,12 @@ bounded-enumeration lower bound for the defining round count.
 The searcher runs a boolean existential/universal search over configurations
 (sets of pebble pairs), memoized with monotone win/lose round bounds, and
 prunes early moves through the orbits of the stabilizer of the pebbled
-vertices.  The orbits are exact and no automorphism group is listed: a
-refinement with the pebbled vertices individualized bounds them, and each
-automorphism a search finds is kept and merged into a union-find (McKay &
-Piperno, "Practical graph isomorphism, II", 2014).  Found automorphisms and
-orbits are memoized per graph, for as long as the graph lives, and shared by
-every search on an equal graph.
+vertices.  The orbits are exact and no automorphism group is listed: they
+are read off the automorphisms that the canonical search of the graph, with
+the pebbled vertices individualized, finds (McKay & Piperno, "Practical
+graph isomorphism, II", 2014), which generate the stabilizer.  Orbits are
+memoized per graph and pebbled set, for as long as the graph lives, and
+shared by every search on an equal graph.
 
 The game memo stays with each search.  `exact_rank` starts a fresh search and
 leaves it in a one-search slot; `OracleSpoiler` and `ExhaustiveDuplicator`
@@ -33,8 +33,8 @@ from fodef.game import (
     alternations_after, explore_replies,
 )
 from fodef.graphs import (
-    BudgetExceeded, ColoredGraph, _refine, are_isomorphic,
-    extends_partial_isomorphism, find_isomorphism,
+    BudgetExceeded, ColoredGraph, _canonical, _orbit_roots, are_isomorphic,
+    extends_partial_isomorphism,
 )
 
 DEFAULT_SIZE_BUDGET = 16    # combined order, unless size_budget (CLI --budget) is given
@@ -62,73 +62,25 @@ class RankResult:
 
 
 class _OrbitMemo:
-    """Found automorphisms of one graph and the stabilizer orbits they give.
-    It does not hold the graph, so that its entry in `_orbit_memos` dies
-    with the graph; every call passes the graph (or an equal one) in."""
+    """The stabilizer orbits of one graph, per pebbled set.  It does not
+    hold the graph, so that its entry in `_orbit_memos` dies with the graph;
+    every call passes the graph (or an equal one) in."""
 
     def __init__(self):
-        self.pool: list[tuple[int, ...]] = []  # found automorphisms as images
-        self.found: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self.found: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def orbits(self, g: ColoredGraph, pebbled: tuple[int, ...]
-               ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def orbits(self, g: ColoredGraph, pebbled: tuple[int, ...]) -> tuple[int, ...]:
         """The least vertex of each orbit of the stabilizer of the vertices
-        `pebbled` (ascending) in g, ascending, and per vertex the least
-        vertex of its orbit."""
+        `pebbled` (ascending) in g, ascending.  The automorphisms that the
+        canonical search of g, with each pebbled vertex given a color of its
+        own, finds generate the stabilizer."""
         found = self.found.get(pebbled)
         if found is None:
-            found = self.found[pebbled] = self._search(g, pebbled)
+            fresh = g.max_color() + 1
+            marked = g.with_extra_colors({x: (fresh + i,) for i, x in enumerate(pebbled)})
+            roots = _orbit_roots(g.n, _canonical(marked)[2])
+            found = self.found[pebbled] = tuple(v for v in range(g.n) if roots[v] == v)
         return found
-
-    def _search(self, g: ColoredGraph, pebbled: tuple[int, ...]
-                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # The orbits of the stabilizer of `pebbled` split those of the
-        # stabilizer of a subset and the cells of a refinement with `pebbled`
-        # individualized.  Found automorphisms that fix `pebbled` join orbits;
-        # a vertex left alone joins an earlier representative v only through
-        # an automorphism, searched for, that fixes `pebbled` and maps v to it.
-        base = self.orbits(g, pebbled[:-1])[1] if pebbled else (0,) * g.n
-        fresh = g.max_color() + 1
-        xs = {x: (fresh + i,) for i, x in enumerate(pebbled)}
-        mark = fresh + len(xs)
-        cell = None
-        parent = list(range(g.n))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            return v
-
-        def join(a: tuple[int, ...]) -> None:
-            for v, w in enumerate(a):
-                rv, rw = find(v), find(w)
-                if rv != rw:
-                    parent[max(rv, rw)] = min(rv, rw)
-
-        for a in self.pool:
-            if all(a[x] == x for x in pebbled):
-                join(a)
-        reps: list[int] = []
-        for w in range(g.n):
-            if find(w) != w:
-                continue
-            for v in reps:
-                if base[v] != base[w]:
-                    continue
-                if cell is None:
-                    cell = _refine(g.with_extra_colors(xs))[0]
-                if cell[v] != cell[w]:
-                    continue
-                iso = find_isomorphism(g.with_extra_colors({**xs, v: (mark,)}),
-                                       g.with_extra_colors({**xs, w: (mark,)}))
-                if iso is not None:
-                    a = tuple(iso[u] for u in range(g.n))
-                    self.pool.append(a)
-                    join(a)
-                    break
-            else:
-                reps.append(w)
-        return tuple(reps), tuple(map(find, range(g.n)))
 
 
 _orbit_memos = weakref.WeakKeyDictionary()    # graph -> its _OrbitMemo
@@ -136,10 +88,7 @@ _orbit_memos = weakref.WeakKeyDictionary()    # graph -> its _OrbitMemo
 
 def _orbit_memo(g: ColoredGraph) -> _OrbitMemo:
     """The orbit memo of g, shared with every live graph equal to it."""
-    memo = _orbit_memos.get(g)
-    if memo is None:
-        memo = _orbit_memos[g] = _OrbitMemo()
-    return memo
+    return _orbit_memos.setdefault(g, _OrbitMemo())
 
 
 class RankSearcher:
@@ -168,7 +117,7 @@ class RankSearcher:
         if memo is None or len(pairs) > ORBIT_DEPTH:
             return range(x.n)
         i = 0 if side == SIDE_G else 1
-        return memo.orbits(x, tuple(sorted([p[i] for p in pairs])))[0]
+        return memo.orbits(x, tuple(sorted([p[i] for p in pairs])))
 
     def _memo_key(self, pairs, last_side, alts):
         if self.k is None:

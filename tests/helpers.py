@@ -23,6 +23,15 @@ def brute_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
     return False
 
 
+def brute_automorphisms(g: ColoredGraph) -> list[tuple[int, ...]]:
+    """Every automorphism of g as the tuple of images, by a scan over all
+    permutations (order <= 7)."""
+    assert g.n <= 7, "a scan over more than 7! permutations"
+    return [perm for perm in permutations(range(g.n))
+            if all(g.colors[v] == g.colors[perm[v]] for v in range(g.n))
+            and all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())]
+
+
 def brute_all_graphs(n: int) -> list[ColoredGraph]:
     """One representative per isomorphism class, by raw 2^C(n,2) scan."""
     slots = list(combinations(range(n), 2))

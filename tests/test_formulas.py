@@ -333,8 +333,13 @@ class TestParser:
 
 class TestInterning:
     def test_equal_construction_returns_the_live_node(self):
-        live = Col(3, "x")
-        assert Col(3.0, "x") is live
+        live, one = Col(3, "x"), Col(1, "x")
+        # the color is checked though an equal int node lives: 3.0 == 3 and
+        # True == 1 compare and hash equal, as in a fresh process
+        for color in (3.0, True):
+            with pytest.raises(FormulaError):
+                Col(color, "x")
+        assert Col(1, "x") is one
         assert print_formula(live) == "col(3,x)"
         assert Col(color=3, x="x") is live and Col(3, x="x") is live
         f = parse_formula("ex x. (col(3,x) & ~adj(x,y))")

@@ -25,7 +25,7 @@ from fodef.graphs import (
 )
 from fodef.strategies import StrategyConfig, StrategyMachine
 
-from helpers import brute_isomorphic, brute_similar
+from helpers import brute_automorphisms, brute_isomorphic, brute_similar
 
 
 def path(n):
@@ -250,10 +250,13 @@ class TestIsomorphism:
     def test_automorphisms_leave_no_garbage(self):
         # the search holds no reference cycle, so its result is freed as
         # soon as it is dropped, not at the next full collection
+        listed = brute_automorphisms(cycle(6))
+        assert len(listed) == 12
         gc.collect()
         gc.disable()
         try:
-            assert len(automorphisms(cycle(6))) == 12
+            found = automorphisms(cycle(6))
+            assert sorted(tuple(a[v] for v in range(6)) for a in found) == listed
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -300,11 +303,36 @@ class TestGrouping:
         assert (iso_invariant_key(g) == iso_invariant_key(h)) == same
         assert are_isomorphic(g, h) == same
 
+    @given(small_graphs(max_n=7), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_key_is_complete(self, g, data):
+        # equal keys exactly when an isomorphism exists, on a relabelled
+        # copy, as it is, with one vertex pair toggled or with one edge moved
+        h = relabel(g, data.draw(st.permutations(range(g.n))))
+        edges = set(h.edges())
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        edit = data.draw(st.sampled_from(["none", "toggle", "move"]))
+        if edit == "toggle" and pairs:
+            edges ^= {data.draw(st.sampled_from(pairs))}
+        elif edit == "move" and edges and len(edges) < len(pairs):
+            edges.remove(data.draw(st.sampled_from(sorted(edges))))
+            edges.add(data.draw(st.sampled_from([e for e in pairs if e not in edges])))
+        h = ColoredGraph.build(h.n, sorted(edges), h.colors)
+        same = brute_isomorphic(g, h)
+        assert (iso_invariant_key(g) == iso_invariant_key(h)) == same
+        m = find_isomorphism(g, h)
+        assert (m is not None) == same
+        if same:
+            assert sorted(m) == list(range(g.n))
+            assert check_partial_isomorphism(g, h, list(m.items()))
+
     def test_forest_key_skips_refinement(self, monkeypatch):
+        # forests never enter the partition refinement or the search
         def refine(*args):
             raise AssertionError("refinement ran on a forest")
 
-        monkeypatch.setattr(fodef.graphs, "_refine", refine)
+        monkeypatch.setattr(fodef.graphs, "_equitable", refine)
+        monkeypatch.setattr(fodef.graphs, "_canonical", refine)
         colored = ColoredGraph.build(4, [(0, 1), (2, 3)], [[1], [], [], [0, 2]])
         for g in (path(40), star(6), colored, ColoredGraph.build(3, [])):
             assert iso_invariant_key(g)[0] == "forest"
@@ -356,22 +384,22 @@ class TestDeepCycles:
         assert find_isomorphism(g, recolored) is None
 
     def test_are_isomorphic_refines_jointly(self, monkeypatch):
-        # a one-sided refinement spreads the recolored vertex one step per
-        # round; the joint one sees the differing histograms at once
+        # the root partitions of the cycle and of its recolored copy differ,
+        # so the pair is rejected after one refinement each, with no search
         g, same, recolored = self.copies()
-        alone = []
-        refine = fodef.graphs._refine
+        calls = []
+        for name in ("_equitable", "_canonical"):
+            def counted(*args, _name=name, _call=getattr(fodef.graphs, name)):
+                calls.append(_name)
+                return _call(*args)
 
-        def counted(a, b=None):
-            if b is None:
-                alone.append(a.n)
-            return refine(a, b)
-
-        monkeypatch.setattr(fodef.graphs, "_refine", counted)
+            monkeypatch.setattr(fodef.graphs, name, counted)
         assert are_isomorphic(g, same)
+        assert "_canonical" in calls
+        calls.clear()
         assert not are_isomorphic(g, recolored)
         assert not are_isomorphic(recolored, g)
-        assert alone == []
+        assert calls == ["_equitable"] * 4
 
 
 class TestPartialIsomorphism:

@@ -12,13 +12,13 @@ from fodef.families import complete, cycle, enumerate_graphs, path, star, triv, 
 from fodef.game import (
     DUPLICATOR_SURVIVED, SIDE_H, SPOILER_WON, builtin_duplicator, run_match,
 )
-from fodef.graphs import BudgetExceeded, ColoredGraph, automorphisms
+from fodef.graphs import BudgetExceeded, ColoredGraph
 from fodef.oracle import (
-    ExhaustiveDuplicator, OracleSpoiler, RankSearcher, _OrbitMemo, _orbit_memo,
+    ExhaustiveDuplicator, OracleSpoiler, RankSearcher, _orbit_memo,
     defining_rank_lb, exact_rank, survival_vs,
 )
 
-from helpers import brute_best_move, brute_rank
+from helpers import brute_automorphisms, brute_best_move, brute_rank
 
 
 class TestExactRank:
@@ -139,7 +139,7 @@ class TestDefiningRankLB:
 
 def orbit_reps(g, pebbled):
     """The orbit representatives the rank search prunes to."""
-    return _orbit_memo(g).orbits(g, tuple(sorted(pebbled)))[0]
+    return _orbit_memo(g).orbits(g, tuple(sorted(pebbled)))
 
 
 def forget_searches():
@@ -161,11 +161,11 @@ def rank_table_pairs():
     return pairs
 
 
-def listed_orbit_reps(g, pebbled):
-    """The least vertex of each orbit of the maps of the listed automorphism
-    group that fix `pebbled` pointwise, ascending."""
-    stab = [a for a in automorphisms(g) if all(a[x] == x for x in pebbled)]
-    return tuple(v for v in range(g.n) if all(a[v] >= v for a in stab))
+def listed_orbit_reps(auts, pebbled):
+    """The least vertex of each orbit of the automorphisms `auts`, the whole
+    group, that fix `pebbled` pointwise, ascending."""
+    stab = [a for a in auts if all(a[x] == x for x in pebbled)]
+    return tuple(v for v in range(len(auts[0])) if all(a[v] >= v for a in stab))
 
 
 @st.composite
@@ -181,15 +181,16 @@ class TestOrbits:
     def test_matches_listed_group(self):
         for n in range(1, 7):
             for g in enumerate_graphs(n):
+                auts = brute_automorphisms(g)
                 for size in range(3):
                     for xs in itertools.combinations(range(n), size):
-                        assert orbit_reps(g, xs) == listed_orbit_reps(g, xs), (g, xs)
+                        assert orbit_reps(g, xs) == listed_orbit_reps(auts, xs), (g, xs)
 
     @given(colored_graphs(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_listed_group_colored(self, g, data):
         xs = data.draw(st.sets(st.integers(0, g.n - 1), max_size=2))
-        assert orbit_reps(g, xs) == listed_orbit_reps(g, xs)
+        assert orbit_reps(g, xs) == listed_orbit_reps(brute_automorphisms(g), xs)
 
     def test_triv_pair_reps_are_exact(self):
         # the H side of the triv(3) identity pair: two isolated edges and
@@ -229,14 +230,15 @@ class TestOrbits:
     def test_one_orbit_search_per_graph_and_set(self, monkeypatch):
         # a defining_rank_lb-style sweep of the order-3 bases searches the
         # orbits of each graph and pebbled set once
+        # (the graph with its pebbled vertices colored is one key per pair)
         calls = Counter()
-        search = _OrbitMemo._search
+        search = oracle._canonical
 
-        def counted(memo, g, pebbled):
-            calls[g, pebbled] += 1
-            return search(memo, g, pebbled)
+        def counted(marked):
+            calls[marked] += 1
+            return search(marked)
 
-        monkeypatch.setattr(_OrbitMemo, "_search", counted)
+        monkeypatch.setattr(oracle, "_canonical", counted)
         forget_searches()
         every = [h for n in range(1, 6) for h in enumerate_graphs(n)]
         for g in enumerate_graphs(3):

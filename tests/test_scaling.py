@@ -26,7 +26,9 @@ from fodef.formulas import (
     Adj, Eq, Exists, Not, analyze, conjunction, free_variables, parse_formula,
     print_formula,
 )
-from fodef.graphs import ColoredGraph
+from fodef.graphs import (
+    ColoredGraph, find_isomorphism, flaps_of, iso_invariant_key, recolored_flap,
+)
 from fodef.separators import EDHOP2, HOP, OClassification, class_o_separator
 
 RATIO = 2.3
@@ -126,6 +128,46 @@ def hop_perturbation(n: int):
                          ids=["random_bounded_tree", "perturb_hop"])
 def test_random_graphs_are_linear(call_at):
     small, large = call_at(512), call_at(1024)
+    base = opcodes(small)
+    allowance = int(RATIO * base)
+    assert opcodes(large, limit=allowance) <= allowance
+
+
+def recolored_cycle(n: int) -> ColoredGraph:
+    """The n-cycle with vertex 0 colored: its reflection is the one
+    automorphism, and refinement splits the rest two vertices at a time."""
+    return ColoredGraph.build(n, [(i, (i + 1) % n) for i in range(n)],
+                              [[1]] + [[]] * (n - 1))
+
+
+def key_of_recolored_cycle(n: int):
+    g = recolored_cycle(n)
+    return lambda: iso_invariant_key(g)
+
+
+def isomorphism_of_recolored_cycle(n: int):
+    g = recolored_cycle(n)
+    perm = list(range(n))
+    random.Random(7).shuffle(perm)
+    h = ColoredGraph.build(n, [(perm[u], perm[v]) for u, v in g.edges()],
+                           [g.colors[perm.index(v)] for v in range(n)])
+    return lambda: find_isomorphism(g, h)
+
+
+def key_of_hop_flap(n: int):
+    # random_hop(n + 1, 1) is 2-connected, so deleting vertex 0 leaves one
+    # flap of order n, its neighbors of 0 recolored
+    g = random_hop(n + 1, 1)
+    (flap,) = flaps_of(g, (0,))
+    sub = recolored_flap(g, flap, (0,), (1,))
+    return lambda: iso_invariant_key(sub)
+
+
+@pytest.mark.parametrize("call_at", [key_of_recolored_cycle,
+                                     isomorphism_of_recolored_cycle, key_of_hop_flap],
+                         ids=["key_cycle", "find_isomorphism_cycle", "key_hop_flap"])
+def test_isomorphism_is_quasi_linear(call_at):
+    small, large = call_at(128), call_at(256)
     base = opcodes(small)
     allowance = int(RATIO * base)
     assert opcodes(large, limit=allowance) <= allowance
