@@ -59,6 +59,10 @@ is a name and a sha256 hex digest:
 - separators.brute: x and flaps of brute_min_separator, size cap 5, on every
   connected graph of order <= 7 (996 graphs) with epsilon 1/2 and 2/3, in
   enumeration order; a graph with no such set is hashed as none.
+- separators.tree: x and flaps of tree_centroid_separator on the induced
+  subtree of every flap of the recursive centroid split of
+  random_bounded_tree(n, 3, s), for n = 8, 16, ..., 512 and s = 1..10, the
+  whole tree first and then the flaps depth first, in flap order.
 - escapes: (always_wins, deepest_total_rounds) of survival_vs for s_agent
   (provider class_o, r_max the thm43 bound + 1) on random_hop(11, seed), for
   the seeds of ESCAPE_SEEDS, against each non-isomorphic graph that toggles
@@ -101,7 +105,7 @@ from fodef.oracle import (  # noqa: E402
 )
 from fodef.separators import (  # noqa: E402
     EDHOP1, EDHOP2, HOP, OClassification, SeparatorError, brute_min_separator,
-    class_o_separator, classify_o,
+    class_o_separator, classify_o, tree_centroid_separator,
 )
 from fodef.strategies import (  # noqa: E402
     StrategyConfig, StrategyError, bound, extract_formula, reply_tree, s_agent,
@@ -282,6 +286,23 @@ def brute_hash() -> tuple[str, int]:
     return digest.hexdigest(), runs
 
 
+def tree_separators_hash() -> tuple[str, int]:
+    digest = hashlib.sha256()
+    runs = 0
+    for n in (8, 16, 32, 64, 128, 256, 512):
+        for seed in range(1, 11):
+            g = random_bounded_tree(n, 3, seed)
+            todo = [tuple(range(n))]
+            while todo:
+                sub, idx = g.induced(todo.pop())
+                res = tree_centroid_separator(sub)
+                digest.update(repr((res.x, res.flaps)).encode())
+                runs += 1
+                back = sorted(idx)
+                todo += [tuple(back[i] for i in f) for f in reversed(res.flaps)]
+    return digest.hexdigest(), runs
+
+
 def enumeration_hash() -> tuple[str, int]:
     digest = hashlib.sha256()
     graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)]
@@ -452,6 +473,8 @@ def main() -> int:
     print(f"csv.lemma {digest.hexdigest()}  (exits {codes})", flush=True)
     digest, runs = brute_hash()
     print(f"separators.brute {digest}  ({runs} runs)", flush=True)
+    digest, runs = tree_separators_hash()
+    print(f"separators.tree {digest}  ({runs} runs)", flush=True)
     digest, pairs = escapes_hash()
     print(f"escapes {digest}  ({pairs} pairs)", flush=True)
     digest, graphs = enumeration_hash()

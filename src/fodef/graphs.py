@@ -97,23 +97,26 @@ class ColoredGraph:
     # -- connectivity -----------------------------------------------------
 
     def components(self, within: Optional[frozenset[int]] = None) -> list[tuple[int, ...]]:
-        """Connected components, each sorted, ordered by least vertex id."""
+        """Connected components, each sorted, ordered by least vertex id.
+        Each search starts from a vertex popped off the pool and grows its
+        component list in place; the components are sorted once at the end."""
         pool = set(within) if within is not None else set(range(self.n))
+        if pool:
+            lo, hi = min(pool), max(pool)
+            if lo < 0 or hi >= self.n:
+                raise GraphError(f"vertex {lo if lo < 0 else hi} out of range")
+        adj = self.adj
         comps: list[tuple[int, ...]] = []
-        for start in sorted(pool):
-            if start not in pool:
-                continue
-            stack = [start]
-            pool.discard(start)
-            comp = [start]
-            while stack:
-                v = stack.pop()
-                for u in self.adj[v]:
+        while pool:
+            comp = [pool.pop()]
+            for v in comp:
+                for u in adj[v]:
                     if u in pool:
                         pool.discard(u)
                         comp.append(u)
-                        stack.append(u)
-            comps.append(tuple(sorted(comp)))
+            comp.sort()
+            comps.append(tuple(comp))
+        comps.sort()
         return comps
 
     def is_connected(self) -> bool:
@@ -266,6 +269,8 @@ def distance(g: ColoredGraph, u: int, target) -> float:
 
 def distances_within(g: ColoredGraph, source: int, allowed: frozenset[int]) -> dict[int, int]:
     """BFS distances from source using only vertices in `allowed`."""
+    if not 0 <= source < g.n:
+        raise GraphError(f"vertex {source} out of range")
     if source not in allowed:
         raise GraphError("source must lie in the allowed set")
     dist = {source: 0}
@@ -597,8 +602,10 @@ def find_isomorphism(g: ColoredGraph, h: ColoredGraph) -> Optional[dict[int, int
 
 
 def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
-    """Forests by their AHU codes, other graphs by `find_isomorphism`."""
-    if g.n != h.n or g.edge_count() != h.edge_count():
+    """Graphs of different degree sequences are rejected at once; otherwise
+    forests are compared by their AHU codes, other graphs by
+    `find_isomorphism`."""
+    if g.n != h.n or sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
         return False
     code = _forest_code(g)
     if code is not None:

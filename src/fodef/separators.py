@@ -190,36 +190,62 @@ def verify_separator(g: ColoredGraph, x: Sequence[int], epsilon: Fraction,
 # -- trees ---------------------------------------------------------------------
 
 
-def tree_centroid_separator(g: ColoredGraph) -> SeparatorResult:
-    """Single-vertex separator of a tree; every flap has at most n/2 vertices."""
-    if not g.is_tree():
+def tree_centroid_separator(g: ColoredGraph, within: Optional[frozenset[int]] = None
+                            ) -> SeparatorResult:
+    """Single-vertex separator of the subtree that g induces on `within` (all
+    of g when None), in g's own ids: a centroid, whose flaps have at most
+    half of the domain's vertices each, least vertex id first among the
+    vertices whose largest flap is smallest.
+
+    One depth-first search from the least vertex of the domain gives the
+    subtree sizes and proves that the domain is a tree: it reaches every
+    vertex and sees exactly 2(|domain| - 1) adjacency entries inside the
+    domain.  The centroid is the deepest vertex whose subtree holds more
+    than half of the domain, or its child whose subtree holds exactly half,
+    if that child's id is less.  The search visits vertices in preorder, so
+    every flap is a slice of the visit order.
+    """
+    dom = range(g.n) if within is None else within
+    if not dom:
         raise SeparatorError("input is not a tree")
-    n = g.n
-    if n == 1:
-        return SeparatorResult((0,), EPSILON, flaps_of(g, [0]))
-    # subtree sizes from a DFS rooted at 0, then walk toward the heavy side
-    order, parent = [], {0: None}
-    stack = [0]
-    seen = {0}
+    root, top = min(dom), max(dom)
+    if root < 0 or top >= g.n:
+        raise GraphError(f"vertex {root if root < 0 else top} out of range")
+    m, adj = len(dom), g.adj
+    parent = {root: root}
+    order: list[int] = []
+    stack = [root]
+    entries = 0
     while stack:
         v = stack.pop()
         order.append(v)
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                stack.append(u)
-    size = [1] * n
-    for v in reversed(order):
-        if parent[v] is not None:
-            size[parent[v]] += size[v]
-    best, best_load = None, None
-    for v in range(n):
-        load = max([n - size[v]] + [size[u] for u in g.adj[v] if parent.get(u) == v]
-                   ) if v != 0 else max(size[u] for u in g.adj[v])
-        if best_load is None or (load, v) < (best_load, best):
-            best, best_load = v, load
-    return SeparatorResult((best,), EPSILON, flaps_of(g, [best]))
+        for u in adj[v]:
+            if u in dom:
+                entries += 1
+                if u not in parent:
+                    parent[u] = v
+                    stack.append(u)
+    if len(order) != m or entries != 2 * (m - 1):
+        raise SeparatorError("input is not a tree")
+    size = dict.fromkeys(order, 1)
+    for v in order[:0:-1]:  # children before parents, the root left out
+        size[parent[v]] += size[v]
+    x = root
+    while True:
+        heavy = next((u for u in adj[x] if parent.get(u) == x and 2 * size[u] >= m), None)
+        if heavy is None or 2 * size[heavy] == m:
+            break
+        x = heavy
+    if heavy is not None:  # two centroids, each with a flap of exactly half
+        x = min(x, heavy)
+    i = order.index(x)
+    end = i + size[x]
+    flaps = [order[:i] + order[end:]] if i else []
+    j = i + 1
+    while j < end:  # the subtree of each child of x
+        flaps.append(order[j:j + size[order[j]]])
+        j += size[order[j]]
+    return SeparatorResult((x,), EPSILON, tuple(sorted(tuple(sorted(f)) for f in flaps)))
 
 
 # -- HOP recognition -----------------------------------------------------------

@@ -402,15 +402,18 @@ class StrategyMachine(Agent):
     def _separate(self, frame: _Frame) -> tuple[tuple[int, ...], list, Optional[tuple]]:
         """Separator of the current G-side region and its flaps in original
         ids, plus per-flap membership annotations when the provider computes
-        them.  induced() reindexes monotonically, so the flaps come out as
-        components() lists them and each annotation stays valid for its
-        flap's standalone induced graph."""
-        sub, idx = self.g.induced(frame.dom_g)
-        back = sorted(idx)
+        them.  The tree centroid is found in G itself, on the region.  The
+        other providers run on the region's induced() copy, which reindexes
+        monotonically, so their flaps map back in the order components()
+        lists them and each annotation stays valid for its flap's
+        standalone induced graph."""
         provider = self.config.provider
         if provider == "tree_centroid":
-            res = tree_centroid_separator(sub)
-        elif provider == "class_o":
+            res = tree_centroid_separator(self.g, within=frame.dom_g)
+            return res.x, [frozenset(f) for f in res.flaps], res.tags
+        sub, idx = self.g.induced(frame.dom_g)
+        back = sorted(idx)
+        if provider == "class_o":
             res = class_o_separator(sub, classification=frame.cls)
         else:
             res = brute_min_separator(sub, EPSILON, MAX_SEPARATOR)

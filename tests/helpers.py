@@ -311,3 +311,35 @@ def brute_classify_o(g: ColoredGraph):
                 cyc2, c = two
                 return OClassification(EDHOP2, cyc2, tuple(sorted((c, d))))
     return OClassification(NOT_IN_O, None)
+
+
+def reference_tree_centroid(g: ColoredGraph, within):
+    """(x, flaps) of a centroid of the subtree on `within`, in g's ids, the
+    way the separator worked before it searched g in place: copy the
+    subtree with induced(), root a search at its vertex 0, take the least
+    (load, v) with load the largest flap of v, split with flaps_of and map
+    the ids back."""
+    from fodef.graphs import flaps_of
+    from fodef.separators import SeparatorError
+
+    sub, idx = g.induced(within)
+    if not sub.is_tree():
+        raise SeparatorError("input is not a tree")
+    back = sorted(idx)
+    n = sub.n
+    parent = {0: None}
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in sub.adj[v]:
+            if u not in parent:
+                parent[u] = v
+                stack.append(u)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    best = min((max([n - size[v]] + [size[u] for u in sub.adj[v] if parent[u] == v]), v)
+               for v in range(n))[1]
+    flaps = flaps_of(sub, [best])
+    return (back[best],), tuple(tuple(back[i] for i in f) for f in flaps)

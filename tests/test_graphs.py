@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 import fodef.graphs
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fodef.graphs import (
     ColoredGraph,
@@ -15,6 +15,7 @@ from fodef.graphs import (
     automorphisms,
     check_partial_isomorphism,
     distance,
+    distances_within,
     find_isomorphism,
     flap_classes,
     flap_overlay,
@@ -128,6 +129,37 @@ class TestConstruction:
         assert g.induced(vs) == (want, idx)
         assert g.components(within=frozenset(vs)) == [
             tuple(vs[i] for i in c) for c in want.components()]
+
+    @given(st.integers(1, 30), st.integers(0, 10**6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_components_match_union_find(self, n, seed, data):
+        # ids up to 30 in small sets, so a set's iteration order is not
+        # always ascending
+        rng = random.Random(seed)
+        g = ColoredGraph.build(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < 2 / n])
+        within = data.draw(st.one_of(st.none(), st.frozensets(st.integers(0, n - 1))))
+        vs = range(g.n) if within is None else within
+        root = {v: v for v in vs}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for u, v in g.edges():
+            if u in root and v in root:
+                root[find(u)] = find(v)
+        comps: dict[int, list[int]] = {}
+        for v in sorted(vs):
+            comps.setdefault(find(v), []).append(v)
+        assert g.components(within) == [tuple(c) for c in comps.values()]
+
+    def test_components_reject_out_of_range(self):
+        # a negative id would wrap around in adj and be answered silently
+        for within, bad in (({-1, 0}, -1), ({0, 4}, 4), ({9}, 9)):
+            with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+                path(4).components(frozenset(within))
 
     def test_induced_rejects_out_of_range(self):
         # the least vertex out of range is named
@@ -268,6 +300,38 @@ class TestIsomorphism:
                                [[1] if i == 0 else [] for i in range(400)])
         assert are_isomorphic(a, a)
         assert not are_isomorphic(a, b)
+
+
+@st.composite
+def forests_with_moved_edge(draw, same_degrees):
+    """An uncolored forest of order <= 7 and the forest made from it by
+    moving one edge to join the two trees its removal leaves, with equal or
+    with unequal degree multisets as `same_degrees` asks."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)
+             if draw(st.integers(0, 3))]
+    assume(edges)
+    g = ColoredGraph.build(n, edges)
+    gone = draw(st.sampled_from(edges))
+    rest = [e for e in edges if e != gone]
+    sides = ColoredGraph.build(n, rest).components()
+    left = next(c for c in sides if gone[0] in c)
+    right = next(c for c in sides if gone[1] in c)
+    new = tuple(sorted((draw(st.sampled_from(left)), draw(st.sampled_from(right)))))
+    assume(new != tuple(sorted(gone)))
+    h = ColoredGraph.build(n, rest + [new])
+    assume((sorted(map(len, g.adj)) == sorted(map(len, h.adj))) == same_degrees)
+    return g, h
+
+
+class TestForestIsomorphism:
+    @pytest.mark.parametrize("same_degrees", [True, False], ids=["equal", "unequal"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_moved_edge_matches_brute_force(self, same_degrees, data):
+        g, h = data.draw(forests_with_moved_edge(same_degrees))
+        assert are_isomorphic(g, h) == brute_isomorphic(g, h)
+        assert are_isomorphic(h, g) == are_isomorphic(g, h)
 
 
 class TestGrouping:
@@ -416,6 +480,11 @@ class TestPartialIsomorphism:
 
 
 class TestDistance:
+    def test_distances_within_rejects_out_of_range_source(self):
+        for source in (9, -1):
+            with pytest.raises(GraphError, match=f"vertex {source} out of range"):
+                distances_within(path(4), source, frozenset({source}))
+
     def test_path_end_to_end(self):
         assert distance(path(5), 0, 4) == 4
 

@@ -21,15 +21,18 @@ import sys
 import pytest
 
 from fodef.cli import perturb_hop
-from fodef.families import random_bounded_tree, random_hop
+from fodef.families import path, random_bounded_tree, random_hop
 from fodef.formulas import (
     Adj, Eq, Exists, Not, analyze, conjunction, free_variables, parse_formula,
     print_formula,
 )
 from fodef.graphs import (
-    ColoredGraph, find_isomorphism, flaps_of, iso_invariant_key, recolored_flap,
+    ColoredGraph, are_isomorphic, find_isomorphism, flaps_of, iso_invariant_key,
+    recolored_flap,
 )
-from fodef.separators import EDHOP2, HOP, OClassification, class_o_separator
+from fodef.separators import (
+    EDHOP2, HOP, OClassification, class_o_separator, tree_centroid_separator,
+)
 
 RATIO = 2.3
 
@@ -168,6 +171,44 @@ def key_of_hop_flap(n: int):
                          ids=["key_cycle", "find_isomorphism_cycle", "key_hop_flap"])
 def test_isomorphism_is_quasi_linear(call_at):
     small, large = call_at(128), call_at(256)
+    base = opcodes(small)
+    allowance = int(RATIO * base)
+    assert opcodes(large, limit=allowance) <= allowance
+
+
+def centroid_of_tree(n: int):
+    g = random_bounded_tree(n, 3, 1)
+    return lambda: tree_centroid_separator(g)
+
+
+def centroid_of_flap(n: int):
+    # the largest flap of the whole tree's centroid, searched in place
+    g = random_bounded_tree(n, 3, 1)
+    dom = frozenset(max(tree_centroid_separator(g).flaps, key=len))
+    return lambda: tree_centroid_separator(g, within=dom)
+
+
+def components_of_path(n: int):
+    g = path(n)
+    dom = frozenset(range(n)) - {n // 3, 2 * n // 3}
+    return lambda: g.components(within=dom)
+
+
+def isomorphism_of_trees(n: int):
+    # a relabelled copy shares the degree sequence, so both trees are coded
+    g = random_bounded_tree(n, 3, 1)
+    perm = list(range(n))
+    random.Random(7).shuffle(perm)
+    h = ColoredGraph.build(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return lambda: are_isomorphic(g, h)
+
+
+@pytest.mark.parametrize("call_at", [centroid_of_tree, centroid_of_flap,
+                                     components_of_path, isomorphism_of_trees],
+                         ids=["tree_centroid", "tree_centroid_within", "components_within",
+                              "are_isomorphic_trees"])
+def test_tree_primitives_are_linear(call_at):
+    small, large = call_at(512), call_at(1024)
     base = opcodes(small)
     allowance = int(RATIO * base)
     assert opcodes(large, limit=allowance) <= allowance

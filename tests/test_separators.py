@@ -11,7 +11,7 @@ from fodef.families import (
     cycle, complete, enumerate_graphs, enumerate_hop_graphs, path,
     random_bounded_tree, random_hop, star, _random_triangulation_chords,
 )
-from fodef.graphs import BudgetExceeded, ColoredGraph, are_isomorphic, flaps_of
+from fodef.graphs import BudgetExceeded, ColoredGraph, GraphError, are_isomorphic, flaps_of
 from fodef.separators import (
     EDHOP1, EDHOP2, HOP, NOT_IN_O,
     OClassification, SeparatorError,
@@ -23,7 +23,7 @@ from fodef.separators import (
 
 from helpers import (
     brute_classify_o, brute_edhop1_completion, brute_outerplanar,
-    brute_two_connected,
+    brute_two_connected, reference_tree_centroid,
 )
 
 
@@ -163,6 +163,35 @@ class TestTreeCentroid:
     def test_rejects_non_tree(self):
         with pytest.raises(SeparatorError):
             tree_centroid_separator(cycle(4))
+
+    @given(st.integers(1, 40), st.integers(2, 4), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_matches_induced_reference(self, n, d, seed):
+        # the whole tree, then every flap of the recursive centroid split
+        g = random_bounded_tree(n, d, seed)
+        res = tree_centroid_separator(g)
+        assert (res.x, res.flaps) == reference_tree_centroid(g, range(n))
+        todo = list(res.flaps)
+        while todo:
+            dom = frozenset(todo.pop())
+            res = tree_centroid_separator(g, within=dom)
+            assert (res.x, res.flaps) == reference_tree_centroid(g, dom)
+            todo += res.flaps
+
+    def test_rejects_domain_that_is_no_tree(self):
+        # a 4-cycle with a pendant path: two disconnected domains, two that
+        # hold the cycle and the empty one
+        g = ColoredGraph.build(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6)])
+        for within in ({0, 1, 5}, {2, 6}, {0, 1, 2, 3, 4}, {0, 1, 2, 3}, set()):
+            with pytest.raises(SeparatorError, match="input is not a tree"):
+                tree_centroid_separator(g, within=frozenset(within))
+        res = tree_centroid_separator(g, within=frozenset({1, 2, 3, 4, 5, 6}))
+        assert res.x == (3,) and res.flaps == ((1, 2), (4, 5, 6))
+
+    def test_rejects_domain_out_of_range(self):
+        for within, bad in (({-1, 0}, -1), ({3, 5}, 5)):
+            with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+                tree_centroid_separator(path(5), within=frozenset(within))
 
     def test_flap_bound_random(self):
         from fodef.families import random_bounded_tree
