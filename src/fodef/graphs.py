@@ -15,7 +15,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -120,7 +121,12 @@ class ColoredGraph:
         return comps
 
     def is_connected(self) -> bool:
-        """One search from vertex 0 reaches every vertex."""
+        """One search from vertex 0 reaches every vertex; it runs once per
+        graph object."""
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         if self.n <= 1:
             return True
         seen = {0}
@@ -301,6 +307,60 @@ def flaps_of(g: ColoredGraph, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(g.components(within=frozenset(range(g.n)) - xs))
 
 
+def flaps_within(g: ColoredGraph, dom: frozenset[int],
+                 cut: Sequence[int]) -> list[frozenset[int]]:
+    """The components of dom - cut, in order of least vertex id, found in
+    time proportional to all but the largest of them.
+
+    Precondition: dom induces a connected subgraph of g.  Then every
+    component of dom - cut holds a neighbor of a cut vertex of dom, so one
+    search starts from each such neighbor.  The searches take one vertex
+    each in turn, and two that meet merge, the smaller into the larger.  A
+    search with nothing left to take is a whole component.  Once at most
+    one search is still running, the last component is the rest of dom, by
+    one set difference (the smaller-half trick of Even & Shiloach, "An
+    on-line edge-deletion problem", JACM 1981).
+    """
+    adj = g.adj
+    owner = dict.fromkeys(cut, -1)   # vertex -> search; -1 on the cut
+    found: list = []                 # per search: [its vertices, its stack]
+    for c in cut:
+        for u in adj[c]:
+            if u in dom and u not in owner:
+                owner[u] = len(found)
+                found.append([[u], [u]])
+    live = list(range(len(found)))
+    done: list[frozenset[int]] = []
+    while len(live) > 1:
+        running = []
+        for i in live:
+            if found[i] is None:
+                continue  # merged into another search this turn
+            mine, stack = found[i]
+            if not stack:
+                done.append(frozenset(mine))
+                continue
+            for u in adj[stack.pop()]:
+                j = owner.get(u)
+                if j is None:
+                    if u in dom:
+                        owner[u] = i
+                        mine.append(u)
+                        stack.append(u)
+                elif j != i and j >= 0:
+                    small, i = (i, j) if len(mine) < len(found[j][0]) else (j, i)
+                    for w in found[small][0]:
+                        owner[w] = i
+                    found[i][0].extend(found[small][0])
+                    found[i][1].extend(found[small][1])
+                    found[small] = None
+                    mine, stack = found[i]
+            running.append(i)
+        live = [i for i in dict.fromkeys(running) if found[i] is not None]
+    rest = dom.difference(cut, *done)
+    return sorted(done + [rest] if rest else done, key=min)
+
+
 def recolored_flap(g: ColoredGraph, flap: Iterable[int], sep: Sequence[int],
                    fresh: Sequence[int],
                    base: Optional[Mapping[int, Iterable[int]]] = None
@@ -312,7 +372,7 @@ def recolored_flap(g: ColoredGraph, flap: Iterable[int], sep: Sequence[int],
     return sub.with_extra_colors({idx[v]: cs for v, cs in extra.items()})
 
 
-def flap_overlay(g: ColoredGraph, flap: Iterable[int], sep: Sequence[int],
+def flap_overlay(g: ColoredGraph, flap: Container[int], sep: Sequence[int],
                  fresh: Sequence[int],
                  base: Optional[Mapping[int, Iterable[int]]] = None
                  ) -> dict[int, frozenset[int]]:
@@ -320,17 +380,15 @@ def flap_overlay(g: ColoredGraph, flap: Iterable[int], sep: Sequence[int],
 
     Vertex v of the flap gets base[v] plus fresh[i] for every separator
     vertex sep[i] adjacent to v; vertices left with no color are omitted.
+    Only the base entries and the separator's neighbors are read, so the
+    flap needs only to answer `in`.
     """
-    out: dict[int, frozenset[int]] = {}
-    for v in flap:
-        cs = set(base.get(v, ())) if base else set()
-        nbrs = g.adj[v]
-        for i, s in enumerate(sep):
-            if s in nbrs:
-                cs.add(fresh[i])
-        if cs:
-            out[v] = frozenset(cs)
-    return out
+    out = {v: frozenset(cs) for v, cs in base.items() if v in flap} if base else {}
+    for i, s in enumerate(sep):
+        for v in g.adj[s]:
+            if v in flap:
+                out[v] = out.get(v, frozenset()) | {fresh[i]}
+    return {v: cs for v, cs in out.items() if cs}
 
 
 # -- partial isomorphism -----------------------------------------------------

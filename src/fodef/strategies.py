@@ -26,7 +26,9 @@ from fodef.game import (
     Agent, GameState, SIDE_G, SIDE_H, ReplyNode, ReplyTree,
     explore_replies,
 )
-from fodef.graphs import ColoredGraph, distances_within, flap_classes, flap_overlay
+from fodef.graphs import (
+    ColoredGraph, distances_within, flap_classes, flap_overlay, flaps_within,
+)
 from fodef.separators import (
     EPSILON, MAX_FLAPS, MAX_SEPARATOR, OClassification, brute_min_separator,
     class_o_separator, classify_o, tree_centroid_separator,
@@ -56,17 +58,16 @@ def choose_depth(n: int, m_or_s: int, epsilon, variant: str = "S"):
         return 2 * math.log2(n) / math.log2(1 / eps) + 1
     if m_or_s < 1:
         raise ValueError("flap parameter must be positive")
-    if variant == "S":
-        ratio = Fraction(n, m_or_s)
-    elif variant == "S_star":
-        ratio = Fraction(n, m_or_s + 1)
-    else:
+    if variant not in ("S", "S_star"):
         raise ValueError(f"unknown variant {variant!r}")
+    # the least t with (1/eps)^t >= n/m', in integers: with eps = p/q, the
+    # least t with q^t * m' >= n * p^t, where m' is m, or m + 1 when starred
+    p, q = eps.numerator, eps.denominator
+    low, high = m_or_s + (variant == "S_star"), n
     t = 0
-    power = Fraction(1)
-    inv = 1 / eps
-    while power < ratio:
-        power *= inv
+    while low < high:
+        low *= q
+        high *= p
         t += 1
     return t
 
@@ -229,8 +230,22 @@ class _Bisection:
     anchors are two pebble pairs and blocked_g, blocked_h the blocked sets,
     all in (G, H) order whatever the play side; the play-side vertices must
     share the component `region` of the play graph minus its blocked set.
-    The only state that changes is the anchor pair, and observe() rebinds
-    it, so a shallow copy is a fork.
+
+    A move is the least (max distance, id) vertex w of I(u1, u2), the
+    interval of the anchors u1, u2: the vertices on some shortest u1-u2 path
+    in the region.  `interval` holds the last interval computed, and each
+    move searches only it, then rebinds it to the new I(u1, u2).  The next
+    anchors are w and an old anchor, so their interval lies inside the last
+    one, and a shortest path from an anchor to a vertex of it stays inside
+    too: the search gives the region's distances there, and every other
+    vertex reads farther away and still fails the shortest-path test.  So
+    the move is the one a search of the whole region gives.  `ends` are
+    the anchors the interval was computed for; a reply to any other anchors,
+    or one whose play-side vertex is outside the interval, puts the interval
+    back to the region.
+
+    The state that changes is the anchors, the interval and its ends, each
+    rebound and never changed in place, so a shallow copy is a fork.
     """
 
     def __init__(self, g: ColoredGraph, h: ColoredGraph, play_side: str,
@@ -238,8 +253,8 @@ class _Bisection:
                  blocked_h: frozenset[int]):
         self.side = play_side
         self.p = p = 0 if play_side == SIDE_G else 1   # play index in a pair
-        self.region = frozenset(region)
-        self.anchors = tuple(anchors)
+        self.region = self.interval = frozenset(region)
+        self.anchors = self.ends = tuple(anchors)
         self.play_graph, other = (g, h)[p], (g, h)[1 - p]
         blocked = (blocked_g, blocked_h)
         # the component of each unblocked vertex of the other graph
@@ -262,23 +277,21 @@ class _Bisection:
 
     def next_move(self) -> tuple[str, int]:
         u1, u2 = (a[self.p] for a in self.anchors)
-        d1 = distances_within(self.play_graph, u1, self.region)
-        d2 = distances_within(self.play_graph, u2, self.region)
+        d1 = distances_within(self.play_graph, u1, self.interval)
+        d2 = distances_within(self.play_graph, u2, self.interval)
         gap = d1.get(u2)
         if gap is None or gap == 0:
             raise StrategyError("anchors must be distinct and connected in the flap")
-        best = None
-        for v in self.region:
-            dv1, dv2 = d1.get(v), d2.get(v)
-            if dv1 is None or dv2 is None or dv1 + dv2 != gap:
-                continue  # midpoints are taken on a shortest path
-            score = (max(dv1, dv2), v)
-            if best is None or score < best:
-                best = score
-        return (self.side, best[1])
+        # both searches reach the same vertices, those joined to u1 and u2;
+        # midpoints are taken on a shortest path
+        on_path = [v for v, dv1 in d1.items() if dv1 + d2[v] == gap]
+        self.interval, self.ends = frozenset(on_path), self.anchors
+        return (self.side, min((max(d1[v], d2[v]), v) for v in on_path)[1])
 
     def observe(self, pair: tuple[int, int]):
         o = 1 - self.p
+        if self.ends is not self.anchors or pair[self.p] not in self.interval:
+            self.interval = self.region
         for anchor in self.anchors:
             if not self._same_component(pair[o], anchor[o]):
                 self.anchors = (pair, anchor)
@@ -359,8 +372,9 @@ class StrategyMachine(Agent):
 
     The fields are its whole state, and fork() passes each one on.  The one
     rule of forking: a container that changes after a fork point (the frame
-    stack, a frame's queue, orders, pairs and visited set, the trace's lists)
-    is immutable and is rebound, never changed in place.  Beyond the fields,
+    stack, a frame's queue, orders, pairs and visited set, the bisection's
+    anchors, interval and ends, the trace's lists) is immutable and is
+    rebound, never changed in place.  Beyond the fields,
     planning and observing rebind only attributes of the top frame, the
     bisection and the trace, so fork() shallow-copies those three and shares
     everything else, the frames below the top included.
@@ -424,13 +438,15 @@ class StrategyMachine(Agent):
 
     def _decompose(self, frame: _Frame):
         """Split both domains along the separator pairing and bucket the
-        recolored flaps of both sides into `flap_classes`, G flaps first."""
+        recolored flaps of both sides into `flap_classes`, G flaps first.
+        The H domain is connected (the root's passed `_enter`, a child's is
+        one flap), so `flaps_within` splits it at the cost of its small
+        flaps."""
         k = len(frame.x_order)
         fresh = [self.color_counter + i for i in range(k)]
         self.color_counter += k
         frame.fresh = fresh
-        hs = frame.dom_h - frozenset(frame.y_order)
-        frame.flaps_h = [frozenset(c) for c in self.h.components(within=hs)]
+        frame.flaps_h = flaps_within(self.h, frame.dom_h, frame.y_order)
 
         flaps = ([(self.g, f, frame.x_order, frame.overlay_g) for f in frame.flaps_g]
                  + [(self.h, f, frame.y_order, frame.overlay_h) for f in frame.flaps_h])
@@ -683,7 +699,6 @@ class StrategyMachine(Agent):
             self._recurse(frame, gflap, hflap, (u, v))
 
     def _case2_final_vertex(self, frame: _Frame) -> int:
-        ysep = frozenset(frame.y_order)
         pool = [i for i in range(len(frame.flaps_h)) if i not in frame.visited_h]
         if frame.target_class is not None:
             pool = [i for i in pool if frame.class_of_h[i] == frame.target_class]
@@ -691,8 +706,7 @@ class StrategyMachine(Agent):
             raise StrategyError("no unvisited flap available on the other side")
         pool.sort(key=lambda i: min(frame.flaps_h[i]))
         flap = frame.flaps_h[pool[0]]
-        cands = sorted(w for w in flap
-                       if any(self.h.has_edge(w, y) for y in ysep))
+        cands = sorted({w for y in frame.y_order for w in self.h.adj[y] if w in flap})
         if not cands:
             raise StrategyError("chosen flap sends no edge to the separator image")
         frame.final_hflap = pool[0]

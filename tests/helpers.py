@@ -343,3 +343,64 @@ def reference_tree_centroid(g: ColoredGraph, within):
                for v in range(n))[1]
     flaps = flaps_of(sub, [best])
     return (back[best],), tuple(tuple(back[i] for i in f) for f in flaps)
+
+
+def reference_flaps_within(g: ColoredGraph, dom, cut) -> list:
+    """The components of dom - cut the way the strategy split its H domain
+    before it searched from the cut: `components` over the whole rest."""
+    return [frozenset(c) for c in g.components(within=dom - frozenset(cut))]
+
+
+def reference_flap_overlay(g: ColoredGraph, flap, sep, fresh, base=None) -> dict:
+    """The overlay of a recolored flap the way it was built before it read
+    the separator's neighbors: a walk over every flap vertex and every
+    separator vertex."""
+    out = {}
+    for v in flap:
+        cs = set(base.get(v, ())) if base else set()
+        nbrs = g.adj[v]
+        for i, s in enumerate(sep):
+            if s in nbrs:
+                cs.add(fresh[i])
+        if cs:
+            out[v] = frozenset(cs)
+    return out
+
+
+def reference_bisection_move(bisection):
+    """The move of a `_Bisection` the way it was chosen before it kept its
+    geodesic interval: two searches of the whole region, then a scan of the
+    region for the least (max distance, id) vertex on a shortest path
+    between the anchors."""
+    from fodef.graphs import distances_within
+
+    b = bisection
+    u1, u2 = (a[b.p] for a in b.anchors)
+    d1 = distances_within(b.play_graph, u1, b.region)
+    d2 = distances_within(b.play_graph, u2, b.region)
+    gap = d1[u2]
+    best = None
+    for v in b.region:
+        dv1, dv2 = d1.get(v), d2.get(v)
+        if dv1 is None or dv2 is None or dv1 + dv2 != gap:
+            continue
+        score = (max(dv1, dv2), v)
+        if best is None or score < best:
+            best = score
+    return (b.side, best[1])
+
+
+def reference_choose_depth(n: int, m_or_s: int, epsilon, variant: str = "S") -> int:
+    """The recursion depth of `choose_depth` in its old Fraction loop: the
+    least t with (1/epsilon)^t >= n/m, with m + 1 for 'S_star'."""
+    from fractions import Fraction
+
+    eps = Fraction(epsilon)
+    ratio = Fraction(n, m_or_s + (variant == "S_star"))
+    t = 0
+    power = Fraction(1)
+    inv = 1 / eps
+    while power < ratio:
+        power *= inv
+        t += 1
+    return t

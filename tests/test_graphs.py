@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import fodef.graphs
 from hypothesis import assume, given, settings, strategies as st
 
+from fodef.cli import perturb_hop, perturb_tree
+from fodef.families import random_bounded_tree, random_hop
 from fodef.graphs import (
     ColoredGraph,
     GraphError,
@@ -20,13 +23,17 @@ from fodef.graphs import (
     flap_classes,
     flap_overlay,
     flaps_of,
+    flaps_within,
     group_by_isomorphism,
     iso_invariant_key,
     recolored_flap,
 )
 from fodef.strategies import StrategyConfig, StrategyMachine
 
-from helpers import brute_automorphisms, brute_isomorphic, brute_similar
+from helpers import (
+    brute_automorphisms, brute_isomorphic, brute_similar, reference_flap_overlay,
+    reference_flaps_within,
+)
 
 
 def path(n):
@@ -237,6 +244,85 @@ class TestFlapDecompose:
                     assert not any(g.has_edge(u, v) for u in f for v in f2)
 
 
+@st.composite
+def split_graphs(draw):
+    """random_bounded_tree or random_hop, as drawn or with one perturbation
+    of the kind `fodef verify` draws opponents with."""
+    family = draw(st.sampled_from(["tree", "hop"]))
+    n = draw(st.integers(min_value=3, max_value=40))
+    seed = draw(st.integers(min_value=1, max_value=10 ** 6))
+    g = random_bounded_tree(n, 3, seed) if family == "tree" else random_hop(n, seed)
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+        g = perturb_tree(g, rng) if family == "tree" else perturb_hop(g, rng)
+    return g
+
+
+class TestFlapsWithin:
+    """The split of a connected domain by searches from its cut against
+    `components` over the whole rest, the split it replaced."""
+
+    @given(split_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_components_on_a_recursive_split(self, g, data):
+        # every flap of every split is split again, by 1-5 of its vertices
+        doms = [frozenset(c) for c in g.components()]
+        while doms:
+            dom = doms.pop()
+            cut = data.draw(st.lists(st.sampled_from(sorted(dom)), min_size=1,
+                                     max_size=min(5, len(dom)), unique=True))
+            flaps = flaps_within(g, dom, cut)
+            assert flaps == reference_flaps_within(g, dom, cut)
+            doms += flaps
+
+    def test_cut_vertex_with_one_neighbor(self):
+        # one search: the one flap is the rest of the domain, with no walk
+        g = path(6)
+        assert flaps_within(g, frozenset(range(6)), [0]) == [frozenset(range(1, 6))]
+        assert flaps_within(g, frozenset(range(6)), [1]) == [
+            frozenset({0}), frozenset(range(2, 6))]
+        assert flaps_within(g, frozenset(range(3, 6)), [5]) == [frozenset({3, 4})]
+
+    def test_searches_that_meet_merge(self):
+        # both neighbors of 0 start a search in the one flap; on a HOP
+        # graph the searches from a chord's ends meet around a face
+        g = cycle(8)
+        assert flaps_within(g, frozenset(range(8)), [0]) == [frozenset(range(1, 8))]
+        assert flaps_within(g, frozenset(range(8)), [0, 4]) == [
+            frozenset({1, 2, 3}), frozenset({5, 6, 7})]
+        for seed in range(1, 30):
+            h = random_hop(16, seed)
+            for cut in ([0], [0, 8], [3, 5, 11]):
+                assert flaps_within(h, frozenset(range(16)), cut) == \
+                    reference_flaps_within(h, frozenset(range(16)), cut)
+
+    def test_empty_rest(self):
+        assert flaps_within(path(2), frozenset({0, 1}), [0, 1]) == []
+        assert flaps_within(path(3), frozenset({1}), [1]) == []
+
+
+class TestFlapOverlay:
+    @given(small_graphs(max_n=7), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_vertex_walk(self, g, data):
+        # base entries outside the flap, empty ones and separator vertices
+        # inside the flap included; the flap as a set, a dict and a tuple
+        vs = st.sampled_from(range(g.n))
+        flap = frozenset(data.draw(st.sets(vs)))
+        sep = data.draw(st.lists(vs, unique=True, max_size=3))
+        fresh = fresh_colors(g, sep)
+        base = data.draw(st.none() | st.dictionaries(vs, st.sets(st.integers(0, 3),
+                                                                 max_size=2)))
+        want = reference_flap_overlay(g, flap, sep, fresh, base)
+        for as_given in (flap, dict.fromkeys(sorted(flap)), tuple(sorted(flap))):
+            assert flap_overlay(g, as_given, sep, fresh, base) == want
+
+    def test_base_outside_the_flap_is_dropped(self):
+        g = path(5)
+        got = flap_overlay(g, frozenset({3, 4}), [2], [7], {0: {1}, 3: {2}, 4: set()})
+        assert got == {3: frozenset({2, 7})}
+
+
 class TestIsomorphism:
     def test_c4_relabeled(self):
         h = ColoredGraph.build(4, [(2, 0), (0, 3), (3, 1), (1, 2)])
@@ -304,24 +390,37 @@ class TestIsomorphism:
 
 @st.composite
 def forests_with_moved_edge(draw, same_degrees):
-    """An uncolored forest of order <= 7 and the forest made from it by
+    """An uncolored forest of order 4 to 7 and the forest made from it by
     moving one edge to join the two trees its removal leaves, with equal or
-    with unequal degree multisets as `same_degrees` asks."""
-    n = draw(st.integers(min_value=2, max_value=7))
-    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)
-             if draw(st.integers(0, 3))]
-    assume(edges)
-    g = ColoredGraph.build(n, edges)
-    gone = draw(st.sampled_from(edges))
+    with unequal degree multisets as `same_degrees` asks.
+
+    Moving edge ab to cd keeps the degree multiset exactly when a, b and
+    c, d have the same degrees without it, so the new endpoints are drawn
+    among the pairs whose degrees match or differ as asked.  Only a forest
+    with no such move is rejected."""
+    n = draw(st.integers(min_value=4, max_value=7))
+    # vertex v > 0 hangs from an earlier vertex, counted back from v - 1, or
+    # one time in eight starts a new tree; the simplest draws make a path,
+    # which has moves of both kinds, where stars have none
+    edges = [(v - 1 - draw(st.integers(0, v - 1)), v) for v in range(1, n)
+             if draw(st.integers(0, 7)) < 7]
+    moves = {}
+    for gone in edges:
+        rest = [e for e in edges if e != gone]
+        deg = Counter(v for e in rest for v in e)
+        sides = ColoredGraph.build(n, rest).components()
+        left = next(c for c in sides if gone[0] in c)
+        right = next(c for c in sides if gone[1] in c)
+        old = sorted((deg[gone[0]], deg[gone[1]]))
+        new = [tuple(sorted((a, b))) for a in left for b in right
+               if (a, b) != gone and (sorted((deg[a], deg[b])) == old) == same_degrees]
+        if new:
+            moves[gone] = new
+    assume(moves)
+    gone = draw(st.sampled_from(sorted(moves)))
     rest = [e for e in edges if e != gone]
-    sides = ColoredGraph.build(n, rest).components()
-    left = next(c for c in sides if gone[0] in c)
-    right = next(c for c in sides if gone[1] in c)
-    new = tuple(sorted((draw(st.sampled_from(left)), draw(st.sampled_from(right)))))
-    assume(new != tuple(sorted(gone)))
-    h = ColoredGraph.build(n, rest + [new])
-    assume((sorted(map(len, g.adj)) == sorted(map(len, h.adj))) == same_degrees)
-    return g, h
+    h = ColoredGraph.build(n, rest + [draw(st.sampled_from(moves[gone]))])
+    return ColoredGraph.build(n, edges), h
 
 
 class TestForestIsomorphism:

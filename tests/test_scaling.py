@@ -26,15 +26,20 @@ from fodef.formulas import (
     Adj, Eq, Exists, Not, analyze, conjunction, free_variables, parse_formula,
     print_formula,
 )
+from fodef.game import SIDE_G
 from fodef.graphs import (
-    ColoredGraph, are_isomorphic, find_isomorphism, flaps_of, iso_invariant_key,
-    recolored_flap,
+    ColoredGraph, are_isomorphic, find_isomorphism, flaps_of, flaps_within,
+    iso_invariant_key, recolored_flap,
 )
 from fodef.separators import (
     EDHOP2, HOP, OClassification, class_o_separator, tree_centroid_separator,
 )
+from fodef.strategies import _Bisection
 
 RATIO = 2.3
+# four doublings at once, 16 times the input, with 15 % over linear: a gate
+# of one doubling cannot tell n log n from n, whose ratios differ by ~1.1
+SIXTEENFOLD = 16 * 1.15
 
 
 class _OverLimit(Exception):
@@ -212,3 +217,37 @@ def test_tree_primitives_are_linear(call_at):
     base = opcodes(small)
     allowance = int(RATIO * base)
     assert opcodes(large, limit=allowance) <= allowance
+
+
+def bisection_on_path(n: int):
+    """One whole bisection between the ends of path(n), its partners in two
+    copies of the path, each reply the move's twin in the first copy, so
+    that the last anchor stays and the gap halves to 1."""
+    g = path(n)
+    h = ColoredGraph.build(2 * n, list(g.edges()) + [(u + n, v + n) for u, v in g.edges()])
+
+    def play():
+        b = _Bisection(g, h, SIDE_G, frozenset(range(n)), ((0, 0), (n - 1, 2 * n - 1)),
+                       frozenset(), frozenset())
+        while abs(b.anchors[0][0] - b.anchors[1][0]) > 1:
+            _, w = b.next_move()
+            b.observe((w, w))
+    return play
+
+
+def test_bisection_is_linear():
+    # the moves search intervals of n, n/2, n/4, ... vertices
+    base = opcodes(bisection_on_path(256))
+    allowance = int(SIXTEENFOLD * base)
+    assert opcodes(bisection_on_path(4096), limit=allowance) <= allowance
+
+
+def split_of_path(n: int):
+    # the flaps of path(n) less vertex 1: {0}, then the rest by a difference
+    g = path(n)
+    dom = frozenset(range(n))
+    return lambda: flaps_within(g, dom, (1,))
+
+
+def test_split_costs_its_small_flaps():
+    assert opcodes(split_of_path(4096)) <= opcodes(split_of_path(256))

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fodef import cli
 from fodef.families import (
@@ -17,17 +18,18 @@ from fodef.game import (
     run_match, step,
 )
 from fodef.graphs import (
-    ColoredGraph, are_isomorphic, group_by_isomorphism, recolored_flap,
+    ColoredGraph, are_isomorphic, distances_within, group_by_isomorphism,
+    recolored_flap,
 )
 from fodef.oracle import OracleSpoiler, exact_rank, survival_vs
 from fodef.separators import classify_o
 from fodef.strategies import (
     BOUND_NAMES, _BOUND_PARAMS, HypothesisError, StrategyConfig, StrategyError,
-    StrategyMachine, bound, choose_depth, extract_formula,
+    StrategyMachine, _Bisection, bound, choose_depth, extract_formula,
     halving_agent, reply_tree, s_agent, s_star_agent, synthesize_distinguisher,
 )
 
-from helpers import brute_survival
+from helpers import brute_survival, reference_bisection_move, reference_choose_depth
 
 EPS = Fraction(2, 3)
 
@@ -53,6 +55,28 @@ class TestChooseDepth:
     def test_epsilon_guard(self):
         with pytest.raises(ValueError):
             choose_depth(4, 1, Fraction(3, 2))
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)],
+                             ids=["1/2", "2/3", "3/4"])
+    def test_integer_loop_matches_the_fraction_loop(self, eps):
+        # the depth is a step function of n that moves only where n crosses
+        # m' * (1/eps)^t, so checking n at and next to every such point of
+        # [1, 5000], and every n for m = 1, checks every n <= 5000
+        for m in range(1, 11):
+            for variant in ("S", "S_star"):
+                low = m + (variant == "S_star")
+                ns, t = {1, 2, 5000}, 0
+                while low / eps ** t <= 5001:
+                    point = low / eps ** t
+                    ns.update(k for k in (math.floor(point) - 1, math.floor(point),
+                                          math.ceil(point), math.ceil(point) + 1)
+                              if 1 <= k <= 5000)
+                    t += 1
+                if m == 1:
+                    ns.update(range(1, 5001))
+                for n in sorted(ns):
+                    assert choose_depth(n, m, eps, variant) == \
+                        reference_choose_depth(n, m, eps, variant), (n, m, variant)
 
 
 class TestBounds:
@@ -184,6 +208,85 @@ class TestHalvingAgent:
                                           size_budget=g.n + h.n)
                         assert rep.always_wins
                         assert rep.deepest_total_rounds - 2 <= 3
+
+
+def two_copies(g: ColoredGraph) -> ColoredGraph:
+    """g and a copy of it on vertices n..2n-1."""
+    n = g.n
+    return ColoredGraph.build(2 * n, list(g.edges()) + [(u + n, v + n) for u, v in g.edges()])
+
+
+@st.composite
+def bisection_lines(draw):
+    """A bisection on a tree, HOP graph, path or cycle against two copies of
+    it, played on either side, with up to two blocked vertices on each, and
+    the data to draw its replies from."""
+    kind = draw(st.sampled_from(["tree", "hop", "path", "cycle"]))
+    n = draw(st.integers(min_value=4, max_value=48))
+    seed = draw(st.integers(min_value=1, max_value=1000))
+    play = {"tree": lambda: random_bounded_tree(n, 3, seed),
+            "hop": lambda: random_hop(n, seed),
+            "path": lambda: path(n), "cycle": lambda: cycle(n)}[kind]()
+    other = two_copies(play)
+    u1 = draw(st.sampled_from(range(n)))
+    blocked = frozenset(draw(st.lists(st.sampled_from([v for v in range(n) if v != u1]),
+                                      max_size=2, unique=True)))
+    region = next(frozenset(c) for c in play.components(frozenset(range(n)) - blocked)
+                  if u1 in c)
+    if len(region) == 1:
+        blocked, region = frozenset(), frozenset(range(n))
+    u2 = draw(st.sampled_from(sorted(region - {u1})))
+    o1 = draw(st.sampled_from(range(n)))
+    o2 = draw(st.sampled_from(range(n, 2 * n)))
+    blocked_other = frozenset(draw(st.lists(
+        st.sampled_from([v for v in range(2 * n) if v not in (o1, o2)]),
+        max_size=2, unique=True)))
+    if draw(st.booleans()):
+        return _Bisection(play, other, SIDE_G, region, ((u1, o1), (u2, o2)),
+                          blocked, blocked_other)
+    return _Bisection(other, play, SIDE_H, region, ((o1, u1), (o2, u2)),
+                      blocked_other, blocked)
+
+
+class TestBisectionInterval:
+    """The bisection that searches its last geodesic interval against the
+    one that searched its whole region, move by move."""
+
+    @given(bisection_lines(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_moves_match_the_whole_region_search(self, b, data):
+        p, n_other = b.p, 2 * b.play_graph.n
+        pair = (lambda w, v: (w, v)) if p == 0 else (lambda w, v: (v, w))
+        for _ in range(12):
+            u1, u2 = (a[p] for a in b.anchors)
+            if distances_within(b.play_graph, u1, b.region)[u2] <= 1:
+                break
+            want = reference_bisection_move(b)
+            assert b.next_move() == want
+            assert b.next_move() == want  # the same state, the same move
+            assert b.interval <= b.region
+            b.observe(pair(want[1], data.draw(st.integers(0, n_other - 1))))
+            if data.draw(st.integers(0, 3)) == 0:
+                # a second reply before the next move, from any other
+                # vertex of the region: the interval goes back to the region
+                u1, u2 = (a[p] for a in b.anchors)
+                x = data.draw(st.sampled_from(sorted(b.region - {u1, u2})))
+                b.observe(pair(x, data.draw(st.integers(0, n_other - 1))))
+
+    def test_second_reply_puts_the_region_back(self):
+        # I(1, 5) holds 3 and 6 but not 0, which lies on a shortest 3-6 path:
+        # two replies before the next move leave the anchors 6 and 3, whose
+        # move is 0, outside the last interval
+        g = ColoredGraph.build(7, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (4, 6),
+                                   (0, 3), (0, 6)])
+        b = _Bisection(g, ColoredGraph.build(2, []), SIDE_G, frozenset(range(7)),
+                       ((1, 0), (5, 1)), frozenset(), frozenset())
+        assert b.next_move() == (SIDE_G, 3)
+        assert b.interval == frozenset(range(1, 7))
+        b.observe((3, 0))
+        b.observe((6, 1))
+        assert b.anchors == ((6, 1), (3, 0))
+        assert b.next_move() == reference_bisection_move(b) == (SIDE_G, 0)
 
 
 # The order-11 one-chord HOP pairs, by seed of random_hop(11, seed) and the
@@ -566,6 +669,21 @@ class TestFork:
 
     def test_halving_sibling_forks_independent(self):
         assert check_sibling_forks(*c8_halving()) >= 1
+
+    def test_mid_bisection_sibling_forks_independent(self):
+        # forks taken once the interval has shrunk below the region
+        g = path(33)
+        h = two_copies(g)
+        anchors = ((0, 0), (32, 65))
+        agent = halving_agent(g, h, range(33), anchors, [], [])
+        state = new_game(g, h, 12)
+        for pair in anchors:
+            state = step(state, (SIDE_G, pair[0]), pair[1])
+        for _ in range(2):
+            state = greedy_step(agent, state)
+        assert state.status == RUNNING
+        assert agent.bisection.interval < agent.bisection.region
+        assert check_sibling_forks(agent, state) >= 2
 
     def test_trace_reports_max_similar(self):
         # a deficit-class probe in the starred variant meets one similar flap
