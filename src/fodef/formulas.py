@@ -15,8 +15,10 @@ takes no lock: fodef runs one thread.  Every traversal but `evaluate` is
 iterative, so a formula thousands of levels deep (`conjunction` builds
 left-deep chains) can be parsed, printed, pickled and analyzed.  The walks
 dispatch on the exact node type: any object that is not one of the eight node
-classes, a subclass included, raises TypeError.  `evaluate` stays recursive:
-it short-circuits and binds variables on the way down (a stack ran slower).
+classes, a subclass included, raises TypeError.  `evaluate` recurses only
+through quantifiers, negations and alternations between And and Or: it reads
+a chain of one connective as one n-ary node, so a long chain costs it no
+depth.
 """
 
 from __future__ import annotations
@@ -125,6 +127,7 @@ class Forall(_Node):
 
 Formula = Union[Adj, Eq, Col, Not, And, Or, Exists, Forall]
 
+_ATOMS = (Adj, Eq, Col)
 _RESERVED = {"ex", "all", "adj", "eq", "col"}
 _IDENT = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -341,52 +344,78 @@ def print_formula(f: Formula) -> str:
 
 
 def free_variables(f: Formula) -> frozenset[str]:
-    def step(node, a=None, b=None):
-        t = type(node)
-        if t is And or t is Or:
-            return a | b
-        if t is Exists or t is Forall:
-            return a - {node.var}
-        if t is Not:
-            return a
-        return frozenset((node.x,) if t is Col else (node.x, node.y))
+    """The free variables of f, kept on the node: nodes are hash-consed, so
+    the walk runs once per formula object."""
+    fv = vars(f).get("_free_variables")   # TypeError for an object without a dict
+    if fv is None:
+        def step(node, a=None, b=None):
+            t = type(node)
+            if t is And or t is Or:
+                return a | b
+            if t is Exists or t is Forall:
+                return a - {node.var}
+            if t is Not:
+                return a
+            return frozenset((node.x,) if t is Col else (node.x, node.y))
 
-    return _fold(f, step)
+        fv = f.__dict__["_free_variables"] = _fold(f, step)
+    return fv
+
+
+def _operands(f: Formula) -> list:
+    """The operands of f's maximal chain of its connective, found with an
+    explicit stack: the literals (atoms and negated atoms) first, then the
+    other operands, each group left to right."""
+    t = type(f)
+    literals, others, stack = [], [], [f]
+    while stack:
+        node = stack.pop()
+        u = type(node)
+        if u is t:
+            stack.append(node.right)
+            stack.append(node.left)
+        elif u in _ATOMS or (u is Not and type(node.body) in _ATOMS):
+            literals.append(node)
+        else:
+            others.append(node)
+    return literals + others
 
 
 def evaluate(f: Formula, g: ColoredGraph,
              assignment: Optional[Mapping[str, int]] = None) -> bool:
-    """Standard truth over g; assignment must cover the free variables."""
+    """Standard truth over g; assignment must cover the free variables.
+
+    An And or Or node stands for its chain's `_operands`, kept for the call:
+    a reply the synthesizer has won is a literal, and settles its chain
+    before a quantifier is expanded.  Every variable is bound up front and a
+    connective has no side effect, so the value is that of reading the chain
+    in order.  The recursion depth is the nesting of quantifiers, negations
+    and alternations between And and Or."""
     env: dict[str, int] = dict(assignment or {})
     missing = free_variables(f) - env.keys()
     if missing:
         raise UnboundVariableError(f"unbound variables: {', '.join(sorted(missing))}")
     adj, colors, n = g.adj, g.colors, g.n
+    chains: dict = {}
 
     def go(f: Formula) -> bool:
         t = type(f)
-        if t is And:
-            return go(f.left) and go(f.right)
-        if t is Or:
-            return go(f.left) or go(f.right)
+        if t is And or t is Or:
+            parts = chains.get(f)
+            if parts is None:
+                parts = chains[f] = _operands(f)
+            return all(map(go, parts)) if t is And else any(map(go, parts))
         if t is Exists or t is Forall:
             var, body = f.var, f.body
             had = var in env
             shadowed = env.get(var)
-            if t is Exists:
-                result = False
-                for v in range(n):
-                    env[var] = v
-                    if go(body):
-                        result = True
-                        break
-            else:
-                result = True
-                for v in range(n):
-                    env[var] = v
-                    if not go(body):
-                        result = False
-                        break
+            settles = t is Exists    # the body value that decides the quantifier
+            result = not settles
+            for v in range(n):
+                env[var] = v
+                if go(body) is settles:
+                    result = settles
+                    break
             if had:
                 env[var] = shadowed
             else:
@@ -439,7 +468,7 @@ def analyze(f: Formula, nest_cap: int = 4096) -> FormulaProfile:
         if t is Not:
             if nest is not None:
                 nest = frozenset(x.translate(_FLIP) for x in nest)
-            return (rank, alt_a, alt_e, type(node.body) in (Adj, Eq, Col), nest)
+            return (rank, alt_a, alt_e, type(node.body) in _ATOMS, nest)
         if nest is not None:
             nest = frozenset(("E" if t is Exists else "A") + x for x in nest)
         if t is Exists:

@@ -324,16 +324,34 @@ class ReplyTree:
     unwon: list                # the last state of every line not won
 
 
+def _checked_round(state: GameState, side: str, pair: tuple[int, int],
+                   alternations: int) -> GameState:
+    """`step` without its checks, for `explore_replies`, which makes each of
+    them itself, once per node where it can.  Each check and where the walk
+    makes it:
+    - the game is running: the walk only descends into running states;
+    - the side and the Spoiler vertex: `_reply_graph`, once per node;
+    - the reply is in range: the walk plays only the vertices of that graph;
+    - the alternation budget: `alternations_after`, once per node;
+    - the partial isomorphism: the walk's `keeps` test."""
+    pebbles = state.pebbles + (pair,)
+    status = DUPLICATOR_SURVIVED if len(pebbles) >= state.max_rounds else RUNNING
+    return GameState(state.g, state.h, state.max_rounds, state.alternation_budget,
+                     pebbles, side, alternations, status)
+
+
 def explore_replies(g: ColoredGraph, h: ColoredGraph, spoiler: Agent,
                     r_max: int, k: Optional[int] = None,
                     initial_pairs: tuple = ()) -> ReplyTree:
     """Play a fork of a deterministic Spoiler agent against every Duplicator
-    reply, after the initial pairs, each played as a G-side move.  Each reply
-    is first tested against the pebbles: one that breaks the partial
-    isomorphism is a won line and keeps only its pebbles, and only the others
-    go through `step`.  Replies are handled in reply order; the last one that
-    keeps the game running inherits the node's agent and the others get
-    forks, since nothing consults a node's agent after its last line."""
+    reply, after the initial pairs, each played as a G-side move.  Each
+    reply is tested once against the pebbles: one that breaks the partial
+    isomorphism is a won line and keeps only its pebbles, and each other
+    one makes its child state through `_checked_round`, the node's move
+    checked once for all of them.  Replies are handled in reply order; the
+    last one that keeps the game running inherits the node's agent and the
+    others get forks, since nothing consults a node's agent after its last
+    line."""
     state = new_game(g, h, r_max, k)
     for u, v in initial_pairs:
         state = step(state, (SIDE_G, u), v)
@@ -350,7 +368,9 @@ def explore_replies(g: ColoredGraph, h: ColoredGraph, spoiler: Agent,
         move = agent.choose(state)
         node = ReplyNode(move)
         side, u = move
-        if not state.switch_allowed(side):
+        alts = alternations_after(state.last_side, state.alternations_used, side,
+                                  state.alternation_budget)
+        if alts is None:
             unwon.append(replace(state, status=DUPLICATOR_SURVIVED))
             return node
         other = _reply_graph(state, side, u)
@@ -358,16 +378,18 @@ def explore_replies(g: ColoredGraph, h: ColoredGraph, spoiler: Agent,
         pairs = ([(u, v) for v in range(other.n)] if side == SIDE_G
                  else [(v, u) for v in range(other.n)])
         keeps = [extends_partial_isomorphism(g, h, pebbles, p) for p in pairs]
+        lost = keeps.count(False)
+        if lost:
+            won += lost
+            depth = max(depth, len(pebbles) + 1)
         # a kept reply keeps the game running unless it fills the last round,
         # so the last kept reply is the last running one, if any runs
         last = max((v for v, kept in enumerate(keeps) if kept), default=None)
         for v, pair in enumerate(pairs):
             if not keeps[v]:
-                won += 1
-                depth = max(depth, len(pebbles) + 1)
                 node.children[v] = pebbles + (pair,)
                 continue
-            child = step(state, move, v)
+            child = _checked_round(state, side, pair, alts)
             if child.status == RUNNING:
                 node.children[v] = walk(child, agent if v == last else agent.fork())
             else:

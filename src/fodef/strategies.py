@@ -220,6 +220,14 @@ class StrategyTrace:
                 "max_similar": self.max_similar}
 
 
+def _copy_dict(obj):
+    """A shallow copy made from the instance dict, where `copy.copy` would
+    go through the reduce protocol."""
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(obj.__dict__)
+    return twin
+
+
 # -- bisection play ---------------------------------------------------------------
 
 
@@ -299,6 +307,8 @@ class _Bisection:
         raise StrategyError("reply reunited both partners; the pairing "
                             "should already have broken")
 
+    __copy__ = _copy_dict
+
 
 # -- the strategy machine ----------------------------------------------------------
 
@@ -339,6 +349,8 @@ class _Frame:
         separators and this frame's own, G side first."""
         return self.enc_x | frozenset(self.x_order), self.enc_y | frozenset(self.y_order)
 
+    __copy__ = _copy_dict
+
 
 def _auto_depth(g: ColoredGraph, cfg: StrategyConfig, starred: bool) -> int:
     """Recursion depth from n and the config's flap bound."""
@@ -377,7 +389,8 @@ class StrategyMachine(Agent):
     rebound, never changed in place.  Beyond the fields,
     planning and observing rebind only attributes of the top frame, the
     bisection and the trace, so fork() shallow-copies those three and shares
-    everything else, the frames below the top included.
+    everything else, the frames below the top included.  A frame and the
+    bisection copy their instance dicts (`__copy__`), the trace its fields.
     """
     g: ColoredGraph
     h: ColoredGraph

@@ -205,6 +205,26 @@ def asts(draw, depth=4):
 
 
 @st.composite
+def mixed_chains(draw, depth=2):
+    """A conjunction or disjunction of literals and quantified parts in a
+    shuffled order, each quantified part's body a mixed chain again."""
+    def literal():
+        atom = draw(asts(depth=0))
+        return Not(atom) if draw(st.booleans()) else atom
+
+    def quantified():
+        body = draw(mixed_chains(depth - 1)) if depth > 1 else literal()
+        q = Exists if draw(st.booleans()) else Forall
+        return q(draw(st.sampled_from(VARS)), body)
+
+    parts = [literal() for _ in range(draw(st.integers(1, 5)))]
+    parts += [quantified() for _ in range(draw(st.integers(1, 3)))]
+    parts = draw(st.permutations(parts))
+    join = conjunction if draw(st.booleans()) else F.disjunction
+    return join(parts)
+
+
+@st.composite
 def colored_graphs(draw, max_n=4):
     n = draw(st.integers(1, max_n))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -391,6 +411,29 @@ class TestEvaluate:
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariableError):
             evaluate(parse_formula("adj(x,y)"), cycle(3), {"x": 0})
+        # the literal settles the disjunction before the quantified part is
+        # read, and its unbound w is still reported
+        f = parse_formula("(eq(x,x) | ex y. adj(y,w))")
+        with pytest.raises(UnboundVariableError, match="w"):
+            evaluate(f, cycle(3), {"x": 0})
+
+    def test_free_variables_walk_once_per_formula(self, monkeypatch):
+        folds = 0
+        fold = F._fold
+
+        def counting_fold(*args):
+            nonlocal folds
+            folds += 1
+            return fold(*args)
+
+        monkeypatch.setattr(F, "_fold", counting_fold)
+        f = parse_formula("ex v7. all v8. (adj(v7,v8) | eq(v7,v8))", strict=True)
+        assert folds == 1
+        assert evaluate(f, cycle(3)) and evaluate(f, complete(4))
+        assert F.free_variables(f) == frozenset() and folds == 1
+        for bad in (3, "adj(x,y)", None):
+            with pytest.raises(TypeError):
+                F.free_variables(bad)
 
     def test_assignment_and_shadowing(self):
         f = parse_formula("ex x. adj(x,y)")
@@ -416,6 +459,17 @@ class TestEvaluate:
 
         with pytest.raises(TypeError):
             evaluate(Negation(Eq("x", "x")), cycle(3), {"x": 0})
+
+    @given(mixed_chains(), colored_graphs(),
+           st.lists(st.integers(0, 3), min_size=len(VARS), max_size=len(VARS)))
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_chains_match_reference(self, f, g, picks):
+        # literals shuffled among quantified parts, where the literal-first
+        # order differs most from reading the chain in order
+        env = {v: p % g.n for v, p in zip(VARS, picks)}
+        assert evaluate(f, g, env) == reference_evaluate(f, g, env)
+        closed = Exists("x", Forall("y", Exists("z", f)))
+        assert evaluate(closed, g) == reference_evaluate(closed, g)
 
     @given(asts(depth=3), st.integers(0, 6))
     @settings(max_examples=80, deadline=None)
@@ -497,7 +551,9 @@ DEPTH = 3000
 class TestDepth:
     """Each traversal but evaluate runs without recursion: a formula
     DEPTH levels deep is printed, parsed back, compared, copied, pickled,
-    shown by repr and analyzed."""
+    shown by repr and analyzed.  evaluate recurses through the nesting of
+    quantifiers, negations and alternations between And and Or, so it also
+    reads a DEPTH-part chain."""
 
     def check(self, f, text, free, profile, nest):
         assert print_formula(f) == text
@@ -523,6 +579,10 @@ class TestDepth:
         # the first conjunction already exceeds a nest cap of 0
         self.check(f, text, frozenset({"y", "z"}),
                    F.FormulaProfile(1, 0, True, None), frozenset({"E"}))
+        # x = 4 is next to y = 0 and apart from z = 1 in the 5-cycle
+        assert evaluate(f, cycle(5), {"y": 0, "z": 1}) is True
+        every = Forall("x", conjunction(parts))
+        assert evaluate(every, cycle(5), {"y": 0, "z": 1}) is False
 
     def test_negated_quantifier_chain(self):
         f = Eq("x", "x")

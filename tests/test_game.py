@@ -368,8 +368,8 @@ class TestGreedyIndex:
 
 def reference_explore_replies(g, h, spoiler, r_max, k=None, initial_pairs=()):
     """The walk that steps every reply, kept as the reference for
-    `explore_replies`, which steps only the replies that keep the pebbles a
-    partial isomorphism."""
+    `explore_replies`, which makes a state only for the replies that keep
+    the pebbles a partial isomorphism, without `step`'s checks."""
     state = new_game(g, h, r_max, k)
     for u, v in initial_pairs:
         state = step(state, (SIDE_G, u), v)
@@ -465,18 +465,20 @@ def criterion09_small_pairs():
 class TestReplyWalk:
     def check_walk(self, monkeypatch, make_spoiler, g, h, r_max, k=None):
         """explore_replies and the reference give the same tree, depth,
-        branches and unwon states, and step runs once per running or unwon
-        reply; returns the tree and its number of won replies."""
+        branches and unwon states, and the walk makes one child state per
+        running or unwon reply, through its unchecked round; returns the
+        tree and its number of won replies."""
         want = reference_explore_replies(g, h, make_spoiler(), r_max, k)
         calls = 0
+        checked_round = game._checked_round
 
-        def counting_step(*args):
+        def counting_round(*args):
             nonlocal calls
             calls += 1
-            return step(*args)
+            return checked_round(*args)
 
         with monkeypatch.context() as m:
-            m.setattr(game, "step", counting_step)
+            m.setattr(game, "_checked_round", counting_round)
             got = explore_replies(g, h, make_spoiler(), r_max, k)
         assert same_reply_nodes(got.root, want.root)
         assert (got.depth, got.branches) == (want.depth, want.branches)
@@ -495,7 +497,7 @@ class TestReplyWalk:
                 g, h, r_max)[1]
             pairs += 1
         assert pairs == 630
-        assert won > 0   # won lines are the replies step skips
+        assert won > 0   # won lines are the replies that make no state
 
     def test_oracle_spoiler_matches_reference(self, monkeypatch):
         # at the pair's rank every line is won; one round less leaves

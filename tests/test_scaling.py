@@ -21,10 +21,10 @@ import sys
 import pytest
 
 from fodef.cli import perturb_hop
-from fodef.families import path, random_bounded_tree, random_hop
+from fodef.families import cycle, path, random_bounded_tree, random_hop
 from fodef.formulas import (
-    Adj, Eq, Exists, Not, analyze, conjunction, free_variables, parse_formula,
-    print_formula,
+    Adj, And, Eq, Exists, Forall, Not, Or, analyze, conjunction, evaluate,
+    free_variables, parse_formula, print_formula,
 )
 from fodef.game import SIDE_G
 from fodef.graphs import (
@@ -99,6 +99,19 @@ def test_formula_equality_and_hash_do_not_walk():
         counts.append((opcodes(lambda: hash(f)), opcodes(lambda: f == g)))
     (hash_small, eq_small), (hash_large, eq_large) = counts
     assert hash_large <= hash_small and eq_large <= eq_small
+
+
+def test_evaluate_reads_literals_first():
+    # the literal ~eq(x,x) settles the conjunction for the first x, so the
+    # quantified part before it, which reads n atoms when read first, is
+    # never read
+    f = Forall("x", And(Exists("y", Forall("z", Or(Adj("y", "z"), Not(Adj("y", "z"))))),
+                        Not(Eq("x", "x"))))
+    free_variables(f)  # kept on the node, so neither count walks it
+    small, large = cycle(64), cycle(1024)
+    base = opcodes(lambda: evaluate(f, small))
+    allowance = int(1.15 * base)
+    assert opcodes(lambda: evaluate(f, large), limit=allowance) <= allowance
 
 
 def hop_case(n: int, seed: int, edhop2: bool):

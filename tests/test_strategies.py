@@ -25,7 +25,7 @@ from fodef.oracle import OracleSpoiler, exact_rank, survival_vs
 from fodef.separators import classify_o
 from fodef.strategies import (
     BOUND_NAMES, _BOUND_PARAMS, HypothesisError, StrategyConfig, StrategyError,
-    StrategyMachine, _Bisection, bound, choose_depth, extract_formula,
+    StrategyMachine, _Bisection, _Frame, bound, choose_depth, extract_formula,
     halving_agent, reply_tree, s_agent, s_star_agent, synthesize_distinguisher,
 )
 
@@ -665,6 +665,20 @@ class TestFork:
             agent = s_agent(g, h, cfg, classification=cls)
             deep += check_fork_shares(agent, new_game(g, h, r_max))
         assert deep > 100
+        check_fork_shares(*c8_halving())
+
+    def test_fork_copies_instance_dicts(self, monkeypatch):
+        # the top frame and the bisection are new objects whose instance
+        # dicts hold the same values (check_fork_shares), copied without the
+        # reduce protocol
+        def no_reduce(self, protocol):
+            raise AssertionError("copied through the reduce protocol")
+
+        for cls in (_Frame, _Bisection):
+            monkeypatch.setattr(cls, "__reduce_ex__", no_reduce)
+        g, h = random_bounded_tree(8, 3, 2), random_bounded_tree(8, 3, 3)
+        agent = s_agent(g, h, StrategyConfig(provider="tree_centroid"))
+        assert check_fork_shares(agent, new_game(g, h, 20)) >= 1
         check_fork_shares(*c8_halving())
 
     def test_halving_sibling_forks_independent(self):
