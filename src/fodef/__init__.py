@@ -6,7 +6,6 @@ from fodef.graphs import (
     GraphError,
     are_isomorphic,
     check_partial_isomorphism,
-    distance,
     find_isomorphism,
     flap_classes,
     flaps_of,
@@ -57,7 +56,7 @@ __all__ = [
     "SeparatorResult", "StrategyConfig", "Transcript", "analyze",
     "are_isomorphic", "bound", "brute_min_separator", "builtin_duplicator",
     "check_partial_isomorphism", "choose_depth", "class_o_separator",
-    "classify_o", "defining_rank_lb", "distance", "enumerate_graphs",
+    "classify_o", "defining_rank_lb", "enumerate_graphs",
     "evaluate", "exact_rank", "extract_formula", "find_isomorphism",
     "flap_classes", "flaps_of", "generate", "halving_agent", "load_graph",
     "new_game", "parse_formula", "print_formula", "reply_tree", "run_match",

@@ -125,6 +125,8 @@ def campaign_rows(claim: str, family: str, sizes: Sequence[int], d: int,
     if family not in ("tree", "hop") \
             or family != {"thm41": "tree", "thm43": "hop"}.get(claim, family):
         raise StrategyError(f"claim {claim} is not checked on the family {family!r}")
+    if trials < 1 or not duplicators:
+        raise StrategyError("a campaign needs at least one trial and one Duplicator")
     cfg = StrategyConfig(provider="tree_centroid" if family == "tree" else "class_o")
     starred = claim == "lemma52"
     rows = []
@@ -439,9 +441,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     g = load_graph(args.infile)
-    marked = [int(x) for x in args.highlight.split(",") if x]
+    dot = g.to_dot(highlight=[int(x) for x in args.highlight.split(",") if x])
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(g.to_dot(highlight=marked) + "\n")
+        fh.write(dot + "\n")
     print(f"wrote {args.out}")
     return 0
 

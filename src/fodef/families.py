@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from bisect import bisect_left
@@ -168,12 +169,11 @@ def generate(spec: FamilySpec) -> ColoredGraph:
 
 # -- enumeration ---------------------------------------------------------------
 
-_enum_cache: dict[int, list[ColoredGraph]] = {}
-
 
 def _least_masks(p: ColoredGraph) -> list[int]:
     """The least of each orbit of p's automorphisms on the vertex subsets of
-    p, as bit masks, ascending."""
+    p, as bit masks, ascending.  A parent is searched once, when the level
+    above it is built, so the search is not kept on the graph."""
     size = 1 << p.n
     images = [[sum(1 << a[j] for j in range(p.n) if m >> j & 1) for m in range(size)]
               for a in _canonical(p)[2]]
@@ -181,29 +181,26 @@ def _least_masks(p: ColoredGraph) -> list[int]:
     return [m for m in range(size) if roots[m] == m]
 
 
+@functools.cache
 def _enumerate_level(n: int) -> list[ColoredGraph]:
     """One graph per isomorphism class of order n: the first of its class
     among the order-(n-1) representatives extended by every neighborhood of
     a new vertex n-1, sorted by edge count and edge list.  Neighborhoods in
     one orbit of the parent's automorphisms give isomorphic graphs, so only
     the least of each orbit, which holds the first of its class, is tried."""
-    if n in _enum_cache:
-        return _enum_cache[n]
     if n == 1:
-        reps = [ColoredGraph.build(1, [])]
-    else:
-        parents = _enumerate_level(n - 1)
+        return [ColoredGraph.build(1, [])]
+    parents = _enumerate_level(n - 1)
 
-        def candidate(i: int) -> ColoredGraph:
-            p, mask = parents[i >> (n - 1)], i & ((1 << (n - 1)) - 1)
-            extra = [(j, n - 1) for j in range(n - 1) if mask >> j & 1]
-            return ColoredGraph.build(n, list(p.edges()) + extra)
+    def candidate(i: int) -> ColoredGraph:
+        p, mask = parents[i >> (n - 1)], i & ((1 << (n - 1)) - 1)
+        extra = [(j, n - 1) for j in range(n - 1) if mask >> j & 1]
+        return ColoredGraph.build(n, list(p.edges()) + extra)
 
-        tried = [i << (n - 1) | m for i, p in enumerate(parents) for m in _least_masks(p)]
-        classes = group_by_isomorphism(candidate(i) for i in tried)
-        reps = [candidate(tried[members[0]]) for members in classes]
-        reps.sort(key=lambda g: (g.edge_count(), sorted(g.edges())))
-    _enum_cache[n] = reps
+    tried = [i << (n - 1) | m for i, p in enumerate(parents) for m in _least_masks(p)]
+    classes = group_by_isomorphism(candidate(i) for i in tried)
+    reps = [candidate(tried[members[0]]) for members in classes]
+    reps.sort(key=lambda g: (g.edge_count(), sorted(g.edges())))
     return reps
 
 
@@ -217,9 +214,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[ColoredGr
         yield g
 
 
-_hop_cache: dict[int, list[ColoredGraph]] = {}
-
-
+@functools.cache
 def enumerate_hop_graphs(n: int) -> list[ColoredGraph]:
     """All Hamiltonian outerplanar graphs of order n, one per isomorphism class.
 
@@ -227,30 +222,26 @@ def enumerate_hop_graphs(n: int) -> list[ColoredGraph]:
     chords; the graph of the first chord set of each isomorphism class is
     kept.
     """
-    if n in _hop_cache:
-        return _hop_cache[n]
     if n == 1:
-        out = [ColoredGraph.build(1, [])]
-    elif n == 2:
-        out = [ColoredGraph.build(2, [(0, 1)])]
-    else:
-        all_chords = [(i, j) for i in range(n) for j in range(i + 2, n)
-                      if not (i == 0 and j == n - 1)]
-        chord_sets: list[tuple[tuple[int, int], ...]] = []
+        return [ColoredGraph.build(1, [])]
+    if n == 2:
+        return [ColoredGraph.build(2, [(0, 1)])]
+    all_chords = [(i, j) for i in range(n) for j in range(i + 2, n)
+                  if not (i == 0 and j == n - 1)]
+    chord_sets: list[tuple[tuple[int, int], ...]] = []
 
-        def extend(chosen: list, pool: list):
-            chord_sets.append(tuple(chosen))
-            for i, c in enumerate(pool):
-                ok = all(not chords_cross(c, x) for x in chosen)
-                if ok:
-                    chosen.append(c)
-                    extend(chosen, [d for d in pool[i + 1:] if d > c])
-                    chosen.pop()
+    def extend(chosen: list, pool: list):
+        chord_sets.append(tuple(chosen))
+        for i, c in enumerate(pool):
+            ok = all(not chords_cross(c, x) for x in chosen)
+            if ok:
+                chosen.append(c)
+                extend(chosen, [d for d in pool[i + 1:] if d > c])
+                chosen.pop()
 
-        extend([], all_chords)
+    extend([], all_chords)
 
-        cycle_edges = [(i, (i + 1) % n) for i in range(n)]
-        graphs = [ColoredGraph.build(n, cycle_edges + list(cs)) for cs in chord_sets]
-        out = [graphs[members[0]] for members in group_by_isomorphism(graphs)]
-    _hop_cache[n] = out
-    return out
+    cycle_edges = [(i, (i + 1) % n) for i in range(n)]
+    graphs = [ColoredGraph.build(n, cycle_edges + list(cs)) for cs in chord_sets]
+    return [graphs[members[0]] for members in group_by_isomorphism(graphs)]
+

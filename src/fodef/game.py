@@ -9,7 +9,6 @@ budget limits how often Spoiler may switch sides between consecutive rounds.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import random
 from dataclasses import dataclass, field, replace
@@ -19,7 +18,6 @@ from fodef.graphs import (BudgetExceeded, ColoredGraph,
                           extends_partial_isomorphism)
 
 REPLY_NODE_CAP = 500_000    # Spoiler moves one reply walk may explore
-REPLY_INDEX_GRAPHS = 4      # graphs whose greedy reply index is kept
 
 SIDE_G = "G"
 SIDE_H = "G'"
@@ -142,19 +140,6 @@ class RandomDuplicator(Agent):
         return self.rng.randrange(other.n)
 
 
-@functools.lru_cache(maxsize=REPLY_INDEX_GRAPHS)
-def _reply_index(g: ColoredGraph) -> tuple[dict, dict]:
-    """The vertices of g by colors and then degree, and by degree alone,
-    each list ascending."""
-    by_colors: dict = {}
-    by_degree: dict = {}
-    for v in range(g.n):
-        d = len(g.adj[v])
-        by_colors.setdefault(g.colors[v], {}).setdefault(d, []).append(v)
-        by_degree.setdefault(d, []).append(v)
-    return by_colors, by_degree
-
-
 def _nearest_degree(by_degree: dict, d: int, skip=()) -> Optional[int]:
     """The least vertex outside `skip` among those whose degree is nearest
     to d, or None when every listed vertex is skipped."""
@@ -181,7 +166,7 @@ class GreedyDuplicator(Agent):
     def respond(self, state, side, vertex):
         own, other = (state.g, state.h) if side == SIDE_G else (state.h, state.g)
         mine, theirs = (0, 1) if side == SIDE_G else (1, 0)
-        by_colors, by_degree = _reply_index(other)
+        by_colors, by_degree = other._reply_index
         d = own.degree(vertex)
         partner = {p[mine]: p[theirs] for p in state.pebbles}
         near = [b for a, b in partner.items() if a in own.adj[vertex]]

@@ -7,12 +7,17 @@ immutable; operations return fresh objects.
 Isomorphism is decided one way: forests by their AHU codes, every other
 graph by one individualization-refinement search, which gives a complete
 canonical code, its labelling and generators of the automorphism group.
+
+A fact of a graph (its connectivity, degree sequence, forest code, root
+partition, canonical search, greedy reply index and stabilizer orbits) is a
+`cached_property` of the graph: computed at most once per graph object, at
+its first use, and freed with the object.  Equal but distinct objects keep
+their own facts.  The memo adds no lock, because fodef runs one thread.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,9 +30,6 @@ class GraphError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """An exhaustive search refused to run past its configured budget."""
-
-
-INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,47 @@ class ColoredGraph:
     def is_tree(self) -> bool:
         return self.is_connected() and self.edge_count() == self.n - 1
 
+    # -- facts, each computed once per graph object -----------------------
+
+    @cached_property
+    def _degrees(self) -> list[int]:
+        return sorted(map(len, self.adj))
+
+    @cached_property
+    def _forest(self) -> Optional[tuple]:
+        return _forest_code(self)
+
+    @cached_property
+    def _partition(self) -> tuple[tuple[list[int], ...], tuple[tuple, tuple]]:
+        """The root partition and its signature, the colors and the cell of
+        each vertex in cell order, which isomorphic graphs share."""
+        part = _root(self)
+        elems, cell = part[0], part[2]
+        return part, (tuple(map(self.colors.__getitem__, elems)),
+                      tuple(map(cell.__getitem__, elems)))
+
+    @cached_property
+    def _search(self) -> tuple[tuple, list[int], list[tuple[int, ...]]]:
+        """The canonical code, labelling and automorphism generators."""
+        return _canonical(self, self._partition[0])
+
+    @cached_property
+    def _reply_index(self) -> tuple[dict, dict]:
+        """The vertices by colors and then degree, and by degree alone,
+        each list ascending: the greedy Duplicator's index."""
+        by_colors: dict = {}
+        by_degree: dict = {}
+        for v in range(self.n):
+            d = len(self.adj[v])
+            by_colors.setdefault(self.colors[v], {}).setdefault(d, []).append(v)
+            by_degree.setdefault(d, []).append(v)
+        return by_colors, by_degree
+
+    @cached_property
+    def _orbits(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Pebbled set -> its `stabilizer_orbits`, filled as they are read."""
+        return {}
+
     # -- derivation -------------------------------------------------------
 
     def induced(self, vertices: Iterable[int]) -> tuple["ColoredGraph", dict[int, int]]:
@@ -215,6 +258,9 @@ class ColoredGraph:
 
     def to_dot(self, highlight: Iterable[int] = (), name: str = "g") -> str:
         marked = set(highlight)
+        for v in sorted(marked):
+            if not 0 <= v < self.n:
+                raise GraphError(f"highlighted vertex {v} out of range")
         out = [f"graph {name} {{"]
         for v in range(self.n):
             attrs = []
@@ -239,38 +285,6 @@ def load_graph(path: str) -> ColoredGraph:
 
 
 # -- distances -------------------------------------------------------------
-
-
-def distance(g: ColoredGraph, u: int, target) -> float:
-    """BFS distance from u to a vertex or to the nearest vertex of a set.
-
-    Returns math.inf when unreachable, per d(u,X) = min over the set.
-    """
-    if not (0 <= u < g.n):
-        raise GraphError(f"vertex {u} out of range")
-    goal = {target} if isinstance(target, int) else set(target)
-    for t in goal:
-        if not (0 <= t < g.n):
-            raise GraphError(f"vertex {t} out of range")
-    if not goal:
-        return INF
-    if u in goal:
-        return 0
-    dist = {u: 0}
-    frontier = [u]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for w in frontier:
-            for x in g.adj[w]:
-                if x not in dist:
-                    if x in goal:
-                        return d
-                    dist[x] = d
-                    nxt.append(x)
-        frontier = nxt
-    return INF
 
 
 def distances_within(g: ColoredGraph, source: int, allowed: frozenset[int]) -> dict[int, int]:
@@ -648,14 +662,12 @@ def _forest_code(g: ColoredGraph) -> Optional[tuple]:
 
 def find_isomorphism(g: ColoredGraph, h: ColoredGraph) -> Optional[dict[int, int]]:
     """A color- and adjacency-preserving bijection g -> h, or None.  Graphs
-    whose root partitions differ are rejected after one refinement each;
-    otherwise the two canonical labellings, composed, give the map."""
-    if g.n != h.n or sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
+    whose degree sequences or root partitions differ are rejected before
+    any search; otherwise the two canonical labellings, composed, give the
+    map."""
+    if g.n != h.n or g._degrees != h._degrees or g._partition[1] != h._partition[1]:
         return None
-    pg, ph = _root(g), _root(h)
-    if [(g.colors[v], pg[2][v]) for v in pg[0]] != [(h.colors[v], ph[2][v]) for v in ph[0]]:
-        return None
-    (code_g, lab_g, _), (code_h, lab_h, _) = _canonical(g, pg), _canonical(h, ph)
+    (code_g, lab_g, _), (code_h, lab_h, _) = g._search, h._search
     return dict(zip(lab_g, lab_h)) if code_g == code_h else None
 
 
@@ -663,18 +675,17 @@ def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> bool:
     """Graphs of different degree sequences are rejected at once; otherwise
     forests are compared by their AHU codes, other graphs by
     `find_isomorphism`."""
-    if g.n != h.n or sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
+    if g.n != h.n or g._degrees != h._degrees:
         return False
-    code = _forest_code(g)
-    if code is not None:
-        return code == _forest_code(h)
+    if g._forest is not None:
+        return g._forest == h._forest
     return find_isomorphism(g, h) is not None
 
 
 def automorphisms(g: ColoredGraph, limit: int = 50000) -> list[dict[int, int]]:
     """All automorphisms of g, up to `limit` of them: the closure of the
     automorphisms that the canonical search finds."""
-    gens, group = _canonical(g)[2], [tuple(range(g.n))]
+    gens, group = g._search[2], [tuple(range(g.n))]
     seen = set(group)
     for a in group:
         for ab in (tuple(b[x] for x in a) for b in gens):
@@ -688,8 +699,22 @@ def iso_invariant_key(g: ColoredGraph) -> tuple:
     """A complete isomorphism invariant: equal keys exactly for isomorphic
     graphs.  For a forest it is the tagged AHU code, for any other graph
     the tagged canonical code."""
-    code = _forest_code(g)
-    return ("forest", code) if code is not None else ("graph", _canonical(g)[0])
+    code = g._forest
+    return ("forest", code) if code is not None else ("graph", g._search[0])
+
+
+def stabilizer_orbits(g: ColoredGraph, pebbled: tuple[int, ...]) -> tuple[int, ...]:
+    """The least vertex of each orbit of the stabilizer of the vertices
+    `pebbled` (ascending) in g, ascending, kept on g per pebbled set.  The
+    automorphisms that the canonical search of g, with each pebbled vertex
+    given a color of its own, finds generate the stabilizer."""
+    found = g._orbits.get(pebbled)
+    if found is None:
+        fresh = g.max_color() + 1
+        marked = g.with_extra_colors({x: (fresh + i,) for i, x in enumerate(pebbled)})
+        roots = _orbit_roots(g.n, _canonical(marked)[2])
+        found = g._orbits[pebbled] = tuple(v for v in range(g.n) if roots[v] == v)
+    return found
 
 
 def group_by_isomorphism(graphs: Iterable[ColoredGraph]) -> list[list[int]]:

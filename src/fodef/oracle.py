@@ -8,8 +8,8 @@ vertices.  The orbits are exact and no automorphism group is listed: they
 are read off the automorphisms that the canonical search of the graph, with
 the pebbled vertices individualized, finds (McKay & Piperno, "Practical
 graph isomorphism, II", 2014), which generate the stabilizer.  Orbits are
-memoized per graph and pebbled set, for as long as the graph lives, and
-shared by every search on an equal graph.
+kept on the graph object per pebbled set (`graphs.stabilizer_orbits`), for
+as long as the graph lives; an equal but distinct graph keeps its own.
 
 The game memo stays with each search.  `exact_rank` starts a fresh search and
 leaves it in a one-search slot; `OracleSpoiler` and `ExhaustiveDuplicator`
@@ -18,12 +18,11 @@ budget, and otherwise start one there.  The memo holds only proven round
 bounds and the least move that wins within the least round count, so a
 continued search plays as a fresh one would.
 
-The orbit memo and the search slot take no lock: fodef runs one thread.
+The search slot takes no lock: fodef runs one thread.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,8 +32,8 @@ from fodef.game import (
     alternations_after, explore_replies,
 )
 from fodef.graphs import (
-    BudgetExceeded, ColoredGraph, _canonical, _orbit_roots, are_isomorphic,
-    extends_partial_isomorphism,
+    BudgetExceeded, ColoredGraph, are_isomorphic, extends_partial_isomorphism,
+    stabilizer_orbits,
 )
 
 DEFAULT_SIZE_BUDGET = 16    # combined order, unless size_budget (CLI --budget) is given
@@ -52,43 +51,9 @@ class RankResult:
     memo_hits: int
     best_first_move: Optional[tuple[str, int]] = None
 
-    @property
-    def not_within_budget(self) -> bool:
-        return self.value is None
-
     def to_json_dict(self) -> dict:
         return {"k": self.k, "rank": self.value, "r_max": self.r_max,
                 "nodes": self.nodes}
-
-
-class _OrbitMemo:
-    """The stabilizer orbits of one graph, per pebbled set.  It does not
-    hold the graph, so that its entry in `_orbit_memos` dies with the graph;
-    every call passes the graph (or an equal one) in."""
-
-    def __init__(self):
-        self.found: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def orbits(self, g: ColoredGraph, pebbled: tuple[int, ...]) -> tuple[int, ...]:
-        """The least vertex of each orbit of the stabilizer of the vertices
-        `pebbled` (ascending) in g, ascending.  The automorphisms that the
-        canonical search of g, with each pebbled vertex given a color of its
-        own, finds generate the stabilizer."""
-        found = self.found.get(pebbled)
-        if found is None:
-            fresh = g.max_color() + 1
-            marked = g.with_extra_colors({x: (fresh + i,) for i, x in enumerate(pebbled)})
-            roots = _orbit_roots(g.n, _canonical(marked)[2])
-            found = self.found[pebbled] = tuple(v for v in range(g.n) if roots[v] == v)
-        return found
-
-
-_orbit_memos = weakref.WeakKeyDictionary()    # graph -> its _OrbitMemo
-
-
-def _orbit_memo(g: ColoredGraph) -> _OrbitMemo:
-    """The orbit memo of g, shared with every live graph equal to it."""
-    return _orbit_memos.setdefault(g, _OrbitMemo())
 
 
 class RankSearcher:
@@ -104,20 +69,18 @@ class RankSearcher:
         self.lose_hi: dict = {}
         self.nodes = 0
         self.memo_hits = 0
-        self._orbits = {side: _orbit_memo(x) if x.n <= ORBIT_MAX_ORDER else None
-                        for side, x in ((SIDE_G, g), (SIDE_H, h))}
 
     # -- helpers ----------------------------------------------------------
 
     def _candidates(self, side: str, pairs) -> Sequence[int]:
         """The least vertex of each orbit of the stabilizer of the pebbled
-        vertices on `side`, ascending; every vertex beyond ORBIT_DEPTH."""
-        memo = self._orbits[side]
+        vertices on `side`, ascending; every vertex beyond ORBIT_DEPTH pairs
+        or on graphs above ORBIT_MAX_ORDER."""
         x = self.g if side == SIDE_G else self.h
-        if memo is None or len(pairs) > ORBIT_DEPTH:
+        if x.n > ORBIT_MAX_ORDER or len(pairs) > ORBIT_DEPTH:
             return range(x.n)
         i = 0 if side == SIDE_G else 1
-        return memo.orbits(x, tuple(sorted([p[i] for p in pairs])))
+        return stabilizer_orbits(x, tuple(sorted([p[i] for p in pairs])))
 
     def _memo_key(self, pairs, last_side, alts):
         if self.k is None:

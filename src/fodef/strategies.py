@@ -211,9 +211,6 @@ class StrategyTrace:
     def record(self, **kw):
         self.records += (kw,)
 
-    def cases(self) -> list[str]:
-        return [r["case"] for r in self.records]
-
     def to_json_dict(self) -> dict:
         return {"records": list(self.records), "events": list(self.events),
                 "sep_sizes": list(self.sep_sizes), "max_flaps": self.max_flaps,

@@ -230,6 +230,18 @@ class TestCli:
         assert out == ""
         assert err == "error: a tree with no edge has no perturbation\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "0"],
+        ["--trials", "-1"],
+        ["--duplicators", ","],
+    ])
+    def test_verify_campaign_with_nothing_to_play(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--claim", "thm41", "--seed", "1",
+                             "--n", "8", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: a campaign needs at least one trial and one Duplicator\n"
+
     @pytest.mark.parametrize("sizes", ["0..8", "8..4"])
     def test_verify_bad_size_range(self, capsys, sizes):
         code, out, err = run(capsys, "verify", "--claim", "thm41", "--n", sizes,
@@ -268,6 +280,13 @@ class TestCli:
                          "--highlight", "0,2", "--out", str(d))
         assert code == 0
         assert "tomato" in d.read_text()
+        for vertex in ("99", "4", "-1"):
+            bad = tmp_path / f"bad{vertex}.dot"
+            code, out, err = run(capsys, "export-dot", "--in", str(p),
+                                 f"--highlight={vertex}", "--out", str(bad))
+            assert code == 1
+            assert out == "" and not bad.exists()
+            assert err == f"error: highlighted vertex {vertex} out of range\n"
 
     def test_separate_brute_without_separator(self, tmp_path, capsys):
         p = tmp_path / "c5.json"

@@ -17,7 +17,6 @@ from fodef.graphs import (
     are_isomorphic,
     automorphisms,
     check_partial_isomorphism,
-    distance,
     distances_within,
     find_isomorphism,
     flap_classes,
@@ -560,9 +559,35 @@ class TestDeepCycles:
         assert are_isomorphic(g, same)
         assert "_canonical" in calls
         calls.clear()
+        # g's root partition is kept, so only the recolored copy is refined
         assert not are_isomorphic(g, recolored)
         assert not are_isomorphic(recolored, g)
-        assert calls == ["_equitable"] * 4
+        assert calls == ["_equitable"]
+
+
+class TestFactsKept:
+    def test_one_against_many_computes_each_fact_once(self, monkeypatch):
+        # comparing one graph with many, both ways round and again, codes,
+        # refines and searches each graph object at most once
+        calls = Counter()
+        for name in ("_root", "_forest_code", "_canonical"):
+            def counted(g, *rest, _name=name, _call=getattr(fodef.graphs, name)):
+                calls[_name, id(g)] += 1
+                return _call(g, *rest)
+
+            monkeypatch.setattr(fodef.graphs, name, counted)
+        rng = random.Random(5)
+        kept = []  # every graph stays alive, so that no id is reused
+        for base, perturb in ((random_bounded_tree(40, 3, 1), perturb_tree),
+                              (random_hop(40, 1), perturb_hop)):
+            others = [relabel(base, rng.sample(range(40), 40)) for _ in range(4)]
+            others += [perturb(base, rng) for _ in range(4)]
+            kept += [base] + others
+            for _ in range(2):
+                for h in others:
+                    assert are_isomorphic(base, h) == are_isomorphic(h, base)
+        assert {name for name, _ in calls} == {"_root", "_forest_code", "_canonical"}
+        assert max(calls.values()) == 1
 
 
 class TestPartialIsomorphism:
@@ -585,25 +610,28 @@ class TestDistance:
                 distances_within(path(4), source, frozenset({source}))
 
     def test_path_end_to_end(self):
-        assert distance(path(5), 0, 4) == 4
+        assert distances_within(path(5), 0, frozenset(range(5)))[4] == 4
 
     def test_distance_to_set(self):
-        assert distance(path(5), 0, {2, 4}) == 2
+        dist = distances_within(path(5), 0, frozenset(range(5)))
+        assert min(dist[v] for v in (2, 4)) == 2
 
     def test_disconnected_is_infinite(self):
         g = ColoredGraph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert distance(g, 0, 3) == math.inf
+        assert sorted(distances_within(g, 0, frozenset(range(6)))) == [0, 1, 2]
 
     @given(small_graphs(max_n=6, colored=False))
     @settings(max_examples=40, deadline=None)
     def test_metric_properties(self, g):
+        every = frozenset(range(g.n))
+        dist = [distances_within(g, u, every) for u in range(g.n)]
         for u in range(g.n):
-            assert distance(g, u, u) == 0
+            assert dist[u][u] == 0
             for v in range(g.n):
+                duv = dist[u].get(v, math.inf)
+                assert duv == dist[v].get(u, math.inf)
                 for w in range(g.n):
-                    duv = distance(g, u, v)
-                    assert duv == distance(g, v, u)
-                    assert duv <= distance(g, u, w) + distance(g, w, v)
+                    assert duv <= dist[u].get(w, math.inf) + dist[w].get(v, math.inf)
 
 
 def census(g, x):

@@ -7,15 +7,16 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fodef.graphs
 from fodef import oracle
 from fodef.families import complete, cycle, enumerate_graphs, path, star, triv, two_cycles
 from fodef.game import (
     DUPLICATOR_SURVIVED, SIDE_H, SPOILER_WON, builtin_duplicator, run_match,
 )
-from fodef.graphs import BudgetExceeded, ColoredGraph
+from fodef.graphs import BudgetExceeded, ColoredGraph, stabilizer_orbits
 from fodef.oracle import (
-    ExhaustiveDuplicator, OracleSpoiler, RankSearcher, _orbit_memo,
-    defining_rank_lb, exact_rank, survival_vs,
+    ExhaustiveDuplicator, OracleSpoiler, RankSearcher, defining_rank_lb,
+    exact_rank, survival_vs,
 )
 
 from helpers import brute_automorphisms, brute_best_move, brute_rank
@@ -38,7 +39,6 @@ class TestExactRank:
         g = cycle(4)
         h = ColoredGraph.build(4, [(1, 2), (2, 3), (3, 0), (0, 1)])
         res = exact_rank(g, h, r_max=4)
-        assert res.not_within_budget
         assert res.value is None
 
     def test_size_guard(self):
@@ -139,13 +139,18 @@ class TestDefiningRankLB:
 
 def orbit_reps(g, pebbled):
     """The orbit representatives the rank search prunes to."""
-    return _orbit_memo(g).orbits(g, tuple(sorted(pebbled)))
+    return stabilizer_orbits(g, tuple(sorted(pebbled)))
 
 
-def forget_searches():
-    """Empty the orbit memos and the search slot."""
-    oracle._orbit_memos.clear()
+def forget_search():
+    """Empty the search slot.  Orbit tables stay on their graphs: a test
+    that needs them cold builds fresh graph objects."""
     oracle._last_search = None
+
+
+def fresh(g):
+    """An equal graph object that has computed nothing yet."""
+    return ColoredGraph(g.n, g.adj, g.colors)
 
 
 def rank_table_pairs():
@@ -201,47 +206,46 @@ class TestOrbits:
         assert tuple(s._candidates(SIDE_H, frozenset({(0, 4)}))) == (0, 4, 5)
         assert exact_rank(g, h, r_max=8, size_budget=24).nodes == 27
 
-    def test_equal_graphs_share_the_memo(self):
+    def test_equal_graphs_get_equal_orbits(self):
+        # an equal but distinct graph computes its own, equal, table
         g = path(5)
         twin = ColoredGraph.build(5, [(3, 4), (2, 3), (1, 2), (0, 1)])
         assert twin == g and twin is not g
         sets = [xs for size in range(3) for xs in itertools.combinations(range(5), size)]
         shared = [orbit_reps(g, xs) for xs in sets]
-        memo = _orbit_memo(g)
-        assert _orbit_memo(twin) is memo
         assert [orbit_reps(twin, xs) for xs in sets] == shared
-        # the memo's entry dies with g, though its twin lives on
+        # g's table dies with g, and its twin's lives on
         del g
         gc.collect()
-        assert _orbit_memo(twin) is not memo
         assert [orbit_reps(twin, xs) for xs in sets] == shared
 
     def test_memo_dies_with_its_graph(self):
-        # neither the memo nor a finished search keeps the graphs alive
+        # neither the orbit table nor a finished search keeps the graphs alive
         g, h = cycle(4), path(4)
         exact_rank(g, h)
         OracleSpoiler(g, h)
-        memos = [weakref.ref(_orbit_memo(x)) for x in (g, h)]
+        assert orbit_reps(g, ()) == (0,) and orbit_reps(h, ()) == (0, 1)
+        graphs = [weakref.ref(x) for x in (g, h)]
         exact_rank(star(2), star(3))
         del g, h
         gc.collect()
-        assert [m() for m in memos] == [None, None]
+        assert [x() for x in graphs] == [None, None]
 
     def test_one_orbit_search_per_graph_and_set(self, monkeypatch):
         # a defining_rank_lb-style sweep of the order-3 bases searches the
         # orbits of each graph and pebbled set once
         # (the graph with its pebbled vertices colored is one key per pair)
         calls = Counter()
-        search = oracle._canonical
+        search = fodef.graphs._canonical
 
-        def counted(marked):
+        def counted(marked, *rest):
             calls[marked] += 1
-            return search(marked)
+            return search(marked, *rest)
 
-        monkeypatch.setattr(oracle, "_canonical", counted)
-        forget_searches()
-        every = [h for n in range(1, 6) for h in enumerate_graphs(n)]
-        for g in enumerate_graphs(3):
+        monkeypatch.setattr(fodef.graphs, "_canonical", counted)
+        forget_search()
+        every = [fresh(h) for n in range(1, 6) for h in enumerate_graphs(n)]
+        for g in [x for x in every if x.n == 3]:
             for h in every:
                 if h is not g:
                     exact_rank(g, h, r_max=g.n + 2)
@@ -250,7 +254,8 @@ class TestOrbits:
 
     def test_one_duplicator_across_pairs(self):
         # one exhaustive Duplicator on star(3)/star(4) and then on
-        # path(5)/path(6) plays as one started on an empty orbit memo
+        # path(5)/path(6) plays as one started cold, on fresh graphs and an
+        # empty search slot
         def play():
             d = builtin_duplicator("exhaustive")
             out = [run_match(star(3), star(4), OracleSpoiler(star(3), star(4)), d, 3)]
@@ -260,7 +265,7 @@ class TestOrbits:
 
         shared = play()
         assert (shared[0].status, shared[0].rounds_used) == (SPOILER_WON, 3)
-        forget_searches()
+        forget_search()
         assert play() == shared
 
     def test_spoiler_continues_exact_rank(self):
@@ -271,7 +276,8 @@ class TestOrbits:
             warm = OracleSpoiler(g, h, size_budget=budget)
             assert warm.searcher is oracle._last_search
             played = run_match(g, h, warm, ExhaustiveDuplicator(budget), r)
-            forget_searches()
+            forget_search()
+            g, h = fresh(g), fresh(h)
             cold = OracleSpoiler(g, h, size_budget=budget)
             assert run_match(g, h, cold, ExhaustiveDuplicator(budget), r) == played
 

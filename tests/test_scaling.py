@@ -232,6 +232,15 @@ def test_tree_primitives_are_linear(call_at):
     assert opcodes(large, limit=allowance) <= allowance
 
 
+def test_warm_isomorphism_reads_kept_facts():
+    # once both trees are coded, a call compares their kept degree
+    # sequences and codes, one C-level comparison each at any size
+    small, large = isomorphism_of_trees(256), isomorphism_of_trees(4096)
+    assert small() and large()
+    allowance = int(1.15 * opcodes(small))
+    assert opcodes(large, limit=allowance) <= allowance
+
+
 def bisection_on_path(n: int):
     """One whole bisection between the ends of path(n), its partners in two
     copies of the path, each reply the move's twin in the first copy, so

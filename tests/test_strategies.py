@@ -705,7 +705,7 @@ class TestFork:
         h = ColoredGraph.build(4, [(0, 3), (1, 3), (2, 3)])
         agent = s_star_agent(g, h, StrategyConfig(provider="tree_centroid"))
         run_match(g, h, agent, builtin_duplicator("greedy"), 40)
-        assert "CASE2" in agent.trace.cases()
+        assert "CASE2" in [r["case"] for r in agent.trace.records]
         assert agent.trace.to_json_dict()["max_similar"] == 1
         assert agent.fork().trace.to_json_dict()["max_similar"] == 1
 
