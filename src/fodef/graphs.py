@@ -9,10 +9,13 @@ graph by one individualization-refinement search, which gives a complete
 canonical code, its labelling and generators of the automorphism group.
 
 A fact of a graph (its connectivity, degree sequence, forest code, root
-partition, canonical search, greedy reply index and stabilizer orbits) is a
+partition, canonical search, greedy reply index, stabilizer orbits, class-O
+certificate and the class-O split of the whole graph under it) is a
 `cached_property` of the graph: computed at most once per graph object, at
 its first use, and freed with the object.  Equal but distinct objects keep
 their own facts.  The memo adds no lock, because fodef runs one thread.
+The class-O facts import `fodef.separators` when first computed, because
+that module imports this one.
 """
 
 from __future__ import annotations
@@ -183,6 +186,18 @@ class ColoredGraph:
     def _orbits(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Pebbled set -> its `stabilizer_orbits`, filled as they are read."""
         return {}
+
+    @cached_property
+    def _o_class(self):
+        """`classify_o`'s certificate of membership in the class O."""
+        from fodef.separators import _classify_o
+        return _classify_o(self)
+
+    @cached_property
+    def _o_split(self) -> tuple:
+        """`_split_o` of the whole graph under `_o_class`, in its ids."""
+        from fodef.separators import _split_o
+        return _split_o(self, frozenset(range(self.n)), self._o_class)
 
     # -- derivation -------------------------------------------------------
 

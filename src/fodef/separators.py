@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from fodef.graphs import BudgetExceeded, ColoredGraph, GraphError, flaps_of
 
@@ -53,39 +53,43 @@ class OClassification:
     def in_class(self) -> bool:
         return self.tag != NOT_IN_O
 
-    def certifies(self, g: ColoredGraph) -> bool:
-        """Validate the certificate against g (soundness of membership)."""
+    def certifies(self, g: ColoredGraph, within: Optional[Iterable[int]] = None
+                  ) -> bool:
+        """Validate the certificate against g, or, in g's ids, against the
+        subgraph g induces on `within`: O(|within| + the edges at its
+        vertices), with no copy (soundness of membership)."""
         if self.tag == NOT_IN_O:
             return True
         if len(self.missing_edges) != {HOP: 0, EDHOP1: 1, EDHOP2: 2}[self.tag]:
             return False
         cyc = self.witness_cycle
-        if cyc is None or sorted(cyc) != list(range(g.n)):
+        if cyc is None or sorted(cyc) != sorted(range(g.n) if within is None else within):
             return False
+        n = len(cyc)
         missing = {_norm(*e) for e in self.missing_edges}
         if any(g.has_edge(u, v) for u, v in missing):
             return False
-        if g.n >= 2:
-            steps = [(cyc[i], cyc[(i + 1) % g.n]) for i in range(g.n)]
-            if g.n == 2:
-                steps = [tuple(cyc)]
-            used = set()
-            for u, v in steps:
-                if not g.has_edge(u, v):
-                    if _norm(u, v) not in missing:
-                        return False
-                    used.add(_norm(u, v))
-            if used != missing:
+        gaps: list[int] = []
+        if n >= 2:
+            steps = [(cyc[i], cyc[(i + 1) % n]) for i in range(n)]
+            gaps = [i for i, (u, v) in enumerate(steps) if not g.has_edge(u, v)]
+            if {_norm(*steps[i]) for i in gaps} != missing:
                 return False
-        pos = {v: i for i, v in enumerate(cyc)}
-        return chords_non_crossing(_chords(g, pos)) and g.is_connected()
+        chords = _chords(g, {v: i for i, v in enumerate(cyc)})
+        # the steps that are edges join the cycle into one path, or into the
+        # two arcs between two gaps, which a chord must then join
+        i, j = gaps if len(gaps) == 2 else (0, n)
+        return chords_non_crossing(chords) and (
+            j == n or any((i < p <= j) != (i < q <= j) for p, q in chords))
 
 
 def _chords(g: ColoredGraph, pos: dict[int, int]) -> list[tuple[int, int]]:
-    """The edges of g that do not join neighbors on the cycle that `pos`
-    numbers, as normalized pairs of cycle positions."""
-    return [_norm(pos[u], pos[v]) for u, v in g.edges()
-            if abs(pos[u] - pos[v]) not in (1, g.n - 1)]
+    """The edges of g among the vertices that `pos` numbers along a cycle
+    that do not join neighbors on it, as normalized pairs of cycle
+    positions, in `g.edges()` order."""
+    n = len(pos)
+    return [_norm(pos[u], pos[v]) for u in sorted(pos) for v in g.adj[u]
+            if u < v and v in pos and abs(pos[u] - pos[v]) not in (1, n - 1)]
 
 
 def chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -382,7 +386,12 @@ def _edhop1_completion(g: ColoredGraph) -> Optional[tuple[tuple[int, ...], tuple
 
 def classify_o(g: ColoredGraph) -> OClassification:
     """Constructive membership test for the class O, with a certificate of
-    the least number of edge additions; EDHOP2 tries each non-edge."""
+    the least number of edge additions; EDHOP2 tries each non-edge.  It
+    runs once per graph object, which keeps the certificate."""
+    return g._o_class
+
+
+def _classify_o(g: ColoredGraph) -> OClassification:
     if g.n == 0:
         raise GraphError("empty graph")
     if not g.is_connected():
@@ -431,7 +440,8 @@ def _run_certificate(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
                      pos: dict[int, int],
                      missing: set[tuple[int, int]]) -> Optional[OClassification]:
     """Try to certify membership of the flap by traversing its cycle blocks in
-    order; None when more than two edge additions would be needed."""
+    order; None when more than two edge additions would be needed.  The
+    certificate is in g's ids and is checked in place."""
     n = len(cycle)
     runs = _runs_of(flap, pos, n)
     order: list[int] = []
@@ -456,11 +466,9 @@ def _run_certificate(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
                 additions.add(_norm(a, b))
     if len(additions) > 2:
         return None
-    tag = (HOP, EDHOP1, EDHOP2)[len(additions)]
-    sub, idx = g.induced(flap)
-    local = OClassification(tag, tuple(idx[v] for v in order),
-                            tuple(sorted(_norm(idx[a], idx[b]) for a, b in additions)))
-    return local if local.certifies(sub) else None
+    cert = OClassification((HOP, EDHOP1, EDHOP2)[len(additions)], tuple(order),
+                           tuple(sorted(additions)))
+    return cert if cert.certifies(g, within=flap) else None
 
 
 def _find_split_pair(n: int, chords: list[tuple[int, int]]) -> tuple[int, int]:
@@ -468,7 +476,9 @@ def _find_split_pair(n: int, chords: list[tuple[int, int]]) -> tuple[int, int]:
     vertices and no chord joins the two arcs, normalized; n >= 4, and the
     chords (p, q), p < q, do not cross.
 
-    A balanced chord comes first, the one with the smallest larger arc.
+    A balanced chord comes first, the one with the smallest larger arc, and
+    of two with the same, the one listed first (_split_o lists chords in
+    `g.edges()` order, so the tie follows the adjacency sets of g).
     Otherwise the pair lies on a common inner face: the one with the largest
     gap (j - i) mod n <= n/2, then the least start i.  Such a pair exists:
     an unbalanced chord cuts off fewer than L = max(2, (n-3)/3) steps, and
@@ -522,16 +532,15 @@ def class_o_separator(g: ColoredGraph,
                       classification: Optional[OClassification] = None
                       ) -> SeparatorResult:
     """Separator of size at most 5 with at most 7 flaps, each flap of at most
-    2n/3 vertices and again in the class O (annotated with certificates).
+    2n/3 vertices and again in the class O (annotated with certificates in
+    flap-local ids: vertex j of a flap is its j-th least vertex).
 
-    n <= 6 takes the first such set of a subset search, any larger graph one
-    construction on the completion cycle of its certificate (classify_o's,
-    or `classification`, which must certify g), with no fallback: the split
-    pair (both arcs at most 2n/3, at most four flaps), each flap certified
-    by its cycle blocks, and one _extend_split if a flap needs three
-    additions.  A cycle that is no order of g's vertices raises
-    SeparatorError at once; the one contract check raises it, naming the
-    instance, for any other certificate that does not certify g.
+    The split of all of g under classify_o's certificate or
+    `classification` (see _split_o).  What is checked of the certificate is
+    that its cycle is an order of g's vertices (else SeparatorError at once)
+    and that each flap's certificate certifies its flap (else the one
+    contract error, naming the instance); one that does not certify g may
+    still give a valid split.
     """
     n = g.n
     if n < 2:
@@ -539,27 +548,52 @@ def class_o_separator(g: ColoredGraph,
     cls = classification if classification is not None else classify_o(g)
     if not cls.in_class():
         raise SeparatorError("input graph is not in the supported class")
-    if n <= 6:
-        return _exhaustive_o_separator(g)
+    x, flaps, tags = _split_o(g, frozenset(range(n)), cls)
+    return SeparatorResult(x, EPSILON, flaps, tuple(
+        _relabel(t, {v: i for i, v in enumerate(f)}) for t, f in zip(tags, flaps)))
 
+
+def _split_o(g: ColoredGraph, dom: frozenset[int], cls: OClassification) -> tuple:
+    """(separator, flaps, flap certificates) of the region `dom` of g, of at
+    least two vertices, under its certificate `cls`, all in g's ids.  n <= 6
+    takes the first set of the subset search on an induced copy, mapped
+    back; a larger region one construction on the certificate's cycle, with
+    no fallback: the split pair (both arcs at most 2n/3, at most four
+    flaps), each flap certified in place by its cycle blocks, and one
+    _extend_split if a flap needs three additions."""
+    n = len(dom)
+    if n <= 6:
+        sub, idx = g.induced(dom)
+        back = sorted(idx)
+        res = _exhaustive_o_separator(sub)
+        flaps = tuple(tuple(back[i] for i in f) for f in res.flaps)
+        return (tuple(back[i] for i in res.x), flaps,
+                tuple(_relabel(t, f) for t, f in zip(res.tags, flaps)))
     cycle = cls.witness_cycle
-    if sorted(cycle or ()) != list(range(n)):
+    if sorted(cycle or ()) != sorted(dom):
         raise SeparatorError("the certificate's cycle is not an order of the "
                              f"{n} vertices")
     missing = {_norm(*e) for e in cls.missing_edges}
     pos = {v: i for i, v in enumerate(cycle)}
     i, j = _find_split_pair(n, _chords(g, pos))
     x = sorted((cycle[i], cycle[j]))
-    flaps = flaps_of(g, x)
+    flaps = g.components(dom.difference(x))
     tags = [_run_certificate(g, f, cycle, pos, missing) for f in flaps]
     if None in tags:
-        x = _extend_split(g, flaps[tags.index(None)], cycle, pos, missing, x)
-        flaps = flaps_of(g, x)
+        x = _extend_split(g, dom, flaps[tags.index(None)], cycle, pos, missing, x)
+        flaps = g.components(dom.difference(x))
         tags = [_run_certificate(g, f, cycle, pos, missing) for f in flaps]
     if len(x) > MAX_SEPARATOR or len(flaps) > MAX_FLAPS or None in tags \
             or not all(_fits(f, n, EPSILON) for f in flaps):
-        raise _construction_error(g)
-    return SeparatorResult(tuple(x), EPSILON, flaps, tuple(tags))
+        raise _construction_error(g, dom)
+    return tuple(x), tuple(flaps), tuple(tags)
+
+
+def _relabel(cls: OClassification, ids) -> OClassification:
+    """The certificate with each vertex v renamed ids[v]; ids keeps the order
+    of the ids, so the missing edges stay normalized and sorted."""
+    return OClassification(cls.tag, tuple(ids[v] for v in cls.witness_cycle),
+                           tuple((ids[a], ids[b]) for a, b in cls.missing_edges))
 
 
 def _instance_id(g: ColoredGraph) -> str:
@@ -568,14 +602,16 @@ def _instance_id(g: ColoredGraph) -> str:
     return hashlib.sha256(g.to_json().encode()).hexdigest()[:12]
 
 
-def _construction_error(g: ColoredGraph) -> SeparatorError:
-    return SeparatorError(f"constructive separator failed on n={g.n}; "
-                          f"instance {_instance_id(g)}")
+def _construction_error(g: ColoredGraph, dom: frozenset[int]) -> SeparatorError:
+    """The contract error, naming the subgraph that g induces on `dom`."""
+    sub = g if len(dom) == g.n else g.induced(dom)[0]
+    return SeparatorError(f"constructive separator failed on n={sub.n}; "
+                          f"instance {_instance_id(sub)}")
 
 
-def _extend_split(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
-                  pos: dict[int, int], missing: set[tuple[int, int]],
-                  x: list[int]) -> list[int]:
+def _extend_split(g: ColoredGraph, dom: frozenset[int], flap: Sequence[int],
+                  cycle: Sequence[int], pos: dict[int, int],
+                  missing: set[tuple[int, int]], x: list[int]) -> list[int]:
     """Grow the split pair when one flap needs three edge additions: add the
     two facing endpoints of the innermost connecting edge, and a third when
     the outer segments are also joined.
@@ -592,16 +628,16 @@ def _extend_split(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
     are joined, leaves at most 4 or 6 flaps in the run, each one run with
     at most one missing edge or two runs with none: all certified.
 
-    The two checks below hold for every certificate of g; they raise the
-    construction's one error where a broken one would raise IndexError or
-    StopIteration.
+    The two checks below hold for every certificate of the region `dom`;
+    they raise the construction's one error where a broken one would raise
+    IndexError or StopIteration.
     """
     n = len(cycle)
     seq = [cycle[p] for p in _runs_of(flap, pos, n)[0]]
     cuts = [i + 1 for i in range(len(seq) - 1)
             if _norm(seq[i], seq[i + 1]) in missing]
     if len(cuts) != 2:
-        raise _construction_error(g)
+        raise _construction_error(g, dom)
     p_seg, q_seg, r_seg = seq[:cuts[0]], seq[cuts[0]:cuts[1]], seq[cuts[1]:]
 
     def connected(a: list[int], b: list[int]) -> bool:
@@ -610,7 +646,7 @@ def _extend_split(g: ColoredGraph, flap: Sequence[int], cycle: Sequence[int],
 
     if not connected(r_seg, q_seg):
         if not connected(p_seg, q_seg):
-            raise _construction_error(g)
+            raise _construction_error(g, dom)
         p_seg, q_seg, r_seg = r_seg[::-1], q_seg[::-1], p_seg[::-1]
 
     q_set, r_set = set(q_seg), set(r_seg)

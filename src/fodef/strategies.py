@@ -31,7 +31,7 @@ from fodef.graphs import (
 )
 from fodef.separators import (
     EPSILON, MAX_FLAPS, MAX_SEPARATOR, OClassification, brute_min_separator,
-    class_o_separator, classify_o, tree_centroid_separator,
+    classify_o, tree_centroid_separator, _split_o,
 )
 
 
@@ -320,7 +320,7 @@ class _Frame:
     enc_y: frozenset[int]
     overlay_g: dict = field(default_factory=dict)
     overlay_h: dict = field(default_factory=dict)
-    cls: Optional[OClassification] = None      # membership certificate for dom_g
+    cls: Optional[OClassification] = None      # certificate of dom_g, in G's ids
     phase: str = "init"
     case: str = ""
     queue: tuple = ()
@@ -332,7 +332,7 @@ class _Frame:
     class_of_h: list = field(default_factory=list)
     fresh: list = field(default_factory=list)
     nclasses: int = 0
-    provider_tags: Optional[tuple] = None      # annotation of each of flaps_g
+    provider_tags: Optional[tuple] = None      # flaps_g certificates, in G's ids
     target_class: Optional[int] = None
     probe_flaps: list = field(default_factory=list)
     probe_idx: int = 0
@@ -424,23 +424,26 @@ class StrategyMachine(Agent):
     # -- separator providers -------------------------------------------------
 
     def _separate(self, frame: _Frame) -> tuple[tuple[int, ...], list, Optional[tuple]]:
-        """Separator of the current G-side region and its flaps in original
-        ids, plus per-flap membership annotations when the provider computes
-        them.  The tree centroid is found in G itself, on the region.  The
-        other providers run on the region's induced() copy, which reindexes
-        monotonically, so their flaps map back in the order components()
-        lists them and each annotation stays valid for its flap's
-        standalone induced graph."""
+        """Separator of the current G-side region and its flaps in G's ids,
+        plus per-flap certificates in G's ids when the provider computes
+        them.  The tree centroid and the class-O split run in G itself, on
+        the region; the root's split under G's own certificate is the one
+        kept on G (`_o_split`), which every agent on G reads.  Only
+        brute_min copies the region with induced(), which reindexes
+        monotonically, so its flaps map back in the order components()
+        lists them."""
         provider = self.config.provider
         if provider == "tree_centroid":
             res = tree_centroid_separator(self.g, within=frame.dom_g)
             return res.x, [frozenset(f) for f in res.flaps], res.tags
+        if provider == "class_o":
+            own = frame.anchor is None and frame.cls is vars(self.g).get("_o_class")
+            x, flaps, tags = (self.g._o_split if own
+                              else _split_o(self.g, frame.dom_g, frame.cls))
+            return x, [frozenset(f) for f in flaps], tags
         sub, idx = self.g.induced(frame.dom_g)
         back = sorted(idx)
-        if provider == "class_o":
-            res = class_o_separator(sub, classification=frame.cls)
-        else:
-            res = brute_min_separator(sub, EPSILON, MAX_SEPARATOR)
+        res = brute_min_separator(sub, EPSILON, MAX_SEPARATOR)
         flaps = [frozenset(back[i] for i in f) for f in res.flaps]
         return tuple(sorted(back[i] for i in res.x)), flaps, res.tags
 

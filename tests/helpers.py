@@ -404,3 +404,114 @@ def reference_choose_depth(n: int, m_or_s: int, epsilon, variant: str = "S") -> 
         power *= inv
         t += 1
     return t
+
+
+def reference_certifies(g: ColoredGraph, cls) -> bool:
+    """`OClassification.certifies` on the whole of g the way it was before it
+    took a domain: the cycle is an order of range(g.n), and g is connected
+    by `is_connected`."""
+    from fodef.separators import EDHOP1, EDHOP2, HOP, NOT_IN_O, _norm, chords_non_crossing
+
+    if cls.tag == NOT_IN_O:
+        return True
+    if len(cls.missing_edges) != {HOP: 0, EDHOP1: 1, EDHOP2: 2}[cls.tag]:
+        return False
+    cyc = cls.witness_cycle
+    if cyc is None or sorted(cyc) != list(range(g.n)):
+        return False
+    missing = {_norm(*e) for e in cls.missing_edges}
+    if any(g.has_edge(u, v) for u, v in missing):
+        return False
+    if g.n >= 2:
+        steps = [(cyc[i], cyc[(i + 1) % g.n]) for i in range(g.n)]
+        if g.n == 2:
+            steps = [tuple(cyc)]
+        used = set()
+        for u, v in steps:
+            if not g.has_edge(u, v):
+                if _norm(u, v) not in missing:
+                    return False
+                used.add(_norm(u, v))
+        if used != missing:
+            return False
+    pos = {v: i for i, v in enumerate(cyc)}
+    chords = [_norm(pos[u], pos[v]) for u, v in g.edges()
+              if abs(pos[u] - pos[v]) not in (1, g.n - 1)]
+    return chords_non_crossing(chords) and g.is_connected()
+
+
+def _reference_run_certificate(g: ColoredGraph, flap, cycle, pos, missing):
+    """A flap's certificate from its cycle blocks, in flap-local ids, checked
+    on an induced copy of the flap."""
+    from fodef.separators import EDHOP1, EDHOP2, HOP, OClassification, _norm, _runs_of
+
+    n = len(cycle)
+    runs = _runs_of(flap, pos, n)
+    order, additions = [], set()
+    for run in runs:
+        verts = [cycle[p % n] for p in run]
+        for a, b in zip(verts, verts[1:]):
+            if not g.has_edge(a, b):
+                if _norm(a, b) not in missing:
+                    return None
+                additions.add(_norm(a, b))
+        order.extend(verts)
+    if len(order) >= 3:
+        junctions = [(runs[i][-1], runs[(i + 1) % len(runs)][0])
+                     for i in range(len(runs))]
+        if len(runs) == 1:
+            junctions = [(runs[0][-1], runs[0][0])]
+        for pe, ps in junctions:
+            a, b = cycle[pe % n], cycle[ps % n]
+            if not g.has_edge(a, b):
+                additions.add(_norm(a, b))
+    if len(additions) > 2:
+        return None
+    sub, idx = g.induced(flap)
+    local = OClassification((HOP, EDHOP1, EDHOP2)[len(additions)],
+                            tuple(idx[v] for v in order),
+                            tuple(sorted(_norm(idx[a], idx[b]) for a, b in additions)))
+    return local if reference_certifies(sub, local) else None
+
+
+def reference_class_o_split(g: ColoredGraph, dom, cls):
+    """(x, flaps, tags) of the class-O split of the region `dom` of g under a
+    certificate of it in g's ids, the way the Spoiler split a region before
+    the split worked in g's ids: copy the region with induced(), rename the
+    certificate into the copy's ids, split the copy (chords in the copy's
+    `edges()` order, each flap's certificate checked on an induced copy of
+    the flap) and map x and the flaps back.  The tags stay in flap-local
+    ids."""
+    from fodef.graphs import flaps_of
+    from fodef.separators import (
+        EPSILON, MAX_FLAPS, MAX_SEPARATOR, SeparatorError, _exhaustive_o_separator,
+        _extend_split, _find_split_pair, _fits, _norm,
+    )
+
+    sub, idx = g.induced(dom)
+    back = sorted(idx)
+    n = sub.n
+    if n <= 6:
+        res = _exhaustive_o_separator(sub)
+        x, flaps, tags = res.x, res.flaps, res.tags
+    else:
+        cycle = tuple(idx[v] for v in cls.witness_cycle)
+        missing = {_norm(idx[a], idx[b]) for a, b in cls.missing_edges}
+        pos = {v: i for i, v in enumerate(cycle)}
+        chords = [_norm(pos[u], pos[v]) for u, v in sub.edges()
+                  if abs(pos[u] - pos[v]) not in (1, n - 1)]
+        i, j = _find_split_pair(n, chords)
+        x = sorted((cycle[i], cycle[j]))
+        flaps = flaps_of(sub, x)
+        tags = [_reference_run_certificate(sub, f, cycle, pos, missing) for f in flaps]
+        if None in tags:
+            x = _extend_split(sub, frozenset(range(n)), flaps[tags.index(None)],
+                              cycle, pos, missing, x)
+            flaps = flaps_of(sub, x)
+            tags = [_reference_run_certificate(sub, f, cycle, pos, missing)
+                    for f in flaps]
+        if len(x) > MAX_SEPARATOR or len(flaps) > MAX_FLAPS or None in tags \
+                or not all(_fits(f, n, EPSILON) for f in flaps):
+            raise SeparatorError(f"constructive separator failed on n={n}")
+    return (tuple(sorted(back[i] for i in x)),
+            tuple(tuple(back[i] for i in f) for f in flaps), tuple(tags))

@@ -32,7 +32,8 @@ from fodef.graphs import (
     iso_invariant_key, recolored_flap,
 )
 from fodef.separators import (
-    EDHOP2, HOP, OClassification, class_o_separator, tree_centroid_separator,
+    EDHOP2, HOP, OClassification, class_o_separator, classify_o, inner_faces,
+    tree_centroid_separator, _chords, _split_o,
 )
 from fodef.strategies import _Bisection
 
@@ -134,6 +135,54 @@ def test_class_o_separator_is_linear(edhop2, seed):
     allowance = int(RATIO * base)
     assert opcodes(lambda: class_o_separator(large, large_cls),
                    limit=allowance) <= allowance
+
+
+def hop_region(n: int):
+    """random_hop(64, 1) on the vertices 0..63, joined by the edge (0, 64) to
+    random_hop(n - 64, 1) on the rest: the region 0..63 and its cycle-order
+    certificate are the same at every n."""
+    inner, outer = random_hop(64, 1), random_hop(n - 64, 1)
+    g = ColoredGraph.build(n, list(inner.edges()) + [(0, 64)]
+                           + [(u + 64, v + 64) for u, v in outer.edges()])
+    return g, frozenset(range(64)), OClassification(HOP, tuple(range(64)))
+
+
+def certificate_of_region(n: int):
+    g, dom, cls = hop_region(n)
+    return lambda: cls.certifies(g, within=dom)
+
+
+def split_of_region(n: int):
+    g, dom, cls = hop_region(n)
+    return lambda: _split_o(g, dom, cls)
+
+
+@pytest.mark.parametrize("call_at", [certificate_of_region, split_of_region],
+                         ids=["certifies_within", "split_within"])
+def test_region_costs_do_not_grow_with_the_graph(call_at):
+    base = opcodes(call_at(256))
+    allowance = int(1.15 * base)
+    assert opcodes(call_at(4096), limit=allowance) <= allowance
+
+
+def classification_of_hop(n: int):
+    g = random_hop(n, 1)
+    return lambda: classify_o(g)  # the first call on g runs the construction
+
+
+def faces_of_hop(n: int):
+    g = random_hop(n, 1)
+    chords = _chords(g, {v: v for v in range(n)})
+    return lambda: inner_faces(n, chords)
+
+
+@pytest.mark.parametrize("call_at", [classification_of_hop, faces_of_hop],
+                         ids=["classify_o", "inner_faces"])
+def test_hop_primitives_are_linear(call_at):
+    small, large = call_at(512), call_at(1024)
+    base = opcodes(small)
+    allowance = int(RATIO * base)
+    assert opcodes(large, limit=allowance) <= allowance
 
 
 def tree_sample(n: int):

@@ -2,7 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,12 +18,15 @@ from fodef.separators import (
     brute_min_separator, chords_cross, chords_non_crossing, class_o_separator,
     classify_o, inner_faces,
     tree_centroid_separator, verify_separator,
-    _chords, _cut_vertices, _edhop1_completion, _find_split_pair, _norm,
+    EPSILON, MAX_FLAPS, MAX_SEPARATOR,
+    _chords, _cut_vertices, _edhop1_completion, _find_split_pair, _norm, _relabel,
+    _split_o,
 )
 
 from helpers import (
     brute_classify_o, brute_edhop1_completion, brute_outerplanar,
-    brute_two_connected, reference_tree_centroid,
+    brute_two_connected, reference_certifies, reference_class_o_split,
+    reference_tree_centroid,
 )
 
 
@@ -498,6 +501,131 @@ class TestClassOSeparator:
         assert not cls.certifies(g)
         with pytest.raises(SeparatorError, match=r"failed on n=12; instance"):
             class_o_separator(g, classification=cls)
+
+    def test_certificate_that_fails_g_may_still_split_it(self):
+        # what is checked is the cycle order and each flap's certificate:
+        # the cycle 0..7 is no cycle of path(8), yet both flaps certify
+        g = path(8)
+        cls = OClassification(HOP, tuple(range(8)))
+        assert not cls.certifies(g)
+        res = class_o_separator(g, classification=cls)
+        assert res.x == (0, 4) and res.flaps == ((1, 2, 3), (5, 6, 7))
+        assert_contract(g, res)
+
+    def test_region_error_names_the_region(self):
+        # the broken certificate above, on the same graph placed after an
+        # unrelated triangle: the error names the region's induced graph
+        g = ColoredGraph.build(15, [e for e in cycle(15).edges() if e != (4, 5)]
+                               + [(3, 6)])
+        with pytest.raises(SeparatorError) as whole:
+            class_o_separator(g, classification=OClassification(HOP, tuple(range(15))))
+        big = ColoredGraph.build(18, [(0, 1), (1, 2), (0, 2)]
+                                 + [(u + 3, v + 3) for u, v in g.edges()])
+        cls = OClassification(HOP, tuple(range(3, 18)))
+        with pytest.raises(SeparatorError) as region:
+            _split_o(big, frozenset(range(3, 18)), cls)
+        assert str(region.value) == str(whole.value)
+
+
+def balanced_tie(n, chords):
+    """Do two balanced chords share the least score of _find_split_pair?"""
+    scores = [max(q - p, n - (q - p)) - 1 for p, q in chords
+              if 3 * (q - p - 1) <= 2 * n and 3 * (n - (q - p) - 1) <= 2 * n]
+    return scores.count(min(scores, default=None)) >= 2
+
+
+class TestSplitInPlace:
+    """The class-O split in g's own ids against the induced-then-map-back
+    split it replaced (`helpers.reference_class_o_split`), on every flap
+    domain of a recursive split."""
+
+    @staticmethod
+    def valid(g, dom, split):
+        """The split of the region keeps the contract, each certificate (in
+        flap-local ids) checked on an induced copy of its flap."""
+        sub, idx = g.induced(dom)
+        x, flaps, tags = split
+        return (len(x) <= MAX_SEPARATOR
+                and verify_separator(sub, [idx[v] for v in x], EPSILON, MAX_FLAPS).ok
+                and all(reference_certifies(g.induced(f)[0], t)
+                        for f, t in zip(flaps, tags)))
+
+    def check(self, g, cls) -> int:
+        """Split g under cls and every flap domain after it, each against
+        the reference; the number of domains that fell in the one allowed
+        difference."""
+        ties = 0
+        stack = [(frozenset(range(g.n)), cls)]
+        while stack:
+            dom, cert = stack.pop()
+            x, flaps, tags = _split_o(g, dom, cert)
+            local = (x, flaps, tuple(_relabel(t, {v: i for i, v in enumerate(f)})
+                                     for t, f in zip(tags, flaps)))
+            ref = reference_class_o_split(g, dom, cert)
+            if local != ref:
+                # the one allowed difference: two balanced chords of equal
+                # score, listed in g's order here and in the copy's there
+                pos = {v: i for i, v in enumerate(cert.witness_cycle)}
+                assert balanced_tie(len(dom), _chords(g, pos))
+                assert self.valid(g, dom, local) and self.valid(g, dom, ref)
+                ties += 1
+            for f, t in zip(flaps, tags):
+                assert t.certifies(g, within=f)
+                if len(f) >= 2:
+                    stack.append((frozenset(f), t))
+        return ties
+
+    @settings(max_examples=100, deadline=None)
+    @given(hop_less_cycle_edges())
+    def test_matches_induced_reference(self, case):
+        self.check(*case)
+
+    def test_tie_between_balanced_chords(self):
+        # one 7-vertex flap domain of random_hop(17, 17) has two balanced
+        # chords of equal score, and g and its copy list them in turn
+        assert self.check(random_hop(17, 17), OClassification(HOP, tuple(range(17)))) == 1
+
+    def test_certifies_small_graphs_exhaustively(self):
+        # every graph of order <= 4, also as the ids 2.. of a larger graph
+        # joined to it by a path 0-1-2, with every cycle order and every set
+        # of at most two missing pairs
+        for n in range(1, 5):
+            for g in enumerate_graphs(n):
+                big = ColoredGraph.build(n + 2, [(0, 1), (1, 2)]
+                                         + [(u + 2, v + 2) for u, v in g.edges()])
+                for cyc in permutations(range(n)):
+                    for k in range(3):
+                        for missing in combinations(combinations(range(n), 2), k):
+                            cls = OClassification((HOP, EDHOP1, EDHOP2)[k], cyc, missing)
+                            moved = _relabel(cls, range(2, n + 2))
+                            want = reference_certifies(g, cls)
+                            assert cls.certifies(g) == want
+                            assert moved.certifies(big, within=range(2, n + 2)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(hop_less_cycle_edges(), st.integers(0, 10**6))
+    def test_certifies_in_place_matches_copy(self, case, seed):
+        # a flap of the split with its certificate, mostly broken: two
+        # cycle entries swapped, or the tag and a missing edge changed
+        g, cls = case
+        rng = random.Random(seed)
+        _, flaps, tags = _split_o(g, frozenset(range(g.n)), cls)
+        k = rng.randrange(len(flaps))
+        flap, cert = flaps[k], tags[k]
+        cyc, missing = list(cert.witness_cycle), list(cert.missing_edges)
+        kind = rng.randrange(4)
+        if kind == 1 and len(cyc) >= 2:
+            i, j = rng.sample(range(len(cyc)), 2)
+            cyc[i], cyc[j] = cyc[j], cyc[i]
+        elif kind == 2 and missing:
+            missing.pop()
+        elif kind == 3 and len(missing) < 2 and len(flap) >= 2:
+            missing.append(tuple(sorted(rng.sample(flap, 2))))
+        cert = OClassification((HOP, EDHOP1, EDHOP2)[len(missing)], tuple(cyc),
+                               tuple(sorted(missing)))
+        local = _relabel(cert, {v: i for i, v in enumerate(flap)})
+        assert cert.certifies(g, within=flap) == reference_certifies(
+            g.induced(flap)[0], local)
 
 
 class TestBruteMin:

@@ -22,7 +22,7 @@ from fodef.graphs import (
     recolored_flap,
 )
 from fodef.oracle import OracleSpoiler, exact_rank, survival_vs
-from fodef.separators import classify_o
+from fodef.separators import HOP, OClassification, classify_o
 from fodef.strategies import (
     BOUND_NAMES, _BOUND_PARAMS, HypothesisError, StrategyConfig, StrategyError,
     StrategyMachine, _Bisection, _Frame, bound, choose_depth, extract_formula,
@@ -375,6 +375,51 @@ class TestSAgent:
                 rep = survival_vs(ag, g, h, r_max=int(cap) + 1, size_budget=22)
                 assert rep.always_wins, (seed, chord)
                 assert rep.deepest_total_rounds <= cap, (seed, chord)
+
+    @staticmethod
+    def count_class_o_work(monkeypatch, g):
+        """Counts of classify_o's construction and of the whole-graph split
+        run on g itself."""
+        from fodef import separators, strategies
+        calls = {"classify": 0, "split": 0}
+        classify, split = separators._classify_o, separators._split_o
+
+        def counted_classify(x):
+            calls["classify"] += x is g
+            return classify(x)
+
+        def counted_split(x, dom, cls):
+            calls["split"] += x is g and len(dom) == g.n
+            return split(x, dom, cls)
+
+        monkeypatch.setattr(separators, "_classify_o", counted_classify)
+        monkeypatch.setattr(separators, "_split_o", counted_split)
+        monkeypatch.setattr(strategies, "_split_o", counted_split)
+        return calls
+
+    def play_greedy_and_random(self, g, cls=None):
+        import random
+        h = cli._opponent(g, "hop", 3, 5, random.Random(5))
+        for name in ("greedy", "random"):
+            agent = s_agent(g, h, StrategyConfig("class_o"), classification=cls)
+            t = run_match(g, h, agent, builtin_duplicator(name, seed=7),
+                          int(bound("thm43", n=g.n)) + 1)
+            assert t.status == SPOILER_WON
+
+    def test_agents_on_one_graph_classify_and_split_it_once(self, monkeypatch):
+        g = random_hop(64, 5)
+        calls = self.count_class_o_work(monkeypatch, g)
+        self.play_greedy_and_random(g)
+        assert calls == {"classify": 1, "split": 1}
+
+    def test_own_certificate_classifies_nothing(self, monkeypatch):
+        # a certificate the caller made is split from, and G is neither
+        # classified nor given a kept split to compare it with
+        g = random_hop(64, 5)
+        calls = self.count_class_o_work(monkeypatch, g)
+        self.play_greedy_and_random(g, OClassification(HOP, tuple(range(64))))
+        assert calls == {"classify": 0, "split": 2}
+        assert "_o_class" not in vars(g) and "_o_split" not in vars(g)
 
     def test_small_pairs_vs_all_replies(self):
         # a slice of the full order-<=5 sweep exercised in the acceptance suite
@@ -789,7 +834,8 @@ class TestReplyWalk:
 class TestDecompose:
     """The size-first flap classes against one `group_by_isomorphism` over
     every recolored flap of both sides; the G flaps the separator hands over
-    against `components`, and each flap annotation against its flap."""
+    against `components`, and each flap certificate, in G's ids, against
+    its flap."""
 
     @staticmethod
     def reference(m, frame):
@@ -820,7 +866,7 @@ class TestDecompose:
             if frame.provider_tags is not None:
                 counts["tagged"] += 1
                 assert len(frame.provider_tags) == len(frame.flaps_g)
-                assert all(tag.certifies(m.g.induced(f)[0]) for f, tag
+                assert all(tag.certifies(m.g, within=f) for f, tag
                            in zip(frame.flaps_g, frame.provider_tags))
             got = (frame.class_of_g, frame.class_of_h, frame.nclasses)
             assert got == self.reference(m, frame)
